@@ -17,7 +17,6 @@ from repro.analysis import ScoreTrackingSelection, score_histogram
 from repro.core.auction import MultiDimensionalProcurementAuction
 from repro.fl.selection import FixedSelection, RandomSelection
 from repro.api import Scenario, build_agents, build_federation, build_solver, run_scheme
-from repro.sim import preset
 from repro.sim.reporting import series_table
 from repro.sim.rng import rng_from
 
@@ -29,7 +28,7 @@ BINS = 8
 
 
 def _run():
-    cfg = Scenario.from_config(preset("bench", DATASET).with_(n_rounds=8))
+    cfg = Scenario.from_preset("bench", DATASET, n_rounds=8)
     federation = build_federation(cfg, SEED)
     solver = build_solver(cfg)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from repro.analysis import payment_score_sweep_n
 from repro.api import Scenario, run_scheme
-from repro.sim import preset
 from repro.sim.reporting import paper_vs_measured, series_table
 from repro.sim.rng import rng_from
 
@@ -29,8 +28,10 @@ def _run(bench_solver):
     # --- 9a: training speed for a small vs large population -------------
     rows_9a = {}
     for n_clients in (15, 30):
-        cfg = preset("bench", "mnist_o").with_(n_clients=n_clients, k_winners=6)
-        history = run_scheme(Scenario.from_config(cfg), "FMore", SEED)
+        scenario = Scenario.from_preset(
+            "bench", "mnist_o", n_clients=n_clients, k_winners=6
+        )
+        history = run_scheme(scenario, "FMore", SEED)
         rows_9a[f"N={n_clients}"] = [history.rounds_to(t) for t in TARGETS]
 
     table_9a = series_table(

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from repro.analysis import payment_score_sweep_k
 from repro.api import Scenario, run_scheme
-from repro.sim import preset
 from repro.sim.reporting import paper_vs_measured, series_table
 from repro.sim.rng import rng_from
 
@@ -28,8 +27,8 @@ def _run(bench_solver):
     # --- 10a: training speed for small vs large K -----------------------
     rows_10a = {}
     for k in (2, 10):
-        cfg = preset("bench", "mnist_o").with_(k_winners=k)
-        history = run_scheme(Scenario.from_config(cfg), "FMore", SEED)
+        scenario = Scenario.from_preset("bench", "mnist_o", k_winners=k)
+        history = run_scheme(scenario, "FMore", SEED)
         rows_10a[f"K={k}"] = [history.rounds_to(t) for t in TARGETS]
 
     table_10a = series_table(

@@ -21,7 +21,6 @@ from repro.core.mechanism import FMoreMechanism
 from repro.core.psi import PsiSelection
 from repro.fl.trainer import RoundRecord, TrainingHistory
 from repro.api import Scenario, build_agents, build_federation, build_solver, run_scheme
-from repro.sim import preset
 from repro.sim.reporting import paper_vs_measured, series_table
 from repro.sim.rng import rng_from
 
@@ -64,7 +63,7 @@ def _run():
     # faster, as in the paper's Fig 11a.  (In *small-data* regimes the
     # diversity bought by low psi compensates — Section III-C — which the
     # integration tests exercise separately.)
-    base = Scenario.from_config(preset("bench", "mnist_o")).with_(n_rounds=14)
+    base = Scenario.from_preset("bench", "mnist_o", n_rounds=14)
     rows_11a = {}
     final_acc = {}
     for psi in (0.3, 0.9):
@@ -80,8 +79,8 @@ def _run():
     )
 
     # --- 11b: selected-node ranks vs psi (auction-only, 20-winner game) --
-    cfg_b = Scenario.from_config(preset("bench", "mnist_o")).with_(
-        n_clients=100, k_winners=20, grid_size=129
+    cfg_b = Scenario.from_preset(
+        "bench", "mnist_o", n_clients=100, k_winners=20, grid_size=129
     )
     federation = build_federation(cfg_b, SEED)
     solver = build_solver(cfg_b)

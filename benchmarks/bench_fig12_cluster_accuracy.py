@@ -9,16 +9,16 @@ whose curve also shows accuracy jitter.  Regenerated on the
 from __future__ import annotations
 
 from repro.fl.metrics import accuracy_improvement
-from repro.sim.cluster_experiment import ClusterConfig, run_cluster_comparison
+from repro.api import FMoreEngine, Scenario
 from repro.sim.reporting import paper_vs_measured, series_table
 
 from .common import emit, fmt_curve, run_once
 
 SEED = 1
 
-CLUSTER_CFG = ClusterConfig(
-    n_nodes=31,
-    k_winners=8,
+CLUSTER_SCENARIO = Scenario.from_preset(
+    "cluster_cifar10",
+    seeds=(SEED,),
     n_rounds=15,
     size_range=(150, 900),
     test_per_class=30,
@@ -27,8 +27,8 @@ CLUSTER_CFG = ClusterConfig(
 
 
 def _run():
-    results = run_cluster_comparison(CLUSTER_CFG, ("FMore", "RandFL"), seed=SEED)
-    rounds = list(range(1, CLUSTER_CFG.n_rounds + 1))
+    results = FMoreEngine().run(CLUSTER_SCENARIO).comparison()
+    rounds = list(range(1, CLUSTER_SCENARIO.n_rounds + 1))
     acc = {s: fmt_curve(h.accuracies) for s, h in results.items()}
     loss = {s: fmt_curve(h.losses) for s, h in results.items()}
     improvement = accuracy_improvement(

@@ -14,8 +14,6 @@ import numpy as np
 
 from repro.analysis import headline_metrics
 from repro.api import FMoreEngine, Scenario
-from repro.sim import preset
-from repro.sim.cluster_experiment import ClusterConfig, run_cluster_comparison
 from repro.sim.reporting import paper_vs_measured
 
 from .common import emit, run_once
@@ -29,8 +27,9 @@ def _run():
     reductions = []
     lstm_improvement = None
     for dataset, target in TARGETS.items():
-        cfg = preset("bench", dataset)
-        scenario = Scenario.from_config(cfg, schemes=("FMore", "RandFL"), seeds=(SEED,))
+        scenario = Scenario.from_preset(
+            "bench", dataset, schemes=("FMore", "RandFL"), seeds=(SEED,)
+        )
         results = FMoreEngine().run(scenario).comparison()
         metrics = headline_metrics(results, target_accuracy=target)
         if metrics.round_reduction_pct is not None:
@@ -38,11 +37,11 @@ def _run():
         if dataset == "hpnews":
             lstm_improvement = metrics.accuracy_improvement_pct
 
-    cluster_cfg = ClusterConfig(
-        n_nodes=31, k_winners=8, n_rounds=12, size_range=(150, 900),
+    cluster_scenario = Scenario.from_preset(
+        "cluster_cifar10", seeds=(SEED,), n_rounds=12, size_range=(150, 900),
         test_per_class=25, model_width=0.18,
     )
-    cluster = run_cluster_comparison(cluster_cfg, ("FMore", "RandFL"), seed=SEED)
+    cluster = FMoreEngine().run(cluster_scenario).comparison()
     cluster_metrics = headline_metrics(cluster, target_accuracy=0.25)
     # The paper's 38.4% is the reduction of *total* 20-round wall clock;
     # time-to-target can be undefined at bench scale, so report the total.

@@ -12,7 +12,6 @@ from __future__ import annotations
 from repro.analysis import headline_metrics
 from repro.api import FMoreEngine, Scenario
 from repro.fl.metrics import round_reduction
-from repro.sim import preset
 from repro.sim.reporting import paper_vs_measured, series_table
 
 from .common import BENCH_SEEDS, emit, fmt_curve, mean_series
@@ -28,11 +27,12 @@ def run_accuracy_loss_figure(
     paper_target_note: str,
 ):
     """Run one Fig 4-7 experiment and emit its report."""
-    cfg = preset("bench", dataset)
-    scenario = Scenario.from_config(cfg, schemes=SCHEMES, seeds=tuple(BENCH_SEEDS))
+    scenario = Scenario.from_preset(
+        "bench", dataset, schemes=SCHEMES, seeds=tuple(BENCH_SEEDS)
+    )
     per_scheme = FMoreEngine().run(scenario).histories
 
-    rounds = list(range(1, cfg.n_rounds + 1))
+    rounds = list(range(1, scenario.n_rounds + 1))
     acc = {s: fmt_curve(mean_series(h, "accuracies")) for s, h in per_scheme.items()}
     loss = {s: fmt_curve(mean_series(h, "losses")) for s, h in per_scheme.items()}
 

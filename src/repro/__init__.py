@@ -18,12 +18,12 @@ Subpackages
     32-node cluster used for the "real-world" experiments.
 ``repro.api``
     The declarative surface: frozen, JSON-round-trippable
-    :class:`~repro.api.Scenario` specs and the registry-driven
-    :class:`~repro.api.FMoreEngine` façade (solver caching, batched
-    bid collection).
+    :class:`~repro.api.Scenario` specs with the named presets, and the
+    registry-driven :class:`~repro.api.FMoreEngine` façade (multi-seed
+    runs, solver caching, batched bid collection).
 ``repro.sim``
-    Experiment harness: configs, multi-seed runners and report tables that
-    regenerate every figure of the paper's evaluation.
+    Named seed streams and the ASCII report tables that regenerate every
+    figure of the paper's evaluation.
 ``repro.analysis``
     Equilibrium analytics (profit vs N/K, payment/score sweeps) and
     convergence summaries (rounds-to-accuracy, speedups).

@@ -171,14 +171,13 @@ def _cmd_compare(
 ) -> int:
     from .analysis import summarize_schemes
     from .api import FMoreEngine, Scenario
-    from .sim import preset
     from .sim.reporting import ascii_table, series_table
 
-    schemes = _parse_schemes(schemes_raw)
-    cfg = preset("bench", dataset)
+    scenario = Scenario.from_preset(
+        "bench", dataset, schemes=_parse_schemes(schemes_raw), seeds=(seed,)
+    )
     if rounds is not None:
-        cfg = cfg.with_(n_rounds=rounds)
-    scenario = Scenario.from_config(cfg, schemes=schemes, seeds=(seed,))
+        scenario = scenario.with_(n_rounds=rounds)
     if policy_args:
         try:
             scenario = scenario.with_overrides(_policy_overrides(policy_args))
@@ -189,7 +188,7 @@ def _cmd_compare(
         series_table(
             f"accuracy per round ({dataset})",
             "round",
-            list(range(1, cfg.n_rounds + 1)),
+            list(range(1, scenario.n_rounds + 1)),
             {s: [round(a, 3) for a in h.accuracies] for s, h in results.items()},
         )
     )

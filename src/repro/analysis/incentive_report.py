@@ -36,10 +36,10 @@ CLI):
   ``availability_min_fraction=1``, capacity caps slack at the optimum,
   a small deviating fraction).  Coalitions of deviants, or a type
   distribution the solver never saw, profit happily.
-* Under ``win_model="paper"`` (Eq. 9, the published formula — not a
-  true probability for ``K >= 3``) the tabulated margin is *below* the
-  exact-order-statistic best response, and flat overbidding beats the
-  "equilibrium" ask.  With ``win_model="exact"`` truthful is weakly
+* Under ``win_model="paper"`` (Eq. 9, the published formula — for
+  ``K >= 2`` not the top-K win probability) the tabulated margin is
+  *below* the exact-order-statistic best response, and flat overbidding
+  beats the "equilibrium" ask.  With ``win_model="exact"`` truthful is weakly
   optimal against every deviation in the menu; the CI gate pins that.
 """
 

@@ -75,6 +75,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ..core.registry import EXECUTORS
+from ..fl.serialize import atomic_write
 from .executor import Executor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> scenario)
@@ -497,9 +498,7 @@ class JobQueue:
         if current is None or current.get("worker") != job.worker:
             return False
         current["heartbeat"] = _now()
-        tmp = job.lock_path.with_name(job.lock_path.name + ".tmp")
-        tmp.write_text(json.dumps(current, sort_keys=True))
-        os.replace(tmp, job.lock_path)
+        atomic_write(job.lock_path, json.dumps(current, sort_keys=True).encode())
         return True
 
     def release(self, job: Job) -> None:
@@ -535,7 +534,7 @@ class JobQueue:
             # Garbage-collect debris of killed workers: orphaned
             # heartbeat temp files and steal-aside files older than the
             # default lease (younger ones may be a live replace mid-race).
-            for junk in sorted(hash_dir.glob("*.lock.tmp")) + sorted(
+            for junk in sorted(hash_dir.glob("*.lock*.tmp")) + sorted(
                 hash_dir.glob("*.lock.stale-*")
             ):
                 try:

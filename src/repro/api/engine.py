@@ -80,6 +80,8 @@ from .store import (
 __all__ = [
     "Federation",
     "RunResult",
+    "SeriesStats",
+    "average_histories",
     "RoundEvent",
     "Session",
     "FMoreEngine",
@@ -132,9 +134,9 @@ class Federation:
 def _stream_names(scenario: Scenario) -> dict[str, str]:
     """Named seed streams per variant.
 
-    The cluster labels reproduce the ones the legacy
-    ``sim.cluster_experiment`` assembly used, so engine-driven testbed
-    runs are bitwise-identical to historical results.
+    The cluster labels are the ones the Section V-C testbed has always
+    drawn from, so testbed runs stay bitwise-identical to historical
+    results.
     """
     if scenario.variant == "cluster":
         return {
@@ -820,6 +822,39 @@ def run_scheme(
 # Results
 # ----------------------------------------------------------------------
 @dataclass
+class SeriesStats:
+    """Mean/std of a per-round metric across repeated runs."""
+
+    mean: np.ndarray
+    std: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.mean.size)
+
+
+def average_histories(histories: list[TrainingHistory]) -> dict[str, SeriesStats]:
+    """Per-round mean/std of accuracy, loss and cumulative time.
+
+    "All the results are the average of five experiments" (Section V-A):
+    the seed-averaged curves the paper plots.
+    """
+    if not histories:
+        raise ValueError("need at least one history")
+    out: dict[str, SeriesStats] = {}
+    for attr, key in (
+        ("accuracies", "accuracy"),
+        ("losses", "loss"),
+        ("cumulative_seconds", "cumulative_seconds"),
+    ):
+        series = [np.asarray(getattr(h, attr), dtype=float) for h in histories]
+        if len({s.size for s in series}) != 1:
+            raise ValueError("histories must have equal length to be averaged")
+        data = np.stack(series)
+        out[key] = SeriesStats(mean=data.mean(axis=0), std=data.std(axis=0))
+    return out
+
+
+@dataclass
 class RunResult:
     """Histories of every ``(scheme, seed)`` cell of a scenario's plan."""
 
@@ -843,10 +878,8 @@ class RunResult:
         """The legacy ``run_comparison`` shape: one history per scheme."""
         return {scheme: self.history(scheme, seed) for scheme in self.schemes}
 
-    def averaged(self) -> dict[str, dict[str, Any]]:
+    def averaged(self) -> dict[str, dict[str, SeriesStats]]:
         """Seed-averaged accuracy/loss/time series per scheme."""
-        from ..sim.runner import average_histories
-
         return {s: average_histories(h) for s, h in self.histories.items()}
 
     def metrics(self) -> "Any":

@@ -13,9 +13,9 @@ registered component mix without touching assembly code:
 True
 
 Scenarios are consumed by :class:`repro.api.FMoreEngine` and by the CLI
-(``python -m repro run --scenario file.json --set key=value``).  The
-legacy :class:`repro.sim.config.ExperimentConfig` bridges both ways via
-:meth:`Scenario.from_config` / :meth:`Scenario.to_config`.
+(``python -m repro run --scenario file.json --set key=value``).  The named
+presets (:data:`PRESET_NAMES`) are tables of field overrides on top of the
+dataclass defaults, which are the paper's Section V-A setup.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from . import distributed as _distributed  # noqa: F401 - registers "distributed
 from .executor import EXECUTORS  # noqa: F401 - import registers the executors
 from .executor import IN_PROCESS_POOL_NAMES
 
-__all__ = ["Scenario", "SCHEME_NAMES", "VARIANT_NAMES"]
+__all__ = ["Scenario", "SCHEME_NAMES", "VARIANT_NAMES", "PRESET_NAMES"]
 
 SCHEME_NAMES = ("FMore", "RandFL", "FixFL", "PsiFMore")
 
@@ -123,6 +123,46 @@ DEFAULT_FL_POOL = 256
 _POLICY_SPEC_KEYS = PIPELINE_STAGES + ("per_scheme",)
 
 _BIDDING_SPEC_KEYS = ("mix", "per_scheme")
+
+
+#: Named presets as field overrides on top of the dataclass defaults (the
+#: paper's Section V-A simulation: N=100, K=20, 20 rounds, ``25 q1 q2 - p``,
+#: linear cost ``theta (4 q1 + 2 q2)``).  ``paper`` keeps that federation
+#: at full model width; ``bench`` shrinks federation and models so every
+#: figure regenerates in minutes; ``smoke`` is CI-sized.  The three scale
+#: presets combine with any dataset and are named ``"<scale>-<dataset>"``.
+#: ``cluster_cifar10`` is the Section V-C testbed (Figs 12-13): one
+#: aggregator plus 31 edge nodes scored on {compute, bandwidth, data} with
+#: ``0.4 q1 + 0.3 q2 + 0.3 q3 - p``; it always trains CIFAR-10.  A preset's
+#: ``name`` feeds the named seed streams (``"cluster"`` the ``cluster-*``
+#: ones), so renaming one changes every result drawn from it.
+_PRESETS: dict[str, dict[str, Any]] = {
+    "smoke": dict(
+        n_clients=10, k_winners=3, n_rounds=3, batch_size=16, model_width=0.12,
+        test_per_class=10, size_range=(30, 120), grid_size=65,
+    ),
+    "bench": dict(
+        n_clients=30, k_winners=6, n_rounds=12, model_width=0.2,
+        test_per_class=40, size_range=(80, 1200), max_classes=5, grid_size=129,
+    ),
+    "paper": dict(model_width=1.0, test_per_class=100, max_classes=5),
+    "cluster_cifar10": dict(
+        name="cluster", dataset="cifar10", variant="cluster",
+        n_clients=31, k_winners=8, test_per_class=40, size_range=(200, 1000),
+        max_classes=5, availability_min_fraction=0.6, theta_jitter=0.0,
+        lr=0.03, model_width=0.2,
+        scoring={"name": "additive", "weights": [0.4, 0.3, 0.3]},
+        cost={"name": "linear", "betas": [0.25, 0.25, 0.5]},
+        payment_method="quadrature", grid_size=129, schemes=("FMore", "RandFL"),
+    ),
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+# Per-dataset learning rates of the scale presets, calibrated on the
+# synthetic tasks (the deeper CIFAR net needs a gentler step; the noisy
+# Fashion task oscillates at 0.08 under non-IID FedAvg; the LSTM needs a
+# larger step).
+_DATASET_LR = {"mnist_o": 0.08, "mnist_f": 0.05, "cifar10": 0.03, "hpnews": 0.3}
 
 
 def _default_scoring() -> dict:
@@ -411,6 +451,10 @@ class Scenario:
                     f"{spec_name} spec names unknown {registry.kind} {name!r}; "
                     f"choose from {list(registry.names())}"
                 )
+            try:
+                registry.create(spec)  # probe: bad params fail here
+            except ValueError as exc:
+                raise ValueError(f"invalid {spec_name} spec {spec}: {exc}") from exc
         if self.payment_rule not in PAYMENT_RULES:
             raise ValueError(
                 f"unknown payment rule {self.payment_rule!r}; "
@@ -837,7 +881,7 @@ class Scenario:
         return cls.from_dict(json.loads(text))
 
     # ------------------------------------------------------------------
-    # Bridges to the legacy config surface
+    # Presets
     # ------------------------------------------------------------------
     @classmethod
     def from_preset(
@@ -848,179 +892,35 @@ class Scenario:
         seeds: tuple[int, ...] = (0,),
         **overrides: Any,
     ) -> "Scenario":
-        """A named preset scenario.
+        """A named preset scenario (see :data:`PRESET_NAMES`).
 
-        ``smoke``/``bench``/``paper`` bridge the legacy scale presets over
-        ``dataset`` (default ``mnist_o``); ``cluster_cifar10`` is the
-        Section V-C testbed — it trains CIFAR-10 and its default plan
-        compares FMore vs RandFL as Figs 12-13 do, so asking it for a
-        different dataset raises rather than being silently ignored.
-        Unknown preset names raise with the full preset list.
+        ``smoke``/``bench``/``paper`` combine with ``dataset`` (default
+        ``mnist_o``) and compare FMore, RandFL and FixFL;
+        ``cluster_cifar10`` is the Section V-C testbed — it trains
+        CIFAR-10 and compares FMore vs RandFL as Figs 12-13 do, so asking
+        it for a different dataset raises rather than being silently
+        ignored.  ``overrides`` replace any field.  Unknown preset names
+        raise with the full preset list.
         """
-        from ..sim.config import PRESET_NAMES, preset
-
-        if scale == "cluster_cifar10":
-            from ..sim.cluster_experiment import ClusterConfig
-
-            if dataset not in (None, "cifar10"):
+        if scale not in _PRESETS:
+            raise ValueError(
+                f"unknown preset {scale!r}; choose from {list(PRESET_NAMES)}"
+            )
+        preset = dict(_PRESETS[scale])
+        if "dataset" in preset:
+            if dataset not in (None, preset["dataset"]):
                 raise ValueError(
-                    f"preset 'cluster_cifar10' trains cifar10, not {dataset!r}"
+                    f"preset {scale!r} trains {preset['dataset']}, not {dataset!r}"
                 )
-            scenario = cls.from_cluster_config(
-                ClusterConfig(),
-                schemes=("FMore", "RandFL") if schemes is None else schemes,
-                seeds=seeds,
-            )
-        elif scale in PRESET_NAMES:
-            scenario = cls.from_config(
-                preset(scale, dataset if dataset is not None else "mnist_o"),
-                schemes=("FMore", "RandFL", "FixFL") if schemes is None else schemes,
-                seeds=seeds,
-            )
         else:
-            raise ValueError(
-                f"unknown preset {scale!r}; "
-                f"choose from {[*PRESET_NAMES, 'cluster_cifar10']}"
-            )
-        return scenario.with_(**overrides) if overrides else scenario
-
-    @classmethod
-    def from_cluster_config(
-        cls,
-        cfg,
-        schemes: tuple[str, ...] = ("FMore", "RandFL"),
-        seeds: tuple[int, ...] = (0,),
-    ) -> "Scenario":
-        """Lift a :class:`~repro.sim.cluster_experiment.ClusterConfig`.
-
-        The resulting ``variant="cluster"`` scenario reproduces the legacy
-        ``run_cluster_comparison`` assembly exactly (same named seed
-        streams, same additive 3-D game, same ``quadrature`` payment
-        backend the hand-built solver defaulted to), so the engine path is
-        bitwise-compatible with the historical testbed runs.
-        """
-        return cls(
-            name=cfg.name,
-            dataset=cfg.dataset,
-            variant="cluster",
-            n_clients=cfg.n_nodes,
-            k_winners=cfg.k_winners,
-            test_per_class=cfg.test_per_class,
-            size_range=cfg.size_range,
-            min_classes=cfg.min_classes,
-            max_classes=cfg.max_classes,
-            availability_min_fraction=cfg.availability_min_fraction,
-            theta_jitter=0.0,
-            data_seed=cfg.data_seed,
-            n_rounds=cfg.n_rounds,
-            local_epochs=cfg.local_epochs,
-            batch_size=cfg.batch_size,
-            lr=cfg.lr,
-            model_width=cfg.model_width,
-            scoring={"name": "additive", "weights": list(cfg.score_weights)},
-            cost={"name": "linear", "betas": list(cfg.cost_betas)},
-            theta={"name": "uniform", "lo": cfg.theta_lo, "hi": cfg.theta_hi},
-            payment_method="quadrature",
-            grid_size=cfg.grid_size,
-            core_choices=cfg.core_choices,
-            bandwidth_range_mbps=cfg.bandwidth_range_mbps,
-            schemes=tuple(schemes),
-            seeds=tuple(seeds),
-        )
-
-    @classmethod
-    def from_config(
-        cls,
-        cfg,
-        schemes: tuple[str, ...] = ("FMore", "RandFL", "FixFL"),
-        seeds: tuple[int, ...] = (0,),
-    ) -> "Scenario":
-        """Lift an :class:`~repro.sim.config.ExperimentConfig` to a Scenario."""
-        ac = cfg.auction
-        return cls(
-            name=cfg.name,
-            dataset=cfg.dataset,
-            n_clients=cfg.n_clients,
-            k_winners=cfg.k_winners,
-            test_per_class=cfg.test_per_class,
-            size_range=cfg.size_range,
-            min_classes=cfg.min_classes,
-            max_classes=cfg.max_classes,
-            availability_min_fraction=cfg.availability_min_fraction,
-            theta_jitter=cfg.theta_jitter,
-            data_seed=cfg.data_seed,
-            n_rounds=cfg.n_rounds,
-            local_epochs=cfg.local_epochs,
-            batch_size=cfg.batch_size,
-            max_batches_per_round=cfg.max_batches_per_round,
-            lr=cfg.lr,
-            model_width=cfg.model_width,
-            image_size=cfg.image_size,
-            scoring={"name": "multiplicative", "n_dimensions": 2, "scale": ac.score_scale},
-            cost={"name": "linear", "betas": list(ac.cost_betas)},
-            theta={"name": "uniform", "lo": ac.theta_lo, "hi": ac.theta_hi},
-            payment_rule=ac.payment_rule,
-            win_model=ac.win_model,
-            payment_method=ac.payment_method,
-            psi=ac.psi,
-            grid_size=ac.grid_size,
-            schemes=tuple(schemes),
-            seeds=tuple(seeds),
-        )
-
-    def to_config(self):
-        """Project back to an :class:`~repro.sim.config.ExperimentConfig`.
-
-        Only the paper's canonical component families (multiplicative
-        score, linear cost, uniform types) fit the legacy config; other
-        registry specs raise — run those through the engine directly.
-        """
-        from ..sim.config import AuctionConfig, ExperimentConfig
-
-        if self.variant != "simulation":
-            raise ValueError(
-                f"cannot express variant {self.variant!r} as an "
-                "ExperimentConfig; use FMoreEngine"
-            )
-        for spec_name, expected in (("scoring", "multiplicative"), ("cost", "linear"), ("theta", "uniform")):
-            spec = getattr(self, spec_name)
-            if spec.get("name") != expected:
-                raise ValueError(
-                    f"cannot express {spec_name} spec {spec!r} as an "
-                    f"ExperimentConfig (needs {expected!r}); use FMoreEngine"
-                )
-        auction = AuctionConfig(
-            theta_lo=float(self.theta["lo"]),
-            theta_hi=float(self.theta["hi"]),
-            score_scale=float(self.scoring.get("scale", 25.0)),
-            cost_betas=tuple(float(b) for b in self.cost["betas"]),
-            payment_rule=self.payment_rule,
-            win_model=self.win_model,
-            payment_method=self.payment_method,
-            psi=self.psi,
-            grid_size=self.grid_size,
-        )
-        return ExperimentConfig(
-            name=self.name,
-            dataset=self.dataset,
-            n_clients=self.n_clients,
-            k_winners=self.k_winners,
-            n_rounds=self.n_rounds,
-            local_epochs=self.local_epochs,
-            batch_size=self.batch_size,
-            max_batches_per_round=self.max_batches_per_round,
-            lr=self.lr,
-            model_width=self.model_width,
-            image_size=self.image_size,
-            test_per_class=self.test_per_class,
-            size_range=self.size_range,
-            min_classes=self.min_classes,
-            max_classes=self.max_classes,
-            availability_min_fraction=self.availability_min_fraction,
-            theta_jitter=self.theta_jitter,
-            data_seed=self.data_seed,
-            auction=auction,
-        )
+            dataset = "mnist_o" if dataset is None else dataset
+            preset.update(name=f"{scale}-{dataset}", dataset=dataset)
+            preset["lr"] = _DATASET_LR.get(dataset, cls.lr)
+            if scale == "paper" and dataset in ("mnist_o", "mnist_f"):
+                preset["image_size"] = 28  # the MNIST CNNs at native size
+        if schemes is not None:
+            preset["schemes"] = schemes
+        return cls(**{**preset, "seeds": seeds, **overrides})
 
 
 def _detuple(value: Any) -> Any:

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 import shutil
 from dataclasses import dataclass, field
@@ -51,7 +50,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..fl.serialize import load_weights, save_weights
+from ..fl.serialize import atomic_write, load_weights, save_weights
 from ..fl.trainer import RoundRecord, TrainingHistory
 from .scenario import Scenario
 
@@ -587,9 +586,7 @@ class ExperimentStore:
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    atomic_write(path, text.encode())
 
 
 def _read_json(path: Path) -> dict:

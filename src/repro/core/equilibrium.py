@@ -57,11 +57,15 @@ _WIN_MODELS = ("paper", "exact")
 def win_kernel(h: np.ndarray | float, n_nodes: int, k_winners: int, model: str = "paper"):
     """Winning-probability kernel ``g`` as a function of the score CDF ``H``.
 
-    ``model="paper"`` evaluates Eq. 9 of the paper; ``model="exact"``
-    evaluates the true order-statistic win probability.  Both are vectorised
-    over ``h`` and return values in ``[0, 1]`` for the exact model (the
-    paper kernel is not a probability for ``K >= 3`` but is what the
-    published payment formula uses).
+    ``model="exact"`` is the true top-K win probability, the chance that at
+    most ``K - 1`` of the other ``N - 1`` scores beat ``H``.
+    ``model="paper"`` evaluates Eq. 9, ``sum_{i=1..K} (1-H)^(i-1)
+    H^(N-i)``, which the published payment formula uses.  Both lie in
+    ``[0, 1]`` for every K and are vectorised over ``h``.  They agree for
+    ``K = 1`` (and ``N <= 2``); otherwise Eq. 9 is *not* the top-K win
+    probability: it omits the binomial coefficients, so ``N`` times its
+    integral over ``H`` — the expected winner count — is
+    ``sum_{i=1..K} 1/C(N-1, i-1)``, about ``1 + 1/(N-1)`` instead of K.
     """
     if model not in _WIN_MODELS:
         raise ValueError(f"unknown win model {model!r}; choose from {_WIN_MODELS}")

@@ -268,9 +268,10 @@ def make_generator(
 ) -> DataGenerator:
     """Factory for the four paper datasets by name.
 
-    ``image_size`` overrides the preset resolution (the ``paper`` preset in
-    :mod:`repro.sim.config` asks for larger images; benches use the default
-    compact resolution for speed — the learning dynamics are unchanged).
+    ``image_size`` overrides the preset resolution (the ``paper`` scenario
+    preset in :mod:`repro.api.scenario` asks for larger images; benches use
+    the default compact resolution for speed — the learning dynamics are
+    unchanged).
     """
     if name in IMAGE_PRESETS:
         spec = IMAGE_PRESETS[name]

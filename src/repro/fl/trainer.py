@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
 
 import numpy as np
 
+from ..sim.rng import rng_from
 from .client import FLClient, LocalUpdate
 from .metrics import rounds_to_accuracy
 from .nn import Sequential
@@ -262,10 +263,6 @@ class FederatedTrainer:
         order (executors preserve input order), which fixes the FedAvg
         aggregation order.
         """
-        # Imported lazily: repro.sim's package init reaches repro.api.engine,
-        # which imports this module — a top-level import would be circular.
-        from ..sim.rng import rng_from
-
         entropy = int(self.rng.integers(2**63))
         local_epochs = 1
         tasks: list[tuple[int, FLClient, int | None]] = []
@@ -372,8 +369,6 @@ def _train_winner_remote(
     client and the global weights, and derives the winner's stream exactly
     like the in-process path — hence byte-identical results.
     """
-    from ..sim.rng import rng_from
-
     wid, client, declared = task
     stream = rng_from(entropy, f"local-train-{wid}")
     return client.train_with_stream(scratch_model, global_weights, stream, declared)

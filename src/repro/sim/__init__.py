@@ -1,26 +1,16 @@
-"""Experiment harness: configs, multi-seed runners, reporting.
+"""Experiment utilities: named seed streams and ASCII reporting.
 
-The legacy ``ExperimentConfig`` builder shims (``repro.sim.experiment``)
-have been removed — assembly lives in the registry-driven
-:mod:`repro.api` (``Scenario`` + ``FMoreEngine``); this package keeps the
-config presets, the multi-seed averaging helpers, the named-seed-stream
-utilities and the ASCII reporting the benches print.
+Scenario presets live in :mod:`repro.api.scenario` and every run goes
+through :class:`repro.api.FMoreEngine`; this package keeps the
+named-seed-stream helpers every cell derives its randomness from
+(:mod:`repro.sim.rng`) and the ASCII tables the CLI and benches print
+(:mod:`repro.sim.reporting`).
 """
 
-from .config import PRESET_NAMES, AuctionConfig, ExperimentConfig, preset
 from .reporting import ascii_table, fmt, paper_vs_measured, series_table
 from .rng import rng_from, rng_state, set_rng_state, spawn_rngs
-from .runner import SeriesStats, average_histories, averaged_comparison, run_seeds
 
 __all__ = [
-    "AuctionConfig",
-    "ExperimentConfig",
-    "preset",
-    "PRESET_NAMES",
-    "SeriesStats",
-    "average_histories",
-    "run_seeds",
-    "averaged_comparison",
     "ascii_table",
     "series_table",
     "paper_vs_measured",

@@ -40,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -49,6 +48,7 @@ import numpy as np
 
 from ..core.registry import BID_LEARNERS, BID_POLICIES
 from ..fl.nn import SGD, Dense, Sequential, Tanh
+from ..fl.serialize import atomic_write
 from ..sim.rng import rng_from, rng_state, set_rng_state
 from .gym import AuctionEnv
 from .policies import BidPolicy
@@ -509,11 +509,9 @@ def save_policy_artifact(path: str | Path, learner: BidLearner) -> str:
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    atomic_write(path, data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def artifact_digest(path: str | Path) -> str:

@@ -1,9 +1,9 @@
 """Tests for the declarative API: registries, Scenario, FMoreEngine.
 
 Pins the contracts the README documents: registry round-trips, Scenario
-JSON round-trips, exact engine-vs-legacy equivalence, bitwise agreement
-of the vectorised ``bid_batch`` with the per-bid loop, and one grid build
-per advertised game across a multi-seed run.
+JSON round-trips, the named presets, bitwise agreement of the vectorised
+``bid_batch`` with the per-bid loop, and one grid build per advertised
+game across a multi-seed run.
 """
 
 import numpy as np
@@ -114,26 +114,6 @@ class TestScenario:
         assert isinstance(again.seeds, tuple)
         assert again == scenario
 
-    def test_from_preset_matches_from_config(self):
-        from repro.sim import preset
-
-        assert Scenario.from_preset("smoke", "mnist_f") == Scenario.from_config(
-            preset("smoke", "mnist_f")
-        )
-
-    def test_config_round_trip(self):
-        from repro.sim import preset
-
-        cfg = preset("bench", "mnist_o")
-        assert Scenario.from_config(cfg).to_config() == cfg
-
-    def test_to_config_rejects_non_canonical_specs(self):
-        scenario = Scenario.from_preset("smoke", "mnist_o").with_(
-            cost={"name": "quadratic", "betas": [1.0, 1.0]}
-        )
-        with pytest.raises(ValueError, match="FMoreEngine"):
-            scenario.to_config()
-
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="warp_speed"):
             Scenario.from_dict({"warp_speed": 9})
@@ -199,6 +179,85 @@ class TestScenario:
             Scenario().with_overrides(["bogus.name=linear"])
 
 
+# (scenario_hash, sha256 of to_json()) of every named preset, recorded
+# before the presets moved into Scenario: the values existing stores hold.
+# A preset's name feeds its seed streams and its hash addresses stored
+# manifests, so a drift here silently orphans every stored run of it.
+PRESET_PINS = {
+    "smoke/mnist_o": (
+        "eeeae5bdcfafe01203f030d891b26a3129fe0a6a6cb85c577fc4cca00f39ae0e",
+        "1f4ab6d85002ec9f0758cf08a1094d072f91f3da3b2adc2edcffe3bfb9e43aae",
+    ),
+    "smoke/mnist_f": (
+        "76c575e7f4c264a35b23f8265de8e3ba902ac81c1c012f73f15038c7e1a0fc73",
+        "cbf84bc5079d7093a27d6f78d69027c600f06372e1643b5cae800e74068f4fe0",
+    ),
+    "smoke/cifar10": (
+        "d5ff8b60907391c07f58059fa665aa9ce85e3d6672af3815e23bb9ad4e6b4e62",
+        "27f530a5abd049f9f4f2f0575147d84b31b05fc85f41725e1eabd08731a3a720",
+    ),
+    "smoke/hpnews": (
+        "a3b969cf989e531f9fff17bcbb4faf546eb1fa556403f908a7c86b94bd7a1e49",
+        "838713dadacb45f5f2b0b5f2cb31c1f8f2f14874131a54bf05cbce2ce95643d4",
+    ),
+    "bench/mnist_o": (
+        "73ea22c3d8d217b28e8bb09974ae07e0b673ba02bcae123dbbfe6233929fee5d",
+        "e894e221c7f6492384abfe71befac38b66e8368c1afe58cb9ccf751a22e5131f",
+    ),
+    "bench/mnist_f": (
+        "a3a43e8131cdede5946d4128b2cdf7928eff920bd1196737b388ca6a584b3349",
+        "0e0418b80d0d1e15246f8af733beca80481a47f15552012c3f3dd6fc315d2617",
+    ),
+    "bench/cifar10": (
+        "39f6a7c91ed497acde54cc2172d8a31b528bed04d8b6f3fdd31f5535c4497cda",
+        "4e61c858c08e6a51e115fb2b386dc63ac9982822cca197dc6cbc5aad1b84fdf7",
+    ),
+    "bench/hpnews": (
+        "684e83e51427af9c0fbd9515669c4241a6702c2cda16a48ea36378942164dbdb",
+        "63862b907c0d9a178f18a27072bfb4433ddc5aef748426bd4251ce208f2b7c29",
+    ),
+    "paper/mnist_o": (
+        "f8d0aecbdcea401204f5cce71b31ff40b2a8413f8d61fdaff30367885ddff12f",
+        "4d7c5306b6c06dc904d92ad33e814263862bcd64e62088495fc22b6dc56d4be0",
+    ),
+    "paper/mnist_f": (
+        "4c5d0f069e36476fe8d1c4430e07c2124a00ca836d47047c44511ff97191fea3",
+        "889437e86b5a4d775b39e2c6e0184096bc4e6f82c12d89fbd6a8dec6edc63b08",
+    ),
+    "paper/cifar10": (
+        "dbc2685924ad59405c2ddc104cddc1add95f97fd8dba718aeb672ccd3ebb1735",
+        "a1390545b164955d44d96ad14ca2b85887a199a69215d77df12ebeb4a4cd5736",
+    ),
+    "paper/hpnews": (
+        "bbb14ca4a60383dd721d6ce0980c22e3ed8669ebf46bd142a08c9509f0bc6a40",
+        "6be22052990b43d02d58a97f2821cf0055be3e7463765a2e60145fb8ea221a16",
+    ),
+    "cluster_cifar10": (
+        "0319023179a3471896e366eba00ae8ed4bbd5836ac521d52a393c767efb48bf0",
+        "a3955eaca292032b5025b6deca22bbc7a1546420c282e5d62308301f389361ec",
+    ),
+}
+
+
+class TestPresetPins:
+    def test_every_preset_is_pinned(self):
+        from repro.api.scenario import PRESET_NAMES
+
+        scales = {key.split("/")[0] for key in PRESET_PINS}
+        assert scales == set(PRESET_NAMES)
+
+    @pytest.mark.parametrize("key", list(PRESET_PINS))
+    def test_hash_and_json_unchanged(self, key):
+        import hashlib
+
+        from repro.api import scenario_hash
+
+        scale, _, dataset = key.partition("/")
+        scenario = Scenario.from_preset(scale, dataset or None)
+        digest = hashlib.sha256(scenario.to_json().encode()).hexdigest()
+        assert (scenario_hash(scenario), digest) == PRESET_PINS[key]
+
+
 @pytest.fixture(scope="module")
 def smoke_scenario():
     return Scenario.from_preset(
@@ -207,27 +266,6 @@ def smoke_scenario():
 
 
 class TestEngine:
-    def test_engine_matches_run_seeds_surface(self, smoke_scenario):
-        """The config-based multi-seed runner is a consumer of the engine."""
-        from repro.sim import preset
-        from repro.sim.runner import run_seeds
-
-        result = FMoreEngine().run(smoke_scenario)
-        grouped = run_seeds(
-            preset("smoke", "mnist_o"), ("FMore", "RandFL", "FixFL"), (0,)
-        )
-        assert set(grouped) == set(smoke_scenario.schemes)
-        for scheme, histories in grouped.items():
-            mine = result.history(scheme)
-            history = histories[0]
-            assert mine.scheme == history.scheme
-            assert mine.accuracies == history.accuracies
-            assert mine.losses == history.losses
-            assert mine.total_payment == history.total_payment
-            assert [r.winner_ids for r in mine.records] == [
-                r.winner_ids for r in history.records
-            ]
-
     def test_scenario_json_round_trip_same_histories(self, smoke_scenario):
         """A serialized scenario runs to the same result (CLI contract)."""
         scenario = smoke_scenario.with_(schemes=("FMore",), n_rounds=2)
@@ -246,11 +284,9 @@ class TestEngine:
         assert engine.cache_misses == 1
         assert engine.cache_hits == 2  # one build, reused by seeds 1 and 2
 
-    def test_run_seeds_builds_grid_once(self, monkeypatch):
-        """The legacy multi-seed runner inherits the cache."""
+    def test_run_builds_grid_once(self, monkeypatch, smoke_scenario):
+        """A multi-seed run solves the equilibrium tables exactly once."""
         from repro.core import equilibrium
-        from repro.sim import preset
-        from repro.sim.runner import run_seeds
 
         builds = []
         original = equilibrium.EquilibriumSolver._build_tables
@@ -260,8 +296,8 @@ class TestEngine:
             return original(self)
 
         monkeypatch.setattr(equilibrium.EquilibriumSolver, "_build_tables", counting)
-        cfg = preset("smoke", "mnist_o").with_(n_rounds=1)
-        histories = run_seeds(cfg, ("FMore",), (0, 1, 2))
+        scenario = smoke_scenario.with_(schemes=("FMore",), seeds=(0, 1, 2), n_rounds=1)
+        histories = FMoreEngine().run(scenario).histories
         assert len(histories["FMore"]) == 3
         assert len(builds) == 1
 

@@ -308,6 +308,28 @@ class TestJobQueue:
         assert stolen is not None
         assert stolen.path == written[0]
 
+    def test_reclaim_stale_removes_old_heartbeat_temp_files(
+        self, tmp_path, paper_reference
+    ):
+        """A worker killed mid-heartbeat leaves ``<lock>.<pid>.<tid>.tmp``;
+        the janitor removes it once older than the default lease."""
+        import os
+        import time
+
+        scenario, _, _ = paper_reference
+        queue = JobQueue(tmp_path)
+        job = queue.enqueue(scenario, _cells(scenario))[0]
+        lock = JobQueue.lock_path_for(job)
+        old_debris = lock.with_name(f"{lock.name}.4242.139.tmp")
+        fresh_debris = lock.with_name(f"{lock.name}.4243.139.tmp")
+        for debris in (old_debris, fresh_debris):
+            debris.write_text("{}")
+        old = time.time() - 10_000
+        os.utime(old_debris, (old, old))
+        queue.reclaim_stale()
+        assert not old_debris.exists()
+        assert fresh_debris.exists()  # may be a live replace mid-race
+
     def test_worker_on_a_foreign_store_fails_fast(self, tmp_path, paper_reference):
         scenario, _, _ = paper_reference
         # Store A queues our scenario's jobs...

@@ -134,22 +134,6 @@ class TestExecutorDeterminism:
             )
             assert result.history("RandFL", seed) is result.histories["RandFL"][i]
 
-    def test_run_seeds_passthrough(self, plan, serial_result):
-        from repro.sim import preset
-        from repro.sim.runner import run_seeds
-
-        cfg = preset("smoke", "mnist_o").with_(n_rounds=2)
-        grouped = run_seeds(
-            cfg,
-            ("FMore", "RandFL", "FixFL"),
-            (0, 1),
-            executor="thread",
-            max_workers=2,
-        )
-        for scheme, histories in grouped.items():
-            for mine, ref in zip(histories, serial_result.histories[scheme]):
-                assert mine.records == ref.records
-
     def test_cluster_scenario_parallel_matches_serial(self):
         scenario = Scenario.from_preset(
             "cluster_cifar10",

@@ -11,22 +11,19 @@ import pytest
 
 from repro.analysis import headline_metrics, selection_rank_proportions
 from repro.api import FMoreEngine, Scenario, build_federation, run_scheme
-from repro.sim import preset
-from repro.sim.cluster_experiment import ClusterConfig, run_cluster_comparison
 
 
 @pytest.fixture(scope="module")
 def smoke_results():
-    cfg = preset("smoke", "mnist_o").with_(n_rounds=6)
-    scenario = Scenario.from_config(cfg, schemes=("FMore", "RandFL", "FixFL"), seeds=(3,))
-    return cfg, FMoreEngine().run(scenario).comparison()
+    scenario = Scenario.from_preset("smoke", "mnist_o", seeds=(3,), n_rounds=6)
+    return scenario, FMoreEngine().run(scenario).comparison()
 
 
 class TestEndToEnd:
     def test_all_schemes_complete(self, smoke_results):
-        cfg, results = smoke_results
+        scenario, results = smoke_results
         for scheme, history in results.items():
-            assert len(history.records) == cfg.n_rounds
+            assert len(history.records) == scenario.n_rounds
             assert all(0.0 <= a <= 1.0 for a in history.accuracies)
 
     def test_fmore_pays_others_do_not(self, smoke_results):
@@ -45,15 +42,15 @@ class TestEndToEnd:
             assert max(record.scores.values()) <= max(record.all_scores) + 1e-12
 
     def test_winner_count_is_k(self, smoke_results):
-        cfg, results = smoke_results
+        scenario, results = smoke_results
         for record in results["FMore"].records:
-            assert len(record.winner_ids) == cfg.k_winners
+            assert len(record.winner_ids) == scenario.k_winners
 
     def test_fmore_selects_higher_quality_nodes(self, smoke_results):
         """The selection skew the paper's Fig 8 shows: FMore's winners hold
         more data x diversity than the population average."""
-        cfg, results = smoke_results
-        federation = build_federation(Scenario.from_config(cfg), 3)
+        scenario, results = smoke_results
+        federation = build_federation(scenario, 3)
         value = {
             c.client_id: c.size * max(c.category_proportion, 0.05)
             for c in federation.clients_data
@@ -65,8 +62,8 @@ class TestEndToEnd:
         assert np.mean(fmore_winners) > population_mean
 
     def test_histories_share_initial_conditions(self):
-        """Same (cfg, seed): schemes must start from identical weights."""
-        scenario = Scenario.from_config(preset("smoke", "mnist_o").with_(n_rounds=1))
+        """Same (scenario, seed): schemes must start from identical weights."""
+        scenario = Scenario.from_preset("smoke", "mnist_o", n_rounds=1)
         federation = build_federation(scenario, 0)
         h1 = run_scheme(scenario, "RandFL", 0, federation=federation)
         h2 = run_scheme(scenario, "FixFL", 0, federation=federation)
@@ -74,7 +71,7 @@ class TestEndToEnd:
         assert len(h1.records) == len(h2.records) == 1
 
     def test_reproducible_given_seed(self):
-        scenario = Scenario.from_config(preset("smoke", "mnist_o").with_(n_rounds=2))
+        scenario = Scenario.from_preset("smoke", "mnist_o", n_rounds=2)
         a = run_scheme(scenario, "FMore", seed=11)
         b = run_scheme(scenario, "FMore", seed=11)
         assert a.accuracies == b.accuracies
@@ -88,20 +85,19 @@ class TestEndToEnd:
 
 class TestPsiFMore:
     def test_psi_spreads_winners(self):
-        cfg = preset("smoke", "mnist_o").with_(n_rounds=6)
-        low_psi = cfg.with_(auction=cfg.auction.__class__(psi=0.3, grid_size=65))
-        h_psi = run_scheme(Scenario.from_config(low_psi), "PsiFMore", seed=5)
-        h_top = run_scheme(Scenario.from_config(cfg), "FMore", seed=5)
+        scenario = Scenario.from_preset("smoke", "mnist_o", n_rounds=6)
+        h_psi = run_scheme(scenario.with_(psi=0.3), "PsiFMore", seed=5)
+        h_top = run_scheme(scenario, "FMore", seed=5)
         distinct_psi = len(h_psi.winner_counts())
         distinct_top = len(h_top.winner_counts())
         assert distinct_psi >= distinct_top
 
     def test_rank_proportions_shift_with_psi(self):
-        cfg = preset("smoke", "mnist_o").with_(n_rounds=5, n_clients=12, k_winners=3)
-        hi = cfg.with_(auction=cfg.auction.__class__(psi=0.95, grid_size=65))
-        lo = cfg.with_(auction=cfg.auction.__class__(psi=0.25, grid_size=65))
-        h_hi = run_scheme(Scenario.from_config(hi), "PsiFMore", seed=7)
-        h_lo = run_scheme(Scenario.from_config(lo), "PsiFMore", seed=7)
+        scenario = Scenario.from_preset(
+            "smoke", "mnist_o", n_rounds=5, n_clients=12, k_winners=3
+        )
+        h_hi = run_scheme(scenario.with_(psi=0.95), "PsiFMore", seed=7)
+        h_lo = run_scheme(scenario.with_(psi=0.25), "PsiFMore", seed=7)
         top3_hi = selection_rank_proportions(h_hi, rank_cutoffs=(3,))[3]
         top3_lo = selection_rank_proportions(h_lo, rank_cutoffs=(3,))[3]
         assert top3_hi >= top3_lo
@@ -109,22 +105,23 @@ class TestPsiFMore:
 
 class TestClusterPipeline:
     def test_cluster_round_times_positive_and_cumulative(self):
-        cfg = ClusterConfig(
-            n_nodes=8, k_winners=3, n_rounds=3, size_range=(40, 150),
-            test_per_class=5, model_width=0.12,
+        scenario = Scenario.from_preset(
+            "cluster_cifar10", seeds=(1,), n_clients=8, k_winners=3, n_rounds=3,
+            size_range=(40, 150), test_per_class=5, model_width=0.12,
         )
-        results = run_cluster_comparison(cfg, ("FMore", "RandFL"), seed=1)
+        results = FMoreEngine().run(scenario).comparison()
         for history in results.values():
             times = history.cumulative_seconds
             assert all(t > 0 for t in times)
             assert all(b >= a for a, b in zip(times, times[1:]))
 
     def test_fmore_declares_training_sizes(self):
-        cfg = ClusterConfig(
-            n_nodes=8, k_winners=3, n_rounds=2, size_range=(40, 150),
-            test_per_class=5, model_width=0.12,
+        scenario = Scenario.from_preset(
+            "cluster_cifar10", schemes=("FMore",), seeds=(1,), n_clients=8,
+            k_winners=3, n_rounds=2, size_range=(40, 150), test_per_class=5,
+            model_width=0.12,
         )
-        results = run_cluster_comparison(cfg, ("FMore",), seed=1)
+        results = FMoreEngine().run(scenario).comparison()
         for record in results["FMore"].records:
             assert record.scores
 

@@ -84,6 +84,45 @@ def test_exact_win_kernel_decreasing_in_n(h, n1, extra):
     assert g2 <= g1 + 1e-12
 
 
+# Gauss-Legendre nodes on [0, 1]: exact for the kernels, which are
+# polynomials in H of degree N - 1 < 128.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_GL_H = 0.5 * (_GL_NODES + 1.0)
+
+
+@given(n=st.integers(1, 60), k_fraction=st.floats(0.0, 1.0))
+@settings(max_examples=80, deadline=None)
+def test_win_kernel_expected_winner_count(n, k_fraction):
+    """What Eq. 9 is: ``N * integral_0^1 W(H) dH`` is the expected number of
+    winners among N i.i.d. bidders.  The order-statistic kernel gives K;
+    the paper's gives ``sum_{i=1..K} 1/C(N-1, i-1)`` — K only when K = 1
+    or N <= 2, about ``1 + 1/(N-1)`` otherwise."""
+    from scipy.special import comb
+
+    k = 1 + int(k_fraction * (n - 1))
+
+    def winners(model):
+        return n * 0.5 * float(_GL_WEIGHTS @ win_kernel(_GL_H, n, k, model))
+
+    paper = sum(1.0 / comb(n - 1, i - 1, exact=True) for i in range(1, k + 1))
+    assert winners("exact") == pytest.approx(k, rel=1e-9)
+    assert winners("paper") == pytest.approx(paper, rel=1e-9)
+
+
+@given(
+    h=st.floats(0.0, 1.0),
+    n=st.integers(1, 60),
+    k_fraction=st.floats(0.0, 1.0),
+    model=st.sampled_from(["paper", "exact"]),
+)
+@settings(max_examples=120, deadline=None)
+def test_win_kernel_is_bounded(h, n, k_fraction, model):
+    """Both kernels stay in [0, 1] for every K (Eq. 9 included)."""
+    k = 1 + int(k_fraction * (n - 1))
+    w = win_kernel(h, n, k, model)
+    assert -1e-12 <= w <= 1.0 + 1e-12
+
+
 @given(
     lo=st.floats(0.05, 0.5),
     width=st.floats(0.1, 2.0),

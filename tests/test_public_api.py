@@ -120,7 +120,7 @@ class TestPackageSurface:
 
     @pytest.mark.parametrize(
         "symbol",
-        ["preset", "ExperimentConfig", "run_seeds", "average_histories", "rng_from"],
+        ["rng_from", "spawn_rngs", "ascii_table", "series_table", "paper_vs_measured"],
     )
     def test_sim_exports(self, symbol):
         sim = importlib.import_module("repro.sim")
@@ -132,6 +132,32 @@ class TestPackageSurface:
             importlib.import_module("repro.sim.experiment")
         sim = importlib.import_module("repro.sim")
         for legacy in ("run_comparison", "run_scheme", "build_federation"):
+            assert not hasattr(sim, legacy)
+
+    @pytest.mark.parametrize(
+        "module", ["repro.sim.config", "repro.sim.cluster_experiment", "repro.sim.runner"]
+    )
+    def test_legacy_config_modules_removed(self, module):
+        """Presets live in Scenario; runs go through FMoreEngine."""
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    def test_legacy_config_surface_removed(self):
+        from repro.api import Scenario
+
+        for bridge in ("from_config", "from_cluster_config", "to_config"):
+            assert not hasattr(Scenario, bridge)
+        sim = importlib.import_module("repro.sim")
+        for legacy in (
+            "preset",
+            "PRESET_NAMES",
+            "ExperimentConfig",
+            "AuctionConfig",
+            "run_seeds",
+            "averaged_comparison",
+            "average_histories",
+            "SeriesStats",
+        ):
             assert not hasattr(sim, legacy)
 
     @pytest.mark.parametrize(
@@ -191,9 +217,8 @@ class TestDocstrings:
             "repro.api.store",
             "repro.api.metrics",
             "repro.fl.serialize",
-            "repro.sim.config",
-            "repro.sim.cluster_experiment",
-            "repro.sim.runner",
+            "repro.sim",
+            "repro.sim.rng",
             "repro.sim.reporting",
             "repro.analysis.equilibrium_analysis",
             "repro.analysis.convergence",

@@ -1,46 +1,56 @@
-"""Tests for the experiment harness: config, rng, reporting, runner."""
+"""Tests for the experiment harness: presets, rng, reporting, averaging."""
 
 import numpy as np
 import pytest
 
-from repro.sim.config import AuctionConfig, ExperimentConfig, PRESET_NAMES, preset
+from repro.api import Scenario
+from repro.api.engine import SeriesStats, average_histories
 from repro.sim.reporting import ascii_table, fmt, paper_vs_measured, series_table
 from repro.sim.rng import rng_from, spawn_rngs
-from repro.sim.runner import SeriesStats, average_histories
 from repro.fl.trainer import RoundRecord, TrainingHistory
 
 
 class TestConfig:
-    @pytest.mark.parametrize("scale", PRESET_NAMES)
+    """The named scenario presets and construction-time validation."""
+
+    @pytest.mark.parametrize("scale", ["smoke", "bench", "paper"])
     @pytest.mark.parametrize("ds", ["mnist_o", "cifar10", "hpnews"])
     def test_presets_construct(self, scale, ds):
-        cfg = preset(scale, ds)
-        assert cfg.dataset == ds
-        assert 1 <= cfg.k_winners <= cfg.n_clients
+        scenario = Scenario.from_preset(scale, ds)
+        assert scenario.dataset == ds
+        assert scenario.name == f"{scale}-{ds}"
+        assert 1 <= scenario.k_winners <= scenario.n_clients
 
     def test_unknown_preset(self):
-        with pytest.raises(ValueError):
-            preset("huge", "mnist_o")
+        with pytest.raises(ValueError, match="unknown preset"):
+            Scenario.from_preset("huge", "mnist_o")
 
     def test_with_creates_modified_copy(self):
-        cfg = preset("smoke")
-        cfg2 = cfg.with_(n_rounds=7)
-        assert cfg2.n_rounds == 7
-        assert cfg.n_rounds != 7 or cfg.n_rounds == cfg2.n_rounds  # original intact
+        scenario = Scenario.from_preset("smoke")
+        changed = scenario.with_(n_rounds=7)
+        assert changed.n_rounds == 7
+        assert scenario.n_rounds == 3  # original intact
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(n_clients=1)
-        with pytest.raises(ValueError):
-            ExperimentConfig(n_clients=10, k_winners=11)
-        with pytest.raises(ValueError):
-            AuctionConfig(theta_lo=1.0, theta_hi=0.5)
-        with pytest.raises(ValueError):
-            AuctionConfig(psi=1.5)
+        """Bad federation shapes and component parameters fail at
+        construction, not later inside ``build_solver``."""
+        with pytest.raises(ValueError, match="n_clients"):
+            Scenario(n_clients=1)
+        with pytest.raises(ValueError, match="k_winners"):
+            Scenario(n_clients=10, k_winners=11)
+        with pytest.raises(ValueError, match="invalid theta spec"):
+            Scenario(theta={"name": "uniform", "lo": 1.0, "hi": 0.5})
+        with pytest.raises(ValueError, match="invalid scoring spec"):
+            Scenario(scoring={"name": "multiplicative", "scale": 0.0})
+        with pytest.raises(ValueError, match="psi"):
+            Scenario(psi=1.5)
 
     def test_dataset_lr_calibration(self):
-        assert preset("bench", "cifar10").lr < preset("bench", "mnist_o").lr
-        assert preset("bench", "hpnews").lr > preset("bench", "mnist_o").lr
+        def lr(ds):
+            return Scenario.from_preset("bench", ds).lr
+
+        assert lr("cifar10") < lr("mnist_o")
+        assert lr("hpnews") > lr("mnist_o")
 
 
 class TestRng:
@@ -93,6 +103,8 @@ class TestReporting:
 
 
 class TestRunner:
+    """Seed-averaged series (``RunResult.averaged``)."""
+
     def make_history(self, accs):
         h = TrainingHistory("X")
         for i, a in enumerate(accs, start=1):
@@ -103,6 +115,7 @@ class TestRunner:
         h1 = self.make_history([0.2, 0.4])
         h2 = self.make_history([0.4, 0.6])
         stats = average_histories([h1, h2])
+        assert isinstance(stats["accuracy"], SeriesStats)
         np.testing.assert_allclose(stats["accuracy"].mean, [0.3, 0.5])
         np.testing.assert_allclose(stats["accuracy"].std, [0.1, 0.1])
         np.testing.assert_allclose(stats["cumulative_seconds"].mean, [1.0, 2.0])

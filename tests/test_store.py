@@ -284,3 +284,75 @@ class TestCLI:
     def test_report_without_runs_errors(self, tmp_path):
         with pytest.raises(SystemExit, match="no runs stored"):
             main(["report", "--store", str(tmp_path / "empty")])
+
+
+# ----------------------------------------------------------------------
+# Concurrent writers of one path
+# ----------------------------------------------------------------------
+def _write_manifest(path, writer, n):
+    from repro.api.store import _write_json
+
+    _write_json(path, {"writer": writer, "n": n})
+
+
+def _write_weights(path, writer, n):
+    from repro.fl.serialize import save_weights
+
+    save_weights(path, [np.full(64, writer * 1000.0 + n)])
+
+
+class TestConcurrentWrites:
+    """Two workers finishing one stolen cell write the same files at once:
+    each write must land whole, and no writer may lose its temp file to
+    another's ``os.replace``."""
+
+    THREADS = 4
+    WRITES = 300
+
+    @pytest.mark.parametrize("write", [_write_manifest, _write_weights])
+    def test_threads_racing_on_one_path(self, tmp_path, write):
+        import json
+        import threading
+
+        from repro.fl.serialize import load_weights
+
+        path = tmp_path / "cell.out"
+        errors = []
+        start = threading.Barrier(self.THREADS)
+
+        def writer(i):
+            start.wait()
+            try:
+                for n in range(self.WRITES):
+                    write(path, i, n)
+            except Exception as exc:  # collected: the main thread asserts
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=writer, args=(i,)) for i in range(self.THREADS)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no debris
+        last = self.WRITES - 1
+        if write is _write_manifest:
+            assert json.loads(path.read_text())["n"] == last
+        else:
+            (weights,) = load_weights(path)
+            assert weights[0] % 1000.0 == last
+
+    def test_atomic_write_keeps_the_umask_mode(self, tmp_path):
+        import os
+
+        from repro.fl.serialize import atomic_write
+
+        umask = os.umask(0o022)
+        try:
+            path = atomic_write(tmp_path / "x.json", b"{}")
+        finally:
+            os.umask(umask)
+        assert path.stat().st_mode & 0o777 == 0o644
+        assert path.read_bytes() == b"{}"
