@@ -84,6 +84,7 @@ this CLI is the quick interactive path.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from pathlib import Path
 
@@ -349,7 +350,7 @@ def _cmd_coordinator(args) -> int:
         asyncio.run(_serve())
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         pass
-    print("coordinator: stopped (queue state persists in the store mirror)")
+    print("coordinator: stopped (the queue persists in the store's jobs/ tree)")
     return 0
 
 
@@ -364,12 +365,25 @@ def _cmd_registry(args) -> int:
     return 0
 
 
+def _exit_on_sigterm(signum, frame) -> None:
+    raise SystemExit(128 + signum)
+
+
 def _cmd_run(args) -> int:
-    from .api import FMoreEngine, IncompleteRunError, StoreMismatchError
+    from .api import EXECUTORS, FMoreEngine, IncompleteRunError, StoreMismatchError
     from .sim.reporting import ascii_table, series_table
 
     scenario = _load_scenario(args)
     engine = FMoreEngine()
+    previous = None
+    if EXECUTORS.get(scenario.execution["executor"]).needs_store:
+        # The executor spawns workers: on SIGTERM, unwind through
+        # FMoreEngine.run's ``finally`` (which stops them) instead of
+        # dying on the spot and orphaning them.
+        try:
+            previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+        except ValueError:  # not the main thread: leave signals alone
+            pass
     try:
         result = engine.run(
             scenario,
@@ -386,6 +400,9 @@ def _cmd_run(args) -> int:
         return EXIT_INCOMPLETE
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
     multi_seed = len(scenario.seeds) > 1
     rounds = list(range(1, scenario.n_rounds + 1))
     if multi_seed:

@@ -37,13 +37,13 @@ processes on any machine sharing the filesystem claim them with
 lease-guarded lock files (work-stealing, crash re-queue), and the
 assembled ``RunResult`` is bitwise-identical to a serial run.  The
 ``"service"`` executor (:mod:`repro.api.coordinator`) layers an
-event-driven tier on the same protocol: an asyncio coordinator service
-owns the queue in memory (mirrored to the store for durability and
-mixed fleets) and *pushes* cells to warm workers over long-poll instead
-of every worker polling the filesystem.  For batch clusters without a
-resident coordinator, ``emit_job_scripts`` (CLI: ``python -m repro
-scenario --emit-jobs DIR``) writes SLURM-style per-cell scripts
-speaking the same store protocol.
+event-driven tier on the same queue: an asyncio coordinator service
+claims from the store's job queue on its workers' behalf and *pushes*
+cells to warm workers over long-poll instead of every worker polling
+the filesystem, so push and polling fleets drain one queue.  For batch
+clusters without a resident coordinator, ``emit_job_scripts`` (CLI:
+``python -m repro scenario --emit-jobs DIR``) writes SLURM-style
+per-cell scripts speaking the same store protocol.
 
 See ``docs/ARCHITECTURE.md`` for the layer map, ``docs/deployment.md``
 for the distributed cookbook, and ``docs/scenario_reference.md`` for

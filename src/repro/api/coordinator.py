@@ -5,29 +5,32 @@ The filesystem queue of :mod:`repro.api.distributed` coordinates by
 manifests every ``poll_interval`` — which is robust but slow: startup
 and poll latency dominate small sweeps, exactly the regime FMore's MEC
 aggregator lives in (one auction round per network beat, PAPER.md §III).
-This module adds the event-driven tier on top of the *same* store
-protocol:
+This module adds the event-driven tier on top of the *same* queue:
 
 * :class:`CoordinatorService` — an asyncio TCP server speaking a minimal
   hand-rolled HTTP/1.1 (stdlib only, JSON bodies, ``Connection: close``)
-  that owns the job queue **in memory** and pushes cells to connected
-  workers over long-poll ``/claim`` requests.  Durability is delegated
-  to the store: every queued cell is still mirrored as a job spec under
-  ``jobs/<hash>/`` and every dispatch takes the cell's filesystem lock
-  (under the *claiming worker's* label), so plain filesystem workers,
-  SLURM scripts and a restarted coordinator all interoperate — the
-  in-memory queue is rebuilt from the mirror at startup, and a janitor
-  task re-queues lease-expired claims with the exact semantics of
-  :meth:`repro.api.distributed.JobQueue.reclaim_stale`.
+  that *wakes* workers instead of making them poll.  It keeps no queue of
+  its own: ``/sweep`` enqueues job specs with
+  :meth:`~repro.api.distributed.JobQueue.enqueue`, a long-poll ``/claim``
+  takes the next cell with :meth:`~repro.api.distributed.JobQueue.claim`
+  under the claiming worker's own label, and ``/heartbeat``,
+  ``/release`` and ``/complete`` read and retire the same lock and job
+  files.  The cell's lock is the only lease.  A janitor reclaims
+  lease-expired locks, retires cells whose manifests landed, and wakes
+  waiting claimers whenever claimable work sits in the store — so push
+  workers, plain filesystem workers, ``distributed`` sweeps and a
+  restarted coordinator all drain one queue.
 * :class:`WorkerClient` / :class:`ServiceLink` — the worker side:
   register (learning the store location), long-poll for pushed cells,
   stream one round-completion event per round through ``/heartbeat``,
   report ``/complete`` / ``/release``.  When the coordinator becomes
   unreachable the link detaches and :func:`repro.api.distributed.run_worker`
-  falls back to filesystem claims against the mirror, re-attaching when
-  the coordinator returns.
+  claims from the store's queue itself, re-attaching when the
+  coordinator returns.
 * :class:`ServiceExecutor` — the registry-registered ``"service"``
-  executor.  ``execution={"executor": "service", "coordinator_url":
+  executor: the ``distributed`` executor's wait loop, submitting through
+  ``/sweep`` and pacing on the ``/status`` long-poll.
+  ``execution={"executor": "service", "coordinator_url":
   "http://host:port"}`` submits the sweep to a running coordinator;
   with ``coordinator_url=None`` it embeds a coordinator thread on an
   ephemeral port and keeps its spawned workers *warm* across
@@ -55,13 +58,9 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
-import os
-import subprocess
-import sys
 import threading
 import time
 import urllib.parse
-from collections import deque
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -69,10 +68,10 @@ from ..core.registry import EXECUTORS
 from .distributed import (
     DEFAULT_LEASE_SECONDS,
     DEFAULT_POLL_INTERVAL,
+    DistributedExecutor,
     Job,
     JobQueue,
 )
-from .executor import Executor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .scenario import Scenario
@@ -180,28 +179,20 @@ def _response_bytes(status: int, payload: dict) -> bytes:
 # The coordinator service
 # ----------------------------------------------------------------------
 class CoordinatorService:
-    """In-memory job queue with a store mirror and long-poll dispatch.
+    """Long-poll wake-ups and notifications over the store's job queue.
 
-    All state lives on the event-loop thread; request handlers and the
-    janitor are coroutines on that loop, so no locking beyond the two
-    :class:`asyncio.Condition` wakeups is needed.  Store I/O (job-spec
-    mirroring, lock files, manifest stats) happens inline on the loop —
-    each operation is a handful of small-file syscalls, far below the
-    poll latency this service exists to remove.
+    The queue, its claims and their leases are the store's ``jobs/``
+    tree, exactly as filesystem workers see it; every route acts on those
+    files inline on the event loop (each operation is a handful of
+    small-file syscalls, far below the poll latency this service exists
+    to remove).  In memory the service keeps only what the filesystem
+    cannot push, all of it on the event-loop thread, so no locking beyond
+    the two :class:`asyncio.Condition` wake-ups is needed:
 
-    The mirror keeps three invariants that make mixed fleets and crash
-    recovery work:
-
-    * every in-memory pending cell has a job spec under ``jobs/<hash>/``
-      (so filesystem workers can steal it, and a restarted coordinator
-      rebuilds the queue from the directory);
-    * every dispatched cell holds the filesystem lock *under the claiming
-      worker's label* (so the worker can keep heartbeating the lock
-      directly when the coordinator dies, and filesystem workers see the
-      cell as owned);
-    * cells locked by someone the coordinator never dispatched to are
-      *deferred*, watched by the janitor until their manifest lands or
-      their lease expires — never double-dispatched.
+    * each submitted sweep's outstanding cells, which ``/status``
+      long-polls on (rebuilt from the job tree at startup);
+    * the registered workers, with their last contact and completions;
+    * ``rounds_seen``, the round-completion events streamed so far.
     """
 
     def __init__(
@@ -221,12 +212,8 @@ class CoordinatorService:
         self.poll_interval = float(poll_interval)
         if self.poll_interval <= 0.0:
             raise ValueError("poll_interval must be > 0")
-        # -- queue state (event-loop thread only) -----------------------
-        self._sweeps: dict[str, dict] = {}  # hash -> lease/resume/ckpt + outstanding
-        self._pending: deque[tuple[str, str, int]] = deque()
-        self._pending_set: set[tuple[str, str, int]] = set()
-        self._deferred: set[tuple[str, str, int]] = set()  # externally locked
-        self._claims: dict[tuple[str, str, int], dict] = {}
+        # -- in-memory state (event-loop thread only) -------------------
+        self._sweeps: dict[str, set[tuple[str, int]]] = {}  # hash -> outstanding
         self._workers: dict[str, dict] = {}
         self._rounds_seen = 0  # round-completion events streamed so far
         # -- loop plumbing ----------------------------------------------
@@ -257,7 +244,11 @@ class CoordinatorService:
                 except (NotImplementedError, RuntimeError):  # pragma: no cover
                     pass
         try:
-            self._rebuild_from_mirror()
+            # A restarted coordinator serves /status for the sweeps whose
+            # job specs are still queued.
+            for h, scheme, seed in self.queue.pending():
+                self._sweeps.setdefault(h, set()).add((scheme, seed))
+            self._retire_landed()
             server = await asyncio.start_server(self._handle, self.host, self.port)
         except BaseException as exc:  # pragma: no cover - bind failures
             self.error = exc
@@ -279,45 +270,6 @@ class CoordinatorService:
         if self._loop is not None and self._stop is not None:
             self._loop.call_soon_threadsafe(self._stop.set)
 
-    def _rebuild_from_mirror(self) -> None:
-        """Reload queue state from ``jobs/`` — coordinator crash recovery.
-
-        Job specs are the durable queue; locks say who owns what.  Cells
-        with a live lock were claimed by workers that have fallen back to
-        filesystem heartbeats — they are deferred (the janitor adopts or
-        reclaims them); stale locks are stolen and the cells re-queued.
-        """
-        for path in self.queue._job_paths():
-            data = self.queue._read_job(path)
-            if data is None:
-                continue
-            h = str(data["scenario_hash"])
-            scheme, seed = str(data["scheme"]), int(data["seed"])
-            if self.store.has_cell(h, scheme, seed):
-                self.queue._remove(path)
-                self.queue._remove(self.queue.lock_path_for(path))
-                continue
-            sweep = self._sweeps.setdefault(
-                h,
-                {
-                    "resume": bool(data.get("resume", False)),
-                    "checkpoint_every": data.get("checkpoint_every"),
-                    "lease_seconds": float(
-                        data.get("lease_seconds", DEFAULT_LEASE_SECONDS)
-                    ),
-                    "outstanding": set(),
-                },
-            )
-            key = (h, scheme, seed)
-            sweep["outstanding"].add((scheme, seed))
-            lock = self.queue.lock_path_for(path)
-            if lock.exists() and not self.queue._is_stale(lock):
-                self._deferred.add(key)
-            else:
-                if lock.exists():
-                    self.queue._steal(lock)
-                self._enqueue_key(key)
-
     # -- request handling -----------------------------------------------
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -336,7 +288,7 @@ class CoordinatorService:
             status, reply = await self._dispatch(method, path, params, payload)
         except CoordinatorError as exc:
             status, reply = 400, {"error": str(exc)}
-        except Exception as exc:  # pragma: no cover - handler bugs
+        except Exception as exc:  # handler bugs, and StoreMismatchError
             status, reply = 400, {"error": f"{type(exc).__name__}: {exc}"}
         try:
             writer.write(_response_bytes(status, reply))
@@ -373,14 +325,14 @@ class CoordinatorService:
         return 404, {"error": f"no route {method} {path}"}
 
     def _health(self) -> dict:
-        outstanding = sum(len(s["outstanding"]) for s in self._sweeps.values())
+        jobs = self.queue._job_paths()
+        pending = sum(map(self.queue._claimable, jobs))
         return {
             "ok": True,
             "store": str(self.store.root.resolve()),
-            "pending": len(self._pending),
-            "claimed": len(self._claims),
-            "deferred": len(self._deferred),
-            "outstanding": outstanding,
+            "pending": pending,
+            "claimed": len(jobs) - pending,
+            "outstanding": sum(map(len, self._sweeps.values())),
             "workers": len(self._workers),
             "rounds_seen": self._rounds_seen,
         }
@@ -389,10 +341,7 @@ class CoordinatorService:
         worker = str(payload.get("worker", ""))
         if not worker:
             raise CoordinatorError("register needs a worker label")
-        entry = self._workers.setdefault(
-            worker, {"registered_at": time.time(), "completed": 0}
-        )
-        entry["last_seen"] = time.time()
+        self._touch(worker)
         return {
             "ok": True,
             # Resolved: workers on other cwds (or machines mounting the
@@ -402,79 +351,40 @@ class CoordinatorService:
         }
 
     async def _sweep(self, payload: dict) -> dict:
-        """Accept a sweep: mirror its job specs, queue the missing cells."""
+        """Accept a sweep: enqueue its cells, track the unfinished ones."""
         from .scenario import Scenario
 
         scenario = Scenario.from_dict(payload["scenario"])
         cells = [(str(s), int(d)) for s, d in payload["cells"]]
-        resume = bool(payload.get("resume", False))
-        checkpoint_every = payload.get("checkpoint_every")
-        lease_seconds = float(payload.get("lease_seconds", DEFAULT_LEASE_SECONDS))
-        force = bool(payload.get("force", False))
         h = self.store.register_scenario(scenario)
-        if force:
-            for scheme, seed in cells:
-                try:
-                    self.store.manifest_path(h, scheme, seed).unlink()
-                except FileNotFoundError:
-                    pass
-        # Mirror first: the store is the durable queue, memory the index.
-        self.queue.enqueue(
+        queued = self.queue.enqueue(
             scenario,
             cells,
-            resume=resume,
-            checkpoint_every=checkpoint_every,
-            lease_seconds=lease_seconds,
+            resume=bool(payload.get("resume", False)),
+            checkpoint_every=payload.get("checkpoint_every"),
+            lease_seconds=float(payload.get("lease_seconds", DEFAULT_LEASE_SECONDS)),
+            force=bool(payload.get("force", False)),
         )
-        sweep = self._sweeps.setdefault(
-            h,
-            {
-                "resume": resume,
-                "checkpoint_every": checkpoint_every,
-                "lease_seconds": lease_seconds,
-                "outstanding": set(),
-            },
-        )
-        queued = 0
-        for scheme, seed in cells:
-            key = (h, scheme, seed)
-            if self.store.has_cell(h, scheme, seed):
-                continue
-            if (
-                key in self._pending_set
-                or key in self._claims
-                or key in self._deferred
-            ):
-                sweep["outstanding"].add((scheme, seed))
-                continue  # idempotent re-submission of a live sweep
-            sweep["outstanding"].add((scheme, seed))
-            lock = self.queue.lock_path_for(self.queue.job_path(h, scheme, seed))
-            if lock.exists() and not self.queue._is_stale(lock):
-                self._deferred.add(key)  # a filesystem worker beat us to it
-                continue
-            self._enqueue_key(key)
-            queued += 1
+        outstanding = self._sweeps.setdefault(h, set())
+        outstanding.update(c for c in cells if not self.store.has_cell(h, *c))
         if queued:
             await self._notify(self._work_cond)
-        if not sweep["outstanding"]:
+        if not outstanding:
             await self._notify(self._status_cond)
-        return {"ok": True, "hash": h, "queued": queued,
-                "outstanding": len(sweep["outstanding"])}
+        return {"ok": True, "hash": h, "queued": len(queued),
+                "outstanding": len(outstanding)}
 
     async def _claim(self, payload: dict) -> dict:
-        """Long-poll dispatch: hold until a cell is pushable or timeout."""
+        """Long-poll dispatch: hold until a cell is claimable or timeout."""
         worker = str(payload.get("worker", ""))
         if not worker:
             raise CoordinatorError("claim needs a worker label")
         timeout = min(float(payload.get("timeout", 1.0)), MAX_LONG_POLL)
-        entry = self._workers.setdefault(
-            worker, {"registered_at": time.time(), "completed": 0}
-        )
         assert self._loop is not None and self._work_cond is not None
         deadline = self._loop.time() + timeout
         async with self._work_cond:
             while True:
-                entry["last_seen"] = time.time()
+                self._touch(worker)
                 descriptor = self._next_claim(worker)
                 if descriptor is not None:
                     return {"job": descriptor}
@@ -487,160 +397,68 @@ class CoordinatorService:
                     return {"job": None}
 
     def _next_claim(self, worker: str) -> dict | None:
-        """Pop the first dispatchable pending cell and lock it for ``worker``."""
-        while self._pending:
-            key = self._pending.popleft()
-            self._pending_set.discard(key)
-            h, scheme, seed = key
-            sweep = self._sweeps.get(h)
-            if sweep is None:
-                continue
-            if self.store.has_cell(h, scheme, seed):
-                self._finalize_done(key)
-                continue
-            lease = float(sweep["lease_seconds"])
-            lock = self.queue.lock_path_for(self.queue.job_path(h, scheme, seed))
-            # The mirror lock is taken under the *worker's* label so the
-            # worker can fall back to direct filesystem heartbeats if
-            # this coordinator dies mid-cell.
-            if not self.queue._acquire(lock, worker, lease):
-                self._deferred.add(key)  # someone on the fs owns it
-                continue
-            self._claims[key] = {
-                "worker": worker,
-                "deadline": time.time() + (lease or DEFAULT_LEASE_SECONDS),
-                "lease_seconds": lease,
-                "rounds": 0,
-            }
-            return {
-                "scenario_hash": h,
-                "scheme": scheme,
-                "seed": seed,
-                "resume": bool(sweep["resume"]),
-                "checkpoint_every": sweep["checkpoint_every"],
-                "lease_seconds": lease,
-            }
-        return None
+        """Claim the next cell from the store's queue under ``worker``'s
+        own label, so the worker renews the lock directly."""
+        job = self.queue.claim(worker)
+        if job is None:
+            return None
+        return {
+            "scenario_hash": job.scenario_hash,
+            "scheme": job.scheme,
+            "seed": job.seed,
+            "resume": job.resume,
+            "checkpoint_every": job.checkpoint_every,
+            "lease_seconds": job.lease_seconds,
+        }
 
     def _heartbeat(self, payload: dict) -> dict:
-        """Renew a claim's in-memory lease; one round-completion event.
-
-        Also the re-attach path: a worker whose claim predates a
-        coordinator restart (its cell sits in the deferred set, its
-        filesystem lock under its own label) is *adopted* back into the
-        claim table on its first heartbeat.
-        """
+        """Count one round-completion event; ``alive`` while the worker
+        still owns the cell's lock (which the worker renews itself)."""
         worker = str(payload.get("worker", ""))
-        key = (
-            str(payload.get("scenario_hash", "")),
-            str(payload.get("scheme", "")),
-            int(payload.get("seed", -1)),
-        )
-        rounds = int(payload.get("round", 0))
-        entry = self._workers.setdefault(
-            worker, {"registered_at": time.time(), "completed": 0}
-        )
-        entry["last_seen"] = time.time()
+        self._touch(worker)
         self._rounds_seen += 1
-        claim = self._claims.get(key)
-        if claim is not None and claim["worker"] == worker:
-            lease = claim["lease_seconds"] or DEFAULT_LEASE_SECONDS
-            claim["deadline"] = time.time() + lease
-            claim["rounds"] = rounds
-            return {"alive": True}
-        h, scheme, seed = key
-        lock = self.queue.lock_path_for(self.queue.job_path(h, scheme, seed))
-        lock_data = self.queue._read_lock(lock)
-        if lock_data is not None and lock_data.get("worker") == worker:
-            sweep = self._sweeps.get(h)
-            lease = float(
-                sweep["lease_seconds"] if sweep is not None else DEFAULT_LEASE_SECONDS
-            )
-            self._deferred.discard(key)
-            self._pending_discard(key)
-            self._claims[key] = {
-                "worker": worker,
-                "deadline": time.time() + (lease or DEFAULT_LEASE_SECONDS),
-                "lease_seconds": lease,
-                "rounds": rounds,
-            }
-            return {"alive": True, "adopted": True}
-        return {"alive": False}
+        return {"alive": self._lock_owner(payload) == worker}
 
     async def _release(self, payload: dict) -> dict:
-        worker = str(payload.get("worker", ""))
-        key = (
-            str(payload.get("scenario_hash", "")),
-            str(payload.get("scheme", "")),
-            int(payload.get("seed", -1)),
-        )
-        claim = self._claims.get(key)
-        if claim is None or claim["worker"] != worker:
+        if self._lock_owner(payload) != str(payload.get("worker", "")):
             return {"ok": False}
-        del self._claims[key]
-        h, scheme, seed = key
-        lock = self.queue.lock_path_for(self.queue.job_path(h, scheme, seed))
-        lock_data = self.queue._read_lock(lock)
-        if lock_data is not None and lock_data.get("worker") == worker:
-            self.queue._remove(lock)
-        self._enqueue_key(key)
+        self.queue._remove(self._lock_path(payload))
         await self._notify(self._work_cond)
         return {"ok": True}
 
     async def _complete(self, payload: dict) -> dict:
-        worker = str(payload.get("worker", ""))
-        key = (
-            str(payload.get("scenario_hash", "")),
-            str(payload.get("scheme", "")),
-            int(payload.get("seed", -1)),
-        )
-        h, scheme, seed = key
+        h, scheme, seed = self._cell(payload)
         if not self.store.has_cell(h, scheme, seed):
             # "Done" without a manifest is a worker bug; requeue instead
             # of wedging the sweep on a phantom completion.
             await self._release(payload)
             return {"ok": False, "error": "no manifest for completed cell"}
-        entry = self._workers.setdefault(
-            worker, {"registered_at": time.time(), "completed": 0}
-        )
-        entry["last_seen"] = time.time()
-        entry["completed"] += 1
-        self._finalize_done(key)
-        sweep = self._sweeps.get(h)
-        remaining = len(sweep["outstanding"]) if sweep is not None else 0
+        self._touch(str(payload.get("worker", "")))["completed"] += 1
+        self._retire(h, scheme, seed)
         await self._notify(self._status_cond)
-        return {"ok": True, "outstanding": remaining}
+        return {"ok": True, "outstanding": len(self._sweeps.get(h, ()))}
 
     async def _status(self, params: dict) -> dict:
-        """Long-poll a sweep: hold until its outstanding set drains."""
+        """Long-poll a sweep: hold until its outstanding cells drain."""
         h = str(params.get("hash", ""))
         timeout = min(float(params.get("timeout", 0.0)), MAX_LONG_POLL)
         assert self._loop is not None and self._status_cond is not None
         deadline = self._loop.time() + timeout
         async with self._status_cond:
             while True:
-                sweep = self._sweeps.get(h)
-                remaining = len(sweep["outstanding"]) if sweep is not None else 0
-                if remaining == 0:
-                    return {"done": True, "outstanding": 0}
+                remaining = len(self._sweeps.get(h, ()))
                 wait = deadline - self._loop.time()
-                if wait <= 0.0:
-                    return {"done": False, "outstanding": remaining}
+                if remaining == 0 or wait <= 0.0:
+                    return {"done": remaining == 0, "outstanding": remaining}
                 try:
                     await asyncio.wait_for(self._status_cond.wait(), wait)
                 except asyncio.TimeoutError:
-                    return {
-                        "done": False,
-                        "outstanding": len(
-                            self._sweeps.get(h, {"outstanding": ()})["outstanding"]
-                        ),
-                    }
+                    pass
 
     # -- the janitor ----------------------------------------------------
     async def _janitor(self) -> None:
-        """Lease expiry, external completion and crash re-claim, one tick
-        per ``poll_interval`` — the event-driven replacement for every
-        worker's own store polling."""
+        """One tick per ``poll_interval`` — the event-driven replacement
+        for every worker's own store polling."""
         assert self._stop is not None
         while not self._stop.is_set():
             try:
@@ -654,86 +472,57 @@ class CoordinatorService:
                 pass
 
     async def _tick(self) -> None:
-        now = time.time()
-        work_changed = False
-        status_changed = False
-        # Expired claims: the worker stopped heartbeating the coordinator.
-        for key, claim in list(self._claims.items()):
-            h, scheme, seed = key
-            if self.store.has_cell(h, scheme, seed):
-                self._finalize_done(key)
-                status_changed = True
-                continue
-            if now <= claim["deadline"]:
-                continue
-            lock = self.queue.lock_path_for(self.queue.job_path(h, scheme, seed))
-            if lock.exists() and not self.queue._is_stale(lock):
-                # The filesystem lock is still beating: the worker is
-                # alive but detached (coordinator restarted, or its link
-                # failed) — treat the cell as externally owned.
-                del self._claims[key]
-                self._deferred.add(key)
-                continue
-            if lock.exists():
-                self.queue._steal(lock)
-            del self._claims[key]
-            self._enqueue_key(key)
-            work_changed = True
-        # Deferred cells: owned by filesystem workers (or detached ones).
-        for key in list(self._deferred):
-            h, scheme, seed = key
-            if self.store.has_cell(h, scheme, seed):
-                self._finalize_done(key)
-                status_changed = True
-                continue
-            lock = self.queue.lock_path_for(self.queue.job_path(h, scheme, seed))
-            if not lock.exists():
-                self._deferred.discard(key)
-                self._enqueue_key(key)
-                work_changed = True
-            elif self.queue._is_stale(lock):
-                if self.queue._steal(lock):
-                    self._deferred.discard(key)
-                    self._enqueue_key(key)
-                    work_changed = True
-        # Pending cells completed externally before dispatch (a SLURM
-        # script or serial run landing manifests under the same hash).
-        for key in list(self._pending):
-            h, scheme, seed = key
-            if self.store.has_cell(h, scheme, seed):
-                self._finalize_done(key)
-                status_changed = True
-        if work_changed:
-            await self._notify(self._work_cond)
-        if status_changed:
+        """Reclaim lease-expired claims, retire cells whose manifests
+        landed, and wake claimers while claimable work waits — whoever
+        enqueued, released or abandoned it."""
+        self.queue.reclaim_stale()
+        if self._retire_landed():
             await self._notify(self._status_cond)
+        if self.queue.unclaimed():
+            await self._notify(self._work_cond)
 
-    # -- small state helpers --------------------------------------------
-    def _enqueue_key(self, key: tuple[str, str, int]) -> None:
-        if key not in self._pending_set:
-            self._pending.append(key)
-            self._pending_set.add(key)
+    # -- small helpers --------------------------------------------------
+    def _touch(self, worker: str) -> dict:
+        """``worker``'s registry entry, marked as seen just now."""
+        entry = self._workers.setdefault(
+            worker, {"registered_at": time.time(), "completed": 0}
+        )
+        entry["last_seen"] = time.time()
+        return entry
 
-    def _pending_discard(self, key: tuple[str, str, int]) -> None:
-        if key in self._pending_set:
-            self._pending_set.discard(key)
-            try:
-                self._pending.remove(key)
-            except ValueError:  # pragma: no cover - set/deque drift
-                pass
+    @staticmethod
+    def _cell(payload: dict) -> tuple[str, str, int]:
+        """The ``(hash, scheme, seed)`` a worker request names."""
+        return (
+            str(payload.get("scenario_hash", "")),
+            str(payload.get("scheme", "")),
+            int(payload.get("seed", -1)),
+        )
 
-    def _finalize_done(self, key: tuple[str, str, int]) -> None:
-        """Retire a finished cell everywhere: mirror files and memory."""
-        h, scheme, seed = key
-        path = self.queue.job_path(h, scheme, seed)
-        self.queue._remove(path)
-        self.queue._remove(self.queue.lock_path_for(path))
-        self._pending_discard(key)
-        self._deferred.discard(key)
-        self._claims.pop(key, None)
-        sweep = self._sweeps.get(h)
-        if sweep is not None:
-            sweep["outstanding"].discard((scheme, seed))
+    def _lock_path(self, payload: dict) -> Path:
+        return self.queue.lock_path_for(self.queue.job_path(*self._cell(payload)))
+
+    def _lock_owner(self, payload: dict) -> str | None:
+        """The worker label holding the lock of the cell ``payload`` names."""
+        lock = self.queue._read_lock(self._lock_path(payload))
+        return None if lock is None else lock.get("worker")
+
+    def _retire(self, h: str, scheme: str, seed: int) -> None:
+        """A finished cell leaves the queue and its sweep's outstanding set."""
+        self.queue.retire(self.queue.job_path(h, scheme, seed))
+        self._sweeps.get(h, set()).discard((scheme, seed))
+
+    def _retire_landed(self) -> bool:
+        """Retire the outstanding cells whose manifests landed; any?"""
+        landed = [
+            (h, scheme, seed)
+            for h, outstanding in self._sweeps.items()
+            for scheme, seed in outstanding
+            if self.store.has_cell(h, scheme, seed)
+        ]
+        for cell in landed:
+            self._retire(*cell)
+        return bool(landed)
 
     @staticmethod
     async def _notify(cond: asyncio.Condition | None) -> None:
@@ -883,12 +672,12 @@ class ServiceLink:
 
     Owned by :func:`repro.api.distributed.run_worker`.  While attached,
     cells are claimed over long-poll and per-round events stream through
-    ``/heartbeat``; the filesystem mirror lock is *also* renewed every
-    round (it is held under this worker's label), so when the coordinator
-    dies mid-cell the worker keeps the exact lease semantics of the
-    polling protocol without missing a beat.  Detach happens on any
-    transport error; :meth:`maybe_reattach` retries registration at most
-    once per ``poll_interval``.
+    ``/heartbeat``.  The coordinator takes each cell's lock under this
+    worker's label and the link renews that lock itself every round, so
+    when the coordinator dies mid-cell the worker keeps the exact lease
+    semantics of the polling protocol without missing a beat.  Detach
+    happens on any transport error; :meth:`maybe_reattach` retries
+    registration at most once per ``poll_interval``.
     """
 
     def __init__(
@@ -952,7 +741,7 @@ class ServiceLink:
 
         ``None`` with ``attached`` still true means an idle hold expired;
         ``None`` with ``attached`` false means the coordinator vanished
-        (the worker loop then falls back to filesystem claims).
+        (the worker loop then claims from the store's queue itself).
         """
         assert self.queue is not None, "bind() the link before claiming"
         try:
@@ -968,7 +757,7 @@ class ServiceLink:
         try:
             scenario = self.queue.store.load_scenario(h).to_dict()
         except Exception:
-            # The mirror vanished under us (foreign store, manual rm):
+            # The scenario vanished under us (foreign store, manual rm):
             # give the cell back rather than dying with a claim held.
             self.release_key(h, scheme, seed)
             return None
@@ -990,13 +779,12 @@ class ServiceLink:
         return job
 
     def heartbeat(self, job: Job, rounds_done: int) -> bool:
-        """Renew both leases; stream one round-completion event.
+        """Renew the cell's lock; stream one round-completion event.
 
-        The filesystem lock is authoritative for execution (exactly the
-        polling protocol's semantics): if it was stolen the cell is
-        abandoned no matter what the coordinator thinks.  Coordinator
-        unreachability merely detaches the link — the fs lease keeps the
-        cell owned.
+        The lock is the only lease (exactly the polling protocol's
+        semantics): if it was stolen the cell is abandoned, and the
+        renewal's verdict is the answer.  Coordinator unreachability
+        merely detaches the link — the lock keeps the cell owned.
         """
         assert self.queue is not None
         alive = self.queue.heartbeat(job)
@@ -1044,7 +832,7 @@ class ServiceLink:
 # The "service" executor
 # ----------------------------------------------------------------------
 @EXECUTORS.register("service")
-class ServiceExecutor(Executor):
+class ServiceExecutor(DistributedExecutor):
     """Drive a sweep through the event-driven coordinator service.
 
     With ``coordinator_url`` the sweep is submitted to a running
@@ -1052,14 +840,16 @@ class ServiceExecutor(Executor):
     ``coordinator_url=None`` an embedded coordinator thread is started on
     an ephemeral port and ``max_workers`` local worker processes are
     spawned against it — and both are kept *warm* on this executor
-    instance, so back-to-back ``execute_plan`` calls reuse the fleet
-    without process restarts.  ``max_workers=0`` spawns nothing
-    (external workers do the running).
+    instance until :meth:`close`, so back-to-back ``execute_plan`` calls
+    reuse the fleet without process restarts.  ``max_workers=0`` spawns
+    nothing (external workers do the running).
 
-    Every queued cell is mirrored to the store's ``jobs/`` directory, so
-    when the coordinator dies mid-sweep this executor falls back to
-    waiting on the filesystem protocol (and service workers fall back to
-    filesystem claims) — the sweep still completes, byte-identically.
+    The wait loop is the ``distributed`` executor's: only submission
+    (``/sweep``) and pacing (the ``/status`` long-poll instead of a
+    sleep) differ.  The coordinator's queue is the store's, so when the
+    coordinator is unreachable this executor enqueues and waits on the
+    store itself, and service workers claim from it directly — the sweep
+    still completes, byte-identically.
 
     Scenario spec::
 
@@ -1068,8 +858,8 @@ class ServiceExecutor(Executor):
          "lease_seconds": 300.0, "poll_interval": 1.0}
     """
 
-    in_process = False
-    needs_store = True
+    warm_workers = True
+    _name = "service"
 
     def __init__(
         self,
@@ -1078,47 +868,21 @@ class ServiceExecutor(Executor):
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
     ):
-        if max_workers is not None and int(max_workers) == 0:
-            self.max_workers = 0  # coordinate-only: external fleet runs cells
-        else:
-            super().__init__(max_workers)
-        lease_seconds = float(lease_seconds)
-        poll_interval = float(poll_interval)
-        if lease_seconds < 0.0:
-            raise ValueError("lease_seconds must be >= 0")
-        if poll_interval <= 0.0:
-            raise ValueError("poll_interval must be > 0")
+        super().__init__(max_workers, lease_seconds, poll_interval)
         self.coordinator_url = (
             str(coordinator_url).rstrip("/") if coordinator_url else None
         )
-        self.lease_seconds = lease_seconds
-        self.poll_interval = poll_interval
         self._embedded: CoordinatorHandle | None = None
-        self._workers: list[subprocess.Popen] = []
-        self._store_root: Path | None = None
-
-    def map(self, fn, items):
-        raise RuntimeError(
-            "the service executor does not map functions over cells; run "
-            "it through FMoreEngine.run(scenario, store=...) so the "
-            "coordinator can schedule whole plans via execute_plan"
-        )
+        self._url: str | None = None  # the current plan's coordinator
+        self._long_poll = False  # pace on /status until drained or unreachable
 
     # -- warm-pool lifecycle --------------------------------------------
     def close(self) -> None:
         """Tear down the warm pool: workers first, then the coordinator."""
-        workers, self._workers = self._workers, []
-        for proc in workers:
-            proc.terminate()
-        for proc in workers:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover - safety
-                proc.kill()
+        super().close()
         if self._embedded is not None:
             self._embedded.stop()
             self._embedded = None
-        self._store_root = None
 
     def __del__(self):  # pragma: no cover - interpreter-shutdown timing
         try:
@@ -1131,200 +895,62 @@ class ServiceExecutor(Executor):
         if self.coordinator_url is not None:
             return self.coordinator_url
         if self._embedded is not None and (
-            not self._embedded.alive() or self._store_root != store.root
+            not self._embedded.alive()
+            or self._embedded.service.store.root != store.root
         ):
             self.close()
         if self._embedded is None:
             self._embedded = start_coordinator(
                 store, poll_interval=self.poll_interval
             )
-            self._store_root = store.root
         return self._embedded.url
 
-    def _ensure_workers(self, url: str, store: "ExperimentStore", n_cells: int) -> int:
-        """Top the warm worker pool up to the configured size."""
-        if self.max_workers == 0:
-            return 0
-        target = self.worker_count(n_cells)
-        self._workers = [p for p in self._workers if p.poll() is None]
-        while len(self._workers) < target:
-            self._workers.append(
-                _spawn_service_worker(url, store, self.poll_interval)
-            )
-        return target
-
-    # -- the sweep ------------------------------------------------------
-    def execute_plan(
+    # -- the distributed loop's hooks -----------------------------------
+    def _submit(
         self,
+        queue: JobQueue,
         scenario: "Scenario",
         cells: Sequence[tuple[str, int]],
-        store: "ExperimentStore",
-        *,
-        resume: bool = False,
-        checkpoint_every: int | None = None,
-        force: bool = False,
-    ):
-        """Submit ``cells`` to the coordinator, long-poll until they land.
-
-        Returns histories aligned with ``cells`` (the engine's positional
-        contract).  Coordinator failure at any point degrades to the
-        filesystem protocol — queue the mirror directly if the submission
-        itself failed, then wait on manifests with stale-lease reclaim,
-        exactly like the ``distributed`` executor's coordinate-only mode.
-        """
-        from .store import ExperimentStore
-
-        store = ExperimentStore.coerce(store)
-        h = store.register_scenario(scenario)
-        url = self._service_url(store)
+        **plan,
+    ) -> None:
+        """POST the plan to ``/sweep``; enqueue it on the store directly
+        when the coordinator is unreachable."""
+        self._url = self._service_url(queue.store)
         payload = {
             "scenario": scenario.to_dict(),
             "cells": [[s, int(d)] for s, d in cells],
-            "resume": bool(resume),
-            "checkpoint_every": checkpoint_every,
             "lease_seconds": self.lease_seconds,
-            "force": bool(force),
+            **plan,
         }
         try:
-            _request(url, "POST", "/sweep", payload, timeout=30.0)
+            _request(self._url, "POST", "/sweep", payload, timeout=30.0)
+            self._long_poll = True
         except _UNREACHABLE:
-            return self._fallback(
-                scenario, cells, store, h,
-                resume=resume, checkpoint_every=checkpoint_every, force=force,
-            )
-        n_local = self._ensure_workers(url, store, len(cells))
-        failures = 0
-        max_failures = max(3, 2 * n_local)
-        last_outstanding: int | None = None
-        hold = max(0.2, min(5.0, self.poll_interval * 4.0))
-        while True:
-            if n_local:
-                alive = []
-                for proc in self._workers:
-                    code = proc.poll()
-                    if code is None:
-                        alive.append(proc)
-                    elif code != 0:
-                        failures += 1
-                        if failures > max_failures:
-                            raise RuntimeError(
-                                f"service workers keep failing (last exit "
-                                f"code {code}, {failures} failures); see "
-                                "the worker stderr above"
-                            )
-                self._workers = alive
-                if len(self._workers) < n_local:
-                    self._workers.append(
-                        _spawn_service_worker(url, store, self.poll_interval)
-                    )
-            try:
-                status = _request(
-                    url,
-                    "GET",
-                    f"/status?hash={h}&timeout={hold}",
-                    timeout=hold + 10.0,
-                )
-            except _UNREACHABLE:
-                return self._fallback_wait(store, h, cells)
-            if status.get("done"):
-                break
-            outstanding = int(status.get("outstanding", 0))
-            if last_outstanding is not None and outstanding < last_outstanding:
-                failures = 0  # progress absorbs worker churn
-            last_outstanding = outstanding
-        return [store.load_history(h, s, d) for s, d in cells]
+            self._long_poll = False
+            super()._submit(queue, scenario, cells, **plan)
 
-    # -- degraded modes -------------------------------------------------
-    def _fallback(
-        self,
-        scenario: "Scenario",
-        cells: Sequence[tuple[str, int]],
-        store: "ExperimentStore",
-        h: str,
-        *,
-        resume: bool,
-        checkpoint_every: int | None,
-        force: bool,
-    ):
-        """Coordinator gone before submission: mirror the jobs ourselves."""
-        queue = JobQueue(store)
-        if force:
-            for scheme, seed in cells:
-                try:
-                    store.manifest_path(h, scheme, seed).unlink()
-                except FileNotFoundError:
-                    pass
-        queue.enqueue(
-            scenario,
-            cells,
-            resume=resume,
-            checkpoint_every=checkpoint_every,
-            lease_seconds=self.lease_seconds,
-        )
-        return self._fallback_wait(store, h, cells)
+    def _pace(self, scenario_hash: str) -> None:
+        """Long-poll ``/status`` instead of sleeping.
 
-    def _fallback_wait(
-        self,
-        store: "ExperimentStore",
-        h: str,
-        cells: Sequence[tuple[str, int]],
-    ):
-        """Wait on the filesystem protocol: manifests + stale-lease reclaim.
-
-        The jobs are mirrored, so any worker — our own spawned fleet
-        (which falls back to filesystem claims by itself), or external
-        ones — can drain the queue; this loop just watches manifests the
-        way the ``distributed`` coordinate-only mode does.
+        Once the coordinator reports the sweep drained (the loop then
+        finds every manifest) or stops answering, later passes of this
+        plan sleep like the ``distributed`` executor's.
         """
-        queue = JobQueue(store)
-        hinted = False
-        idle = 0
-        while store.missing_cells(h, cells):
-            queue.reclaim_stale()
-            self._workers = [p for p in self._workers if p.poll() is None]
-            idle += 1
-            if (
-                not hinted
-                and not self._workers
-                and idle * self.poll_interval > 30.0
-            ):
-                hinted = True
-                print(
-                    f"[service] coordinator unreachable; waiting on "
-                    f"filesystem workers for {store.root} — start some "
-                    f"with: python -m repro worker --store {store.root}",
-                    file=sys.stderr,
-                )
-            time.sleep(self.poll_interval)
-        return [store.load_history(h, s, d) for s, d in cells]
+        if not self._long_poll:
+            return super()._pace(scenario_hash)
+        hold = max(0.2, min(5.0, self.poll_interval * 4.0))
+        try:
+            status = _request(
+                self._url,
+                "GET",
+                f"/status?hash={scenario_hash}&timeout={hold}",
+                timeout=hold + 10.0,
+            )
+            self._long_poll = not status.get("done")
+        except _UNREACHABLE:
+            self._long_poll = False
 
-
-def _spawn_service_worker(
-    url: str, store: "ExperimentStore", poll_interval: float
-) -> subprocess.Popen:
-    """One warm worker subprocess attached to the coordinator at ``url``.
-
-    The store is passed explicitly (not just learned from ``/register``)
-    so the worker can fall back to filesystem claims the moment the
-    coordinator dies; ``src`` is prepended to ``PYTHONPATH`` so spawning
-    works from a source checkout.
-    """
-    src_dir = str(Path(__file__).resolve().parents[2])
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        src_dir if not existing else os.pathsep.join([src_dir, existing])
-    )
-    cmd = [
-        sys.executable,
-        "-m",
-        "repro",
-        "worker",
-        "--coordinator",
-        url,
-        "--store",
-        str(store.root.resolve()),
-        "--poll-interval",
-        str(poll_interval),
-    ]
-    return subprocess.Popen(cmd, env=env)
+    def _worker_args(self, store: "ExperimentStore") -> list[str]:
+        # The store is passed too, not just learned from /register, so the
+        # worker can claim from it directly the moment the coordinator dies.
+        return ["--coordinator", self._url, "--store", str(store.root.resolve())]

@@ -20,7 +20,10 @@ Three cooperating roles, all socket-free:
   optionally spawns local worker processes, and then just polls the store
   until every cell's manifest exists.  Worker death is handled by *lease
   timeouts*: a claimed job whose lock stops heartbeating is re-queued
-  (its lock reclaimed) so surviving workers steal the cell.
+  (its lock reclaimed) so surviving workers steal the cell.  The
+  ``"service"`` executor (:mod:`repro.api.coordinator`) is this same loop,
+  submitting through the event-driven coordinator, which claims from
+  this same queue on its workers' behalf.
 * **Workers** — ``python -m repro worker --store DIR`` (or
   :func:`run_worker`).  Each worker scans the job directory, claims cells
   with atomic ``O_CREAT | O_EXCL`` lock files (work-stealing: whoever
@@ -47,14 +50,16 @@ are atomic and last-writer-wins over identical bytes.
 
 Queue layout under the store root::
 
-    jobs/<hash>/<scheme>-seed<seed>.json   # job spec (removed when done)
-    jobs/<hash>/<scheme>-seed<seed>.lock   # claim: owner + heartbeat
+    jobs/<hash>/<scheme>-seed<seed>.json        # job spec (removed when done)
+    jobs/<hash>/<scheme>-seed<seed>.lock        # claim: owner + heartbeat
+    jobs/<hash>/<scheme>-seed<seed>.lock.steal  # takeover mutex (transient)
 
 The lock protocol is plain-POSIX: claims use ``O_CREAT | O_EXCL``
 (atomic on local filesystems and on NFSv3+), heartbeats rewrite the lock
-via temp-file + ``os.replace``, and stale-lock takeover renames the
-expired lock aside first — ``os.rename`` succeeds for exactly one
-stealer, so a cell is never reclaimed twice.
+via temp-file + ``os.replace``, and stale-lock takeover happens under a
+per-cell ``.lock.steal`` mutex (also ``O_EXCL``) that re-judges the lock
+before removing it, so exactly one of any number of racing claimers
+takes an expired cell.
 """
 
 from __future__ import annotations
@@ -265,6 +270,7 @@ class JobQueue:
         resume: bool = False,
         checkpoint_every: int | None = None,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
+        force: bool = False,
     ) -> list[Path]:
         """Write one job spec per cell; returns the paths actually written.
 
@@ -272,11 +278,16 @@ class JobQueue:
         ``scenarios/<hash>.json`` is the sweep's one copy of the spec;
         job specs reference it by hash — then skips cells whose manifest
         already exists and cells already queued, so re-enqueueing a
-        partially-finished plan is idempotent.
+        partially-finished plan is idempotent.  With ``force`` the cells'
+        manifests are dropped first, so every cell is queued again and
+        "manifest exists" once more means "recomputed".
         """
         from .store import _write_json
 
         h = self.store.register_scenario(scenario)
+        if force:
+            for scheme, seed in cells:
+                self._remove(self.store.manifest_path(h, scheme, seed))
         written: list[Path] = []
         for scheme, seed in cells:
             if self.store.has_cell(h, scheme, seed):
@@ -324,12 +335,11 @@ class JobQueue:
 
     def unclaimed(self) -> list[Path]:
         """Job specs not currently covered by a live (non-stale) lock."""
-        out = []
-        for path in self._job_paths():
-            lock = self.lock_path_for(path)
-            if not lock.exists() or self._is_stale(lock):
-                out.append(path)
-        return out
+        return [path for path in self._job_paths() if self._claimable(path)]
+
+    def _claimable(self, path: Path) -> bool:
+        lock = self.lock_path_for(path)
+        return not lock.exists() or self._is_stale(lock)
 
     # -- claiming (work-stealing) ---------------------------------------
     def claim(self, worker_id: str | None = None) -> Job | None:
@@ -399,8 +409,7 @@ class JobQueue:
                     known_hashes.add(h)
             if self.store.has_cell(h, scheme, seed):
                 # Another worker finished it but died before cleaning up.
-                self._remove(path)
-                self._remove(self.lock_path_for(path))
+                self.retire(path)
                 continue
             lock = self.lock_path_for(path)
             lease = float(data.get("lease_seconds", DEFAULT_LEASE_SECONDS))
@@ -442,17 +451,28 @@ class JobQueue:
     def _steal(self, lock: Path) -> bool:
         """Remove an expired lock race-safely; ``True`` for the one winner.
 
-        Takeover renames the lock aside first — ``os.rename`` succeeds
-        for exactly one stealer — so a cell is never reclaimed twice; the
-        loser simply moves on (someone else owns the steal).
+        Between judging a lock stale and removing it, a racing stealer
+        may already have replaced it with its own fresh lock.  So
+        stealers take the cell's ``<lock>.steal`` mutex (``O_EXCL``) and
+        remove the lock only if it is *still* stale; a claimer finding
+        the mutex taken moves on.  A mutex left by a killed stealer ages
+        out like the other lock debris.
         """
-        aside = lock.with_name(f"{lock.name}.stale-{uuid.uuid4().hex[:8]}")
+        mutex = lock.with_name(f"{lock.name}.steal")
         try:
-            os.rename(lock, aside)
+            os.close(os.open(mutex, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            self._remove_debris(mutex)
+            return False
+        try:
+            if not self._is_stale(lock):
+                return False
+            lock.unlink()
+            return True
         except FileNotFoundError:
             return False
-        self._remove(aside)
-        return True
+        finally:
+            self._remove(mutex)
 
     @staticmethod
     def _lock_payload(label: str, lease_seconds: float) -> str:
@@ -509,8 +529,12 @@ class JobQueue:
 
     def complete(self, job: Job) -> None:
         """Retire a finished cell: drop its job spec, then its lock."""
-        self._remove(job.path)
-        self._remove(job.lock_path)
+        self.retire(job.path)
+
+    def retire(self, path: Path) -> None:
+        """Drop the job spec at ``path``, then its lock."""
+        self._remove(path)
+        self._remove(self.lock_path_for(path))
 
     def reclaim_stale(self) -> list[Path]:
         """Re-queue every lease-expired claim; returns the reclaimed locks.
@@ -531,17 +555,10 @@ class JobQueue:
                     continue
                 if self._is_stale(lock) and self._steal(lock):
                     reclaimed.append(lock)
-            # Garbage-collect debris of killed workers: orphaned
-            # heartbeat temp files and steal-aside files older than the
-            # default lease (younger ones may be a live replace mid-race).
-            for junk in sorted(hash_dir.glob("*.lock*.tmp")) + sorted(
-                hash_dir.glob("*.lock.stale-*")
-            ):
-                try:
-                    if _now() > junk.stat().st_mtime + DEFAULT_LEASE_SECONDS:
-                        self._remove(junk)
-                except OSError:
-                    pass
+            # Debris of killed workers: heartbeat temp files and steal
+            # mutexes (``<lock>.<pid>.<tid>.tmp``, ``<lock>.steal``).
+            for junk in sorted(hash_dir.glob("*.lock.*")):
+                self._remove_debris(junk)
         return reclaimed
 
     # -- small helpers --------------------------------------------------
@@ -564,6 +581,16 @@ class JobQueue:
         try:
             path.unlink()
         except FileNotFoundError:
+            pass
+
+    @staticmethod
+    def _remove_debris(path: Path) -> None:
+        """Remove ``path`` once older than the default lease (a younger
+        temp file or mutex may belong to a live operation mid-race)."""
+        try:
+            if _now() > path.stat().st_mtime + DEFAULT_LEASE_SECONDS:
+                path.unlink()
+        except OSError:
             pass
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -598,10 +625,11 @@ def run_worker(
       re-scan in lockstep.
     * **service** (``coordinator=URL``): register with the event-driven
       coordinator (:mod:`repro.api.coordinator`) and long-poll it for
-      pushed work — no directory scans, and the worker stays warm between
-      sweeps.  When the coordinator becomes unreachable the worker *falls
-      back* to filesystem claims against the same store (the coordinator
-      mirrors every job there) and periodically tries to re-attach.
+      pushed work — the coordinator claims from this same queue under the
+      worker's label, so the worker never scans, and it stays warm
+      between sweeps.  When the coordinator becomes unreachable the worker
+      *falls back* to claiming from the store's queue itself and
+      periodically tries to re-attach.
 
     Either way each cell runs through the ordinary engine session path
     with a heartbeat per round, lands its content-addressed manifest, and
@@ -719,8 +747,8 @@ def _claim_next(
         job = link.claim()
         if job is not None or link.attached:
             return job, True
-        # The coordinator vanished mid-claim: fall through to the
-        # filesystem path this very pass (jobs are mirrored there).
+        # The coordinator vanished mid-claim: claim from the store's
+        # queue this very pass (the coordinator's queue is that queue).
     return queue.claim(label), False
 
 
@@ -828,6 +856,9 @@ class DistributedExecutor(Executor):
     #: an ExperimentStore (``execute_plan``) rather than mapping a
     #: function over cells.
     needs_store = True
+    #: Whether spawned workers outlive ``execute_plan`` (until :meth:`close`).
+    warm_workers = False
+    _name = "distributed"  # the registry name, for messages
 
     def __init__(
         self,
@@ -848,15 +879,27 @@ class DistributedExecutor(Executor):
             raise ValueError("poll_interval must be > 0")
         self.lease_seconds = lease_seconds
         self.poll_interval = poll_interval
+        self._workers: list[subprocess.Popen] = []
 
     # The Executor ABC's map contract cannot express a coordinator (the
     # work function never crosses the process/machine boundary).
     def map(self, fn, items):
         raise RuntimeError(
-            "the distributed executor does not map functions over cells; "
+            f"the {self._name} executor does not map functions over cells; "
             "run it through FMoreEngine.run(scenario, store=...) so the "
             "coordinator can schedule whole plans via execute_plan"
         )
+
+    def close(self) -> None:
+        """Stop the spawned local workers (SIGTERM, then SIGKILL after 10 s)."""
+        workers, self._workers = self._workers, []
+        for proc in workers:
+            proc.terminate()
+        for proc in workers:
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:  # pragma: no cover - safety
+                proc.kill()
 
     # -- the coordinator loop -------------------------------------------
     def execute_plan(
@@ -875,7 +918,8 @@ class DistributedExecutor(Executor):
         contract).  With ``force`` the cells' existing manifests are
         dropped first, so "manifest exists" is again synonymous with
         "recomputed".  Raises ``RuntimeError`` when spawned local workers
-        keep dying (beyond ``max(3, 2 * workers)`` non-zero exits).
+        keep dying (beyond ``max(3, 2 * workers)`` non-zero exits since
+        the last cell landed).
         """
         from .store import ExperimentStore
 
@@ -885,43 +929,34 @@ class DistributedExecutor(Executor):
         # re-deriving it (a full canonical-JSON dump + SHA-256) per cell
         # per poll would dominate an idle coordinator's loop.
         h = store.register_scenario(scenario)
-        if force:
-            for scheme, seed in cells:
-                path = store.manifest_path(h, scheme, seed)
-                try:
-                    path.unlink()
-                except FileNotFoundError:
-                    pass
-        queue.enqueue(
-            scenario,
-            cells,
-            resume=resume,
-            checkpoint_every=checkpoint_every,
-            lease_seconds=self.lease_seconds,
+        self._submit(
+            queue, scenario, cells,
+            resume=resume, checkpoint_every=checkpoint_every, force=force,
         )
         n_local = 0 if self.max_workers == 0 else self.worker_count(len(cells))
-        workers = [self._spawn_worker(store) for _ in range(n_local)]
+        self._workers = [p for p in self._workers if p.poll() is None]
+        while len(self._workers) < n_local:
+            self._workers.append(self._spawn_worker(store))
         failures = 0
         max_failures = max(3, 2 * n_local)
+        landed = len(cells) - len(store.missing_cells(h, cells))
+        started = time.monotonic()
         hinted = False
-        idle_polls = 0
-        done_before = len(cells) - len(store.missing_cells(h, cells))
         try:
             while True:
                 done = len(cells) - len(store.missing_cells(h, cells))
                 if done == len(cells):
                     break
-                if done > done_before:
+                if done > landed:
                     # Cells are still landing: worker deaths so far were
                     # absorbed by the lease/re-queue machinery.  Reset the
                     # failure budget so a long sweep on flaky nodes is not
                     # aborted by a lifetime body count while progressing.
-                    done_before = done
-                    failures = 0
+                    landed, failures = done, 0
                 queue.reclaim_stale()
                 if n_local:
                     alive = []
-                    for proc in workers:
+                    for proc in self._workers:
                         code = proc.poll()
                         if code is None:
                             alive.append(proc)
@@ -929,36 +964,47 @@ class DistributedExecutor(Executor):
                             failures += 1
                             if failures > max_failures:
                                 raise RuntimeError(
-                                    f"distributed workers keep failing (last "
+                                    f"{self._name} workers keep failing (last "
                                     f"exit code {code}, {failures} failures); "
                                     "see the worker stderr above"
                                 )
-                    workers = alive
+                    self._workers = alive
                     # Respawn only when claimable work is actually waiting
                     # (idle exits while one worker finishes the tail cell
                     # are normal and should not trigger churn).
-                    if len(workers) < n_local and queue.unclaimed():
-                        workers.append(self._spawn_worker(store))
-                else:
-                    idle_polls += 1
-                    if not hinted and idle_polls * self.poll_interval > 30.0:
-                        hinted = True
-                        print(
-                            f"[distributed] waiting for external workers on "
-                            f"{store.root} — start some with: python -m repro "
-                            f"worker --store {store.root}",
-                            file=sys.stderr,
-                        )
-                time.sleep(self.poll_interval)
+                    if len(self._workers) < n_local and queue.unclaimed():
+                        self._workers.append(self._spawn_worker(store))
+                elif not hinted and time.monotonic() - started > 30.0:
+                    hinted = True
+                    print(
+                        f"[{self._name}] waiting for external workers on "
+                        f"{store.root} — start some with: python -m repro "
+                        f"worker --store {store.root}",
+                        file=sys.stderr,
+                    )
+                self._pace(h)
         finally:
-            for proc in workers:
-                proc.terminate()
-            for proc in workers:
-                try:
-                    proc.wait(timeout=10)
-                except subprocess.TimeoutExpired:  # pragma: no cover - safety
-                    proc.kill()
+            if not self.warm_workers:
+                self.close()
         return [store.load_history(h, s, d) for s, d in cells]
+
+    # -- what the service executor overrides ----------------------------
+    def _submit(
+        self,
+        queue: JobQueue,
+        scenario: "Scenario",
+        cells: Sequence[tuple[str, int]],
+        **plan,
+    ) -> None:
+        """Put the cells on the queue (``plan``: resume, checkpoint_every, force)."""
+        queue.enqueue(scenario, cells, lease_seconds=self.lease_seconds, **plan)
+
+    def _pace(self, scenario_hash: str) -> None:
+        """Wait between two looks at the store."""
+        time.sleep(self.poll_interval)
+
+    def _worker_args(self, store: "ExperimentStore") -> list[str]:
+        return ["--store", str(store.root), "--exit-when-idle"]
 
     def _spawn_worker(self, store: "ExperimentStore") -> subprocess.Popen:
         """Start one local worker subprocess pointed at the store.
@@ -978,9 +1024,7 @@ class DistributedExecutor(Executor):
             "-m",
             "repro",
             "worker",
-            "--store",
-            str(store.root),
-            "--exit-when-idle",
+            *self._worker_args(store),
             "--poll-interval",
             str(self.poll_interval),
         ]

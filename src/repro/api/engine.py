@@ -1086,9 +1086,12 @@ class FMoreEngine:
           coordinator service (:mod:`repro.api.coordinator`) — a running
           one named by the spec's ``coordinator_url``, or an embedded
           coordinator thread on an ephemeral port — which *pushes* cells
-          to warm workers over long-poll while mirroring every job to
-          the same ``<store>/jobs/`` bus (the ``distributed`` executor's
-          store rules apply, and the two fleets interoperate).
+          from the same ``<store>/jobs/`` queue to warm workers over
+          long-poll (the ``distributed`` executor's store rules apply,
+          and the two fleets drain one queue).
+
+        A store-coordinated executor is closed before this call returns
+        or raises, so the workers it spawned never outlive the run.
 
         With a ``store`` (an :class:`~repro.api.store.ExperimentStore` or
         its root path) the run becomes durable and incremental: cells
@@ -1156,8 +1159,8 @@ class FMoreEngine:
                     loaded[cell] = store.load_history(scenario, *cell)
         pending = [cell for cell in cells if cell not in loaded]
         results: list[TrainingHistory | None] = []
-        if pending:
-            if executor.needs_store:
+        if pending and executor.needs_store:
+            try:
                 results = executor.execute_plan(
                     scenario,
                     pending,
@@ -1166,7 +1169,10 @@ class FMoreEngine:
                     checkpoint_every=checkpoint_every,
                     force=force,
                 )
-            elif executor.in_process:
+            finally:
+                executor.close()
+        elif pending:
+            if executor.in_process:
                 # Under a concurrent in-process executor the scheme-independent
                 # initial weights must be settled before cells race for them;
                 # the serial loop keeps the legacy lazy fill (first cell pays).

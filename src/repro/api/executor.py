@@ -86,7 +86,7 @@ class Executor(ABC):
         shared :class:`~repro.api.store.ExperimentStore` instead of
         mapping a function over cells.  The engine then requires a store
         and calls ``execute_plan(scenario, cells, store, ...)`` instead
-        of :meth:`map` (see
+        of :meth:`map`, then ``close()`` (see
         :class:`repro.api.distributed.DistributedExecutor`).
     """
 

@@ -6,16 +6,21 @@ The contracts under test (ISSUE 8 acceptance):
   the serial executor — through the embedded coordinator with warm
   local workers, through an external coordinator with push-attached
   workers, and through every degraded mode below;
+* the coordinator keeps no queue of its own: every ``/claim`` is a
+  :meth:`JobQueue.claim` under the worker's label, so it serves cells
+  that anyone queued in its store, and the cell's lock is the only
+  lease;
 * a coordinator crash mid-sweep never loses work: the executor falls
-  back to the filesystem protocol, attached workers fall back to
-  filesystem claims (the jobs are mirrored), and a restarted
-  coordinator rebuilds its queue from the mirror and *adopts* workers
-  that kept heartbeating their filesystem locks;
+  back to the filesystem protocol, attached workers claim from the
+  store's queue themselves, and a restarted coordinator serves the same
+  queue — a worker that kept renewing its lock stays the cell's owner;
 * a worker that disconnects (stops heartbeating) has its claim
   re-queued by lease expiry, exactly like the polling protocol;
 * mixed fleets — a push-attached service worker plus a plain
   filesystem worker on the same store — drain a sweep without double
   execution;
+* ``repro run`` turns SIGTERM into an orderly exit that stops the
+  workers its service executor spawned;
 * workers shut down gracefully: SIGTERM/SIGINT (or the ``stop_event``
   test hook) releases the in-flight claim, checkpointing first when the
   job asked for ``checkpoint_every``; idle filesystem scans back off
@@ -27,16 +32,19 @@ from __future__ import annotations
 import json
 import os
 import random
+import shutil
 import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.api import (
     EXECUTORS,
+    CoordinatorError,
     ExperimentStore,
     FMoreEngine,
     JobQueue,
@@ -117,6 +125,18 @@ def _sweep_payload(scenario: Scenario, cells, **extra) -> dict:
     payload = {"scenario": scenario.to_dict(), "cells": [[s, d] for s, d in cells]}
     payload.update(extra)
     return payload
+
+
+def _src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src_dir = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        src_dir
+        if not env.get("PYTHONPATH")
+        else os.pathsep.join([src_dir, env["PYTHONPATH"]])
+    )
+    return env
 
 
 @pytest.fixture(scope="module")
@@ -407,13 +427,15 @@ class TestCoordinatorProtocol:
             assert job is not None
         finally:
             first.stop()
-        # The worker still owns the filesystem lock (under its label); a
-        # restarted coordinator defers the cell, then adopts the worker on
-        # its first heartbeat instead of double-dispatching.
+        # The worker still owns the cell's lock (under its label), and the
+        # lock is the only lease: a restarted coordinator counts the cell
+        # as claimed, hands it to nobody else, and keeps the survivor alive.
         second = start_coordinator(tmp_path, poll_interval=0.05)
         try:
             health = WorkerClient(second.url, "x").health()
-            assert health["deferred"] == 1 and health["pending"] == 0
+            assert health["claimed"] == 1 and health["pending"] == 0
+            assert health["outstanding"] == 1
+            assert WorkerClient(second.url, "intruder").claim(long_poll=0.3) is None
             adopted = WorkerClient(second.url, "survivor")
             assert (
                 adopted.heartbeat(
@@ -421,10 +443,43 @@ class TestCoordinatorProtocol:
                 )
                 is True
             )
-            health = WorkerClient(second.url, "x").health()
-            assert health["claimed"] == 1 and health["deferred"] == 0
         finally:
             second.stop()
+
+    def test_running_coordinator_serves_jobs_it_did_not_submit(self, coordinator):
+        """A cell queued straight into the store — by a ``distributed``
+        sweep or a SLURM-style submitter — is claimable over ``/claim``."""
+        handle, store = coordinator
+        scenario = _paper_scenario()
+        JobQueue(store).enqueue(scenario, _cells(scenario)[:1])
+        job = WorkerClient(handle.url, "pushed").claim(long_poll=1.0)
+        assert job is not None
+        assert (job["scheme"], job["seed"]) == _cells(scenario)[0]
+
+    def test_claim_wakes_for_a_job_queued_during_the_long_poll(self, coordinator):
+        handle, store = coordinator
+        scenario = _paper_scenario()
+        enqueue = threading.Timer(
+            0.3, JobQueue(store).enqueue, args=(scenario, _cells(scenario)[:1])
+        )
+        enqueue.start()
+        try:
+            job = WorkerClient(handle.url, "waiting").claim(long_poll=5.0)
+        finally:
+            enqueue.join()
+        assert job is not None
+
+    def test_claim_of_a_foreign_job_fails_like_a_filesystem_claim(
+        self, coordinator, tmp_path_factory
+    ):
+        handle, store = coordinator
+        scenario = _paper_scenario()
+        # Job specs copied in from a store that registered their scenario.
+        other = ExperimentStore(tmp_path_factory.mktemp("other-store"))
+        JobQueue(other).enqueue(scenario, _cells(scenario)[:1])
+        shutil.copytree(other.root / "jobs", store.root / "jobs")
+        with pytest.raises(CoordinatorError, match="StoreMismatchError"):
+            WorkerClient(handle.url, "lost").claim(long_poll=0.2)
 
 
 # ----------------------------------------------------------------------
@@ -679,13 +734,6 @@ class TestCoordinatorCLI:
 
     def test_cli_coordinator_serves_and_exits_cleanly_on_sigterm(self, tmp_path):
         """``python -m repro coordinator``: announce, serve, clean SIGTERM."""
-        src_dir = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            src_dir
-            if not env.get("PYTHONPATH")
-            else os.pathsep.join([src_dir, env["PYTHONPATH"]])
-        )
         proc = subprocess.Popen(
             [
                 sys.executable,
@@ -697,7 +745,7 @@ class TestCoordinatorCLI:
                 "--port",
                 "0",
             ],
-            env=env,
+            env=_src_env(),
             stdout=subprocess.PIPE,
             text=True,
         )
@@ -715,3 +763,66 @@ class TestCoordinatorCLI:
             if proc.poll() is None:  # pragma: no cover - cleanup on failure
                 proc.kill()
                 proc.wait(timeout=10)
+
+
+# ----------------------------------------------------------------------
+# SIGTERM to a service run takes its spawned worker down with it
+# ----------------------------------------------------------------------
+def _children(pid: int) -> dict[int, str]:
+    """``{pid: command line}`` of the live child processes of ``pid``."""
+    children = {}
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+            if int(fields[1]) == pid and fields[0] != "Z":
+                cmdline = (stat.parent / "cmdline").read_bytes()
+                children[int(stat.parent.name)] = cmdline.replace(b"\0", b" ").decode()
+        except (OSError, IndexError, ValueError):
+            continue
+    return children
+
+
+def _alive(pid: int) -> bool:
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state != "Z"  # a zombie has exited
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_sigterm_to_a_service_run_stops_its_worker(tmp_path):
+    """``run`` exits 143 on SIGTERM, closing the executor, whose worker
+    must not drain the queue on its own after the run is gone."""
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "run", "--preset", "smoke",
+            "--set", "n_rounds=30", "--set", "schemes=FMore,RandFL",
+            "--set", "seeds=0,1", "--store", str(tmp_path / "store"),
+            "--executor", "service", "--parallel", "1",
+        ],
+        env=_src_env(),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    worker = None
+    try:
+        deadline = time.time() + 60.0
+        while worker is None and time.time() < deadline and proc.poll() is None:
+            workers = [p for p, cmd in _children(proc.pid).items() if " worker " in cmd]
+            worker = workers[0] if workers else None
+            time.sleep(0.1)
+        assert worker is not None, "the service run never spawned its worker"
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=30)
+        deadline = time.time() + 15.0
+        while _alive(worker) and time.time() < deadline:
+            time.sleep(0.1)
+        assert not _alive(worker), "the worker outlived its run"
+        assert code == 128 + signal.SIGTERM
+    finally:
+        if proc.poll() is None:  # pragma: no cover - cleanup on failure
+            proc.kill()
+            proc.wait(timeout=10)
+        if worker is not None and _alive(worker):  # pragma: no cover
+            os.kill(worker, signal.SIGKILL)

@@ -13,6 +13,9 @@ The contracts under test (ISSUE 5 acceptance):
 * store-sharing edge cases: concurrent manifest writes to one cell are
   last-writer-wins over identical bytes, a worker pointed at a foreign
   store dies with ``StoreMismatchError``, and stale locks are reclaimed;
+* claims stay exclusive across processes: claimers released together
+  by a barrier never take one cell twice, neither a fresh one nor one
+  whose lock expired;
 * ``scenario --emit-jobs`` writes runnable SLURM-style per-cell scripts
   speaking the same store protocol.
 """
@@ -20,8 +23,10 @@ The contracts under test (ISSUE 5 acceptance):
 from __future__ import annotations
 
 import json
+import multiprocessing
 import shutil
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -344,6 +349,81 @@ class TestJobQueue:
         # The CLI surfaces it as a clean error, not a traceback.
         with pytest.raises(SystemExit, match="foreign store"):
             main(["worker", "--store", str(store_b.root), "--exit-when-idle"])
+
+
+# ----------------------------------------------------------------------
+# Claims racing across processes
+# ----------------------------------------------------------------------
+def _claimer(label: str, barrier, conn) -> None:
+    """A claimer process: per ``(command, store root)`` it waits at the
+    barrier, then claims once (``"once"``) or until the queue is empty
+    (``"drain"``), and sends back the cells it got."""
+    for command, root in iter(conn.recv, None):
+        queue = JobQueue(root)
+        barrier.wait(timeout=60)
+        cells = []
+        while (job := queue.claim(label)) is not None:
+            cells.append(job.cell)
+            if command == "once":
+                break
+        conn.send(cells)
+
+
+class TestClaimRaces:
+    N_CLAIMERS = 4
+
+    @pytest.fixture(scope="class")
+    def claimers(self):
+        """Claimer processes shared by every trial: one pipe end each."""
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(self.N_CLAIMERS)
+        pipes, procs = [], []
+        for i in range(self.N_CLAIMERS):
+            mine, theirs = ctx.Pipe()
+            proc = ctx.Process(
+                target=_claimer, args=(f"racer-{i}", barrier, theirs), daemon=True
+            )
+            proc.start()
+            theirs.close()  # a dead claimer then reads as EOF, not a hang
+            pipes.append(mine)
+            procs.append(proc)
+        yield pipes
+        for pipe in pipes:
+            pipe.send(None)
+        for proc in procs:
+            proc.join(timeout=10)
+            if proc.is_alive():  # pragma: no cover - cleanup on failure
+                proc.kill()
+
+    @staticmethod
+    def _race(claimers, command: str, root: Path) -> list[list[tuple[str, int]]]:
+        for pipe in claimers:
+            pipe.send((command, root))
+        assert all(pipe.poll(60) for pipe in claimers), "a claimer hung"
+        return [pipe.recv() for pipe in claimers]
+
+    def test_exactly_one_claimer_steals_an_expired_lock(self, tmp_path, claimers):
+        scenario = _paper_scenario()
+        queue = JobQueue(tmp_path)
+        for trial in range(100):
+            [path] = queue.enqueue(scenario, [("FMore", trial)], lease_seconds=60.0)
+            lock = JobQueue.lock_path_for(path)
+            expired = {"worker": "dead", "heartbeat": time.time() - 120.0,
+                       "lease_seconds": 60.0}
+            lock.write_text(json.dumps(expired))
+            got = [cells for cells in self._race(claimers, "once", tmp_path) if cells]
+            assert len(got) == 1, f"trial {trial}: {got}"
+            path.unlink()
+            lock.unlink()
+
+    def test_every_cell_claimed_exactly_once(self, tmp_path, claimers):
+        scenario = _paper_scenario()
+        cells = [(scheme, seed) for seed in range(20) for scheme in scenario.schemes]
+        JobQueue(tmp_path).enqueue(scenario, cells)
+        claimed = [
+            cell for got in self._race(claimers, "drain", tmp_path) for cell in got
+        ]
+        assert sorted(claimed) == sorted(cells)
 
 
 # ----------------------------------------------------------------------
