@@ -7,10 +7,10 @@ compute engine without touching a single layer's calculus.  This module
 gives each family a seat on an :class:`ArrayBackend` and registers the
 implementations in the string-keyed :data:`NN_BACKENDS` table:
 
-* ``numpy`` — the bitwise reference.  Its kernels are the exact
-  operations the layers historically inlined, so routing through it is a
-  no-op for results: every golden history, manifest hash and checkpoint
-  in the test suite stays byte-identical.
+* ``numpy`` — the bitwise reference.  Its kernels return, bit for bit,
+  what the operations the layers historically inlined returned, so
+  routing through it is a no-op for results: every golden history,
+  manifest hash and checkpoint in the test suite stays byte-identical.
 * ``numba`` — optional JIT acceleration of the scatter/gather loops the
   BLAS cannot see (col2im, the LSTM gate fusion).  It is registered
   unconditionally so the reference docs list it, but constructing it
@@ -82,18 +82,35 @@ def numpy_im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     return patches.reshape(n * oh * ow, kh * kw * c), (oh, ow)
 
 
+#: Patch bytes numpy_col2im transposes at a time: small enough that a
+#: chunk's blocks and its slice of the output stay in cache while the
+#: kernel offsets add them.
+_COL2IM_CHUNK_BYTES = 1 << 20
+
+
 def numpy_col2im(
     cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int, oh: int, ow: int
 ):
-    """Scatter-add patch gradients back into the (padded) input."""
+    """Scatter-add patch gradients back into the (padded) input.
+
+    The batch goes in chunks of about ``_COL2IM_CHUNK_BYTES`` of patches.
+    One transposing copy per chunk lays each kernel offset's patch block
+    out contiguously; the offsets are then added in (i, j) order, so every
+    element is the same left-to-right sum from 0.0 as a scatter straight
+    from ``cols``.
+    """
     n, h, w, c = x_shape
     padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
-    cols = cols.reshape(n, oh, ow, kh, kw, c)
-    for i in range(kh):
-        for j in range(kw):
-            padded[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :] += cols[
-                :, :, :, i, j, :
-            ]
+    patches = cols.reshape(n, oh, ow, kh * kw, c)
+    step = max(1, _COL2IM_CHUNK_BYTES * n // max(cols.nbytes, 1))
+    for start in range(0, n, step):
+        blocks = np.ascontiguousarray(patches[start : start + step].transpose(3, 0, 1, 2, 4))
+        out = padded[start : start + step]
+        for i in range(kh):
+            for j in range(kw):
+                out[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :] += blocks[
+                    i * kw + j
+                ]
     if pad:
         return padded[:, pad:-pad, pad:-pad, :]
     return padded

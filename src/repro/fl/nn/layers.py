@@ -8,6 +8,8 @@ Every layer implements the same tiny contract:
   activation,
 * ``backward(grad)`` consumes ``dL/dy`` and returns ``dL/dx`` while filling
   ``self.grads`` aligned with ``self.params``,
+* ``param_backward(grad)`` fills ``self.grads`` only; it serves the first
+  layer of a model, whose input gradient nothing reads,
 * ``params`` / ``grads`` are parallel lists of arrays (possibly empty), and
   FedAvg manipulates weights exclusively through them.
 
@@ -83,6 +85,16 @@ class Layer(ABC):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         ...
 
+    def param_backward(self, grad: np.ndarray) -> None:
+        """Fill ``self.grads`` from ``dL/dy`` without computing ``dL/dx``.
+
+        :class:`~repro.fl.nn.model.Sequential` calls this on its first
+        layer, whose input gradient nothing reads.  The default runs
+        :meth:`backward` and drops the result; layers whose ``dL/dx``
+        costs a GEMM (Dense, Conv2D) override it to skip that work.
+        """
+        self.backward(grad)
+
     @property
     def n_parameters(self) -> int:
         return int(sum(p.size for p in self.params))
@@ -120,12 +132,13 @@ class Dense(Layer):
         w, b = self.params
         return get_backend().matmul(x, w) + b
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        w, _ = self.params
-        backend = get_backend()
-        self.grads[0][...] = backend.matmul(self._x.T, grad)
+    def param_backward(self, grad: np.ndarray) -> None:
+        self.grads[0][...] = get_backend().matmul(self._x.T, grad)
         self.grads[1][...] = grad.sum(axis=0)
-        return backend.matmul(grad, w.T)
+
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        self.param_backward(grad)
+        return get_backend().matmul(grad, self.params[0].T)
 
 
 class ReLU(Layer):
@@ -234,6 +247,12 @@ class Conv2D(Layer):
             raise ValueError("filters, kernel_size and stride must be >= 1")
         if padding not in ("valid", "same"):
             raise ValueError("padding must be 'valid' or 'same'")
+        if padding == "same" and kernel_size % 2 == 0:
+            # Symmetric padding of (k - 1) // 2 loses one row and column
+            # for an even k: k=2 on 8x8 would give 7x7.
+            raise ValueError(
+                f"padding='same' needs an odd kernel_size, got {kernel_size}"
+            )
         self.filters = int(filters)
         self.kernel_size = int(kernel_size)
         self.stride = int(stride)
@@ -242,7 +261,7 @@ class Conv2D(Layer):
     def _pad(self) -> int:
         if self.padding == "valid":
             return 0
-        # 'same' for stride 1 / odd kernels; adequate for the paper's nets.
+        # 'same' (odd kernels only) keeps the size at stride 1.
         return (self.kernel_size - 1) // 2
 
     def output_shape(self, input_shape):
@@ -275,20 +294,29 @@ class Conv2D(Layer):
         out = backend.matmul(cols, kernel) + bias
         return out.reshape(x.shape[0], oh, ow, self.filters)
 
+    def param_backward(self, grad: np.ndarray) -> None:
+        g = grad.reshape(-1, self.filters)
+        self.grads[0][...] = get_backend().matmul(self._cols.T, g)
+        self.grads[1][...] = g.sum(axis=0)
+
     def backward(self, grad: np.ndarray) -> np.ndarray:
+        self.param_backward(grad)
         k, s, p = self.kernel_size, self.stride, self._pad()
         oh, ow = self._out_hw
-        g = grad.reshape(-1, self.filters)
-        kernel, _ = self.params
         backend = get_backend()
-        self.grads[0][...] = backend.matmul(self._cols.T, g)
-        self.grads[1][...] = g.sum(axis=0)
-        dcols = backend.matmul(g, kernel.T)
+        dcols = backend.matmul(grad.reshape(-1, self.filters), self.params[0].T)
         return backend.col2im(dcols, self._x_shape, k, k, s, p, oh, ow)
 
 
 class MaxPool2D(Layer):
-    """Max pooling over NHWC inputs (non-overlapping windows by default)."""
+    """Max pooling over NHWC inputs (non-overlapping windows by default).
+
+    Neither pass copies the windows.  Forward folds the strided views of
+    the k*k window elements with ``np.maximum`` in window order; backward
+    routes each window's gradient to its first maximum (``argmax``'s tie
+    rule; in a window holding NaN, its first NaN), found by comparing the
+    same views of the input with the cached output.
+    """
 
     def __init__(self, pool_size: int = 2, stride: int | None = None):
         super().__init__()
@@ -305,36 +333,50 @@ class MaxPool2D(Layer):
             raise ValueError(f"pool {self.pool_size} too large for input {input_shape}")
         return (oh, ow, c)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        n, h, w, c = x.shape
+    def _views(self, a: np.ndarray, oh: int, ow: int) -> list[np.ndarray]:
+        """Element (i, j) of every window of ``a``: one view per (i, j), row-major."""
         k, s = self.pool_size, self.stride
-        oh = (h - k) // s + 1
-        ow = (w - k) // s + 1
-        shape = (n, oh, ow, k, k, c)
-        strides = (
-            x.strides[0],
-            x.strides[1] * s,
-            x.strides[2] * s,
-            x.strides[1],
-            x.strides[2],
-            x.strides[3],
-        )
-        windows = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
-        flat = windows.reshape(n, oh, ow, k * k, c)
-        self._argmax = flat.argmax(axis=3)
-        self._x_shape = x.shape
-        self._out_hw = (oh, ow)
-        return flat.max(axis=3)
+        return [
+            a[:, i : i + s * oh : s, j : j + s * ow : s, :] for i in range(k) for j in range(k)
+        ]
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        oh, ow, _ = self.output_shape(x.shape[1:])
+        first, *rest = self._views(x, oh, ow)
+        out = first.copy()
+        for view in rest:
+            np.maximum(out, view, out=out)
+        self._x, self._y = x, out
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        n, h, w, c = self._x_shape
-        k, s = self.pool_size, self.stride
-        oh, ow = self._out_hw
-        dx = np.zeros(self._x_shape, dtype=grad.dtype)
-        # Scatter each output gradient back to the argmax position.
-        rows_in_window, cols_in_window = np.divmod(self._argmax, k)
-        n_idx, oh_idx, ow_idx, c_idx = np.indices((n, oh, ow, c))
-        h_idx = oh_idx * s + rows_in_window
-        w_idx = ow_idx * s + cols_in_window
-        np.add.at(dx, (n_idx, h_idx, w_idx, c_idx), grad)
+        x, y = self._x, self._y
+        _, oh, ow, _ = y.shape
+        # Mark each window's first element equal to its max; ``pending``
+        # holds the windows still unmarked.  Only a window whose max is NaN
+        # finds none: argmax sent its gradient to the first NaN, and so does
+        # the second pass.
+        pending = np.ones(y.shape, dtype=bool)
+        hits = []
+        for view in self._views(x, oh, ow):
+            hit = view == y
+            hit &= pending
+            pending ^= hit
+            hits.append(hit)
+        if pending.any():
+            for view, hit in zip(self._views(x, oh, ow), hits):
+                nan = np.isnan(view)
+                nan &= pending
+                pending ^= nan
+                hit |= nan
+        dx = np.zeros(x.shape, dtype=grad.dtype)
+        # Add in reverse window order: where windows overlap (stride <
+        # pool_size), every input element then sums its windows' gradients
+        # in window raster order, starting from 0.0, exactly as np.add.at
+        # did.  Off the hits ``grad * hit`` adds a signed zero, which leaves
+        # a sum that started at +0.0 bit for bit alone; only a non-finite
+        # gradient (inf * 0 is NaN) needs the slower select.
+        finite = bool(np.isfinite(grad).all())
+        for view, hit in zip(reversed(self._views(dx, oh, ow)), reversed(hits)):
+            view += grad * hit if finite else np.where(hit, grad, 0.0)
         return dx

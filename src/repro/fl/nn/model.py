@@ -92,16 +92,23 @@ class Sequential:
         """One SGD step on a mini-batch; returns the batch loss."""
         logits = self.forward(x, training=True)
         loss_value = self.loss.value(logits, y)
-        grad = self.loss.gradient(logits, y)
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        params: list[np.ndarray] = []
-        grads: list[np.ndarray] = []
-        for layer in self.layers:
-            params.extend(layer.params)
-            grads.extend(layer.grads)
-        self.optimizer.step(params, grads)
+        self.apply_gradient(self.loss.gradient(logits, y))
         return float(loss_value)
+
+    def apply_gradient(self, grad: np.ndarray) -> None:
+        """Backpropagate ``dL/dlogits`` of the last forward and take one optimiser step.
+
+        The first layer fills only its parameter gradients
+        (:meth:`Layer.param_backward`): nothing reads the gradient with
+        respect to the model's input.
+        """
+        first, *rest = self.layers
+        for layer in reversed(rest):
+            grad = layer.backward(grad)
+        first.param_backward(grad)
+        params = [p for layer in self.layers for p in layer.params]
+        grads = [g for layer in self.layers for g in layer.grads]
+        self.optimizer.step(params, grads)
 
     def fit(
         self,

@@ -11,8 +11,8 @@ node's public observation to a relative markup from a discrete menu
   epsilon-greedy exploration that decays per episode;
 * ``pg_mlp`` — REINFORCE over a tiny two-layer MLP built on the existing
   :mod:`repro.fl.nn` stack (no new dependencies): softmax policy over the
-  markup menu, episode-mean baseline, manual backprop through the layer
-  chain.
+  markup menu, episode-mean baseline, and the model's own backward pass
+  and SGD step.
 
 Both menus put ``markup = 0`` first, so an untrained (all-zero /
 symmetric) learner tie-breaks to the truthful ask.
@@ -353,11 +353,12 @@ class PolicyGradientLearner(BidLearner):
     The network maps :func:`features` to one logit per menu entry;
     actions sample the softmax during training and take the argmax when
     deployed.  At each episode end the standard REINFORCE gradient with
-    an episode-mean baseline is pushed through the existing layer
-    ``backward`` chain and applied by the model's own SGD — no new
-    autodiff, no new dependencies.  Weight init is seeded by
-    ``init_seed`` (part of :meth:`spec`), so two learners built from the
-    same spec start bitwise-identical.
+    an episode-mean baseline goes through
+    :meth:`~repro.fl.nn.model.Sequential.apply_gradient`, the backward
+    pass and SGD step of supervised training — no new autodiff, no new
+    dependencies.  Weight init is seeded by ``init_seed`` (part of
+    :meth:`spec`), so two learners built from the same spec start
+    bitwise-identical.
     """
 
     name = "pg_mlp"
@@ -449,14 +450,7 @@ class PolicyGradientLearner(BidLearner):
         grad = probs
         grad[np.arange(steps), actions] -= 1.0
         grad *= advantage[:, None] / (self.temperature * steps)
-        for layer in reversed(self.model.layers):
-            grad = layer.backward(grad)
-        params: list[np.ndarray] = []
-        grads: list[np.ndarray] = []
-        for layer in self.model.layers:
-            params.extend(layer.params)
-            grads.extend(layer.grads)
-        self.model.optimizer.step(params, grads)
+        self.model.apply_gradient(grad)
         self.begin_episode()
 
     def state_dict(self) -> dict:

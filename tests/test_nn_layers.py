@@ -187,6 +187,17 @@ class TestConv2D:
         with pytest.raises(ValueError):
             Conv2D(2, kernel_size=9).output_shape((5, 5, 1))
 
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_same_padding_rejects_even_kernel(self, k):
+        # Symmetric padding cannot keep the size: k=2 on 8x8 would give 7x7.
+        with pytest.raises(ValueError, match=f"kernel_size, got {k}"):
+            Conv2D(2, kernel_size=k, padding="same")
+
+    def test_same_padding_keeps_size_for_odd_kernels(self, rng):
+        for k in (1, 3, 5):
+            layer = Conv2D(2, kernel_size=k, padding="same")
+            assert layer.output_shape((8, 8, 1)) == (8, 8, 2)
+
 
 class TestMaxPool2D:
     def test_output_shape(self):
