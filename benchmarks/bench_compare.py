@@ -10,7 +10,8 @@ The gated sections are the pure-NumPy hot paths, the stablest timings in
 each artifact:
 
 * ``grid_build.<family>.batch_seconds`` — the vectorised strategy-table
-  build per closed-form family,
+  build per closed-form family and for the multilinear corner search
+  (``vertex``),
 * ``bid_batch.batch_seconds`` — whole-population bid pricing,
 * ``round.seconds`` — one full auction round through the mechanism,
 * ``hier_round.<n>.seconds`` — one full two-tier hierarchical round per
@@ -72,7 +73,7 @@ def _gated_timings(data: dict) -> dict[str, float]:
     """The gated ``label -> seconds`` entries present in an artifact.
 
     Labels are stable across commits so old and new artifacts align:
-    ``grid:<family>`` per closed-form family, plus ``bid_batch`` and
+    ``grid:<family>`` per grid-build family, plus ``bid_batch`` and
     ``round``, plus ``hier:<n>`` per population size of the hierarchical
     bench and ``learn:<name>`` per trained ``BID_LEARNERS`` entry
     (absent in pre-extension artifacts — tolerated, each gate starts its

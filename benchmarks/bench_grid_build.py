@@ -5,11 +5,14 @@ first three are *gated* by ``bench_compare.py`` — a >20% regression
 against the previous CI artifact fails the build; the sweep section is
 informational):
 
-* **grid build** — ``optimize_quality_batch`` versus the per-point
-  ``optimize_quality`` loop at the paper's ``grid_size=257``, for each
-  closed-form family (additive scoring with linear/quadratic/power costs).
-  The batch pass must be bitwise-identical and at least 5x faster — that
-  bound is *asserted*, not just reported.
+* **grid build** — ``optimize_quality_batch`` versus a per-point loop at
+  the paper's ``grid_size=257``: for each closed-form family (additive
+  scoring with linear/quadratic/power costs) against ``optimize_quality``,
+  and for the paper's multilinear Section V-A game (``vertex``: ``25 q1
+  q2 - theta (4 q1 + 2 q2)`` on the paper preset's box) against the
+  multi-start L-BFGS-B optimiser the corner search replaced.  The batch
+  pass must be bitwise-identical and at least 5x faster — that bound is
+  *asserted*, not just reported.
 * **bid batch** — ``EquilibriumSolver.bid_batch`` pricing a whole
   population's capacity-capped bids in one call, versus the per-agent
   ``bid_with_capacity`` loop, at the paper's population (N=100, K=20).
@@ -50,29 +53,44 @@ MIN_SPEEDUP = 5.0
 
 
 def _families():
+    """``(name, rule, cost, bounds, per-point reference)`` per gated row."""
     from repro.core.costs import LinearCost, PowerCost, QuadraticCost
-    from repro.core.scoring import AdditiveScore
+    from repro.core.equilibrium import _multi_start_quality, optimize_quality
+    from repro.core.scoring import AdditiveScore, MultiplicativeScore
 
     rule = AdditiveScore([0.4, 0.3, 0.3])
-    return [
-        ("linear", rule, LinearCost([0.25, 0.25, 0.5])),
-        ("quadratic", rule, QuadraticCost([0.25, 0.25, 0.5])),
-        ("power", rule, PowerCost([0.25, 0.25, 0.5], [1.0, 1.5, 2.5])),
+    unit_cube = np.asarray([[0.0, 1.0]] * 3, dtype=float)
+    closed_forms = [
+        ("linear", LinearCost([0.25, 0.25, 0.5])),
+        ("quadratic", QuadraticCost([0.25, 0.25, 0.5])),
+        ("power", PowerCost([0.25, 0.25, 0.5], [1.0, 1.5, 2.5])),
     ]
+    rows = [
+        (name, rule, cost, unit_cube, optimize_quality) for name, cost in closed_forms
+    ]
+    # The paper's default game on the paper preset's box, against the
+    # multi-start optimiser its corner search replaced.
+    rows.append(
+        (
+            "vertex",
+            MultiplicativeScore(2, 25.0),
+            LinearCost([4.0, 2.0]),
+            np.asarray([[0.01, 5.0], [0.05, 1.0]], dtype=float),
+            _multi_start_quality,
+        )
+    )
+    return rows
 
 
 def time_grid_build(repeats: int = 5) -> dict:
-    """Loop-vs-batch timings per closed-form family (best of ``repeats``)."""
-    from repro.core.equilibrium import optimize_quality, optimize_quality_batch
+    """Loop-vs-batch timings per gated family (best of ``repeats``)."""
+    from repro.core.equilibrium import optimize_quality_batch
 
-    bounds = np.asarray([[0.0, 1.0]] * 3, dtype=float)
     thetas = np.linspace(0.1, 1.0, GRID_SIZE)
     out: dict[str, dict] = {}
-    for name, rule, cost in _families():
+    for name, rule, cost, bounds, per_point in _families():
         batch = optimize_quality_batch(rule, cost, thetas, bounds)
-        loop = np.stack(
-            [optimize_quality(rule, cost, float(t), bounds) for t in thetas]
-        )
+        loop = np.stack([per_point(rule, cost, float(t), bounds) for t in thetas])
         bitwise_equal = bool((batch == loop).all())
 
         def best_of(fn):
@@ -84,7 +102,7 @@ def time_grid_build(repeats: int = 5) -> dict:
             return min(times)
 
         loop_s = best_of(
-            lambda: [optimize_quality(rule, cost, float(t), bounds) for t in thetas]
+            lambda: [per_point(rule, cost, float(t), bounds) for t in thetas]
         )
         batch_s = best_of(lambda: optimize_quality_batch(rule, cost, thetas, bounds))
         out[name] = {

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
@@ -425,6 +426,17 @@ class Scenario:
             raise ValueError("need 1 <= k_winners <= n_clients")
         if self.n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
+        # Training fields: a bad value would otherwise surface rounds into
+        # a run (or inside a store worker after it claimed the cell).
+        for name in ("test_per_class", "local_epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.max_batches_per_round is not None and self.max_batches_per_round < 1:
+            raise ValueError("max_batches_per_round must be >= 1 or None")
+        for name in ("lr", "model_width"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         lo, hi = self.size_range
         if not (0 < lo <= hi):
             raise ValueError("size_range must satisfy 0 < lo <= hi")

@@ -5,8 +5,9 @@ This module implements the theory of Section IV of the paper:
 * **Che's Theorem 1** — in a first-score auction with ``K >= 1`` winners the
   equilibrium quality depends only on the private type:
   ``qs(theta) = argmax_q  s(q) - c(q, theta)``
-  (:func:`optimize_quality`, with closed forms for the common families and a
-  multi-start numerical fallback).
+  (:func:`optimize_quality`, with closed forms for the additive families,
+  an exact box-corner search for the multilinear Section V-A game and a
+  multi-start numerical fallback for the rest).
 * **Paper Theorem 1** — the equilibrium payment with ``K`` winners:
   ``ps(theta) = c(qs, theta) + Int_0^u g(x) dx / g(u)`` with
   ``u(theta) = s(qs) - c(qs, theta)`` and winning kernel
@@ -41,7 +42,7 @@ from scipy.special import comb
 
 from .costs import CostModel, LinearCost, PowerCost, QuadraticCost
 from .odesolvers import MARGIN_BACKENDS
-from .scoring import AdditiveScore, ScoringRule
+from .scoring import AdditiveScore, MultiplicativeScore, ScoringRule
 from .valuation import PrivateValueModel
 
 __all__ = [
@@ -105,7 +106,8 @@ def optimize_quality(
     """Che's Theorem 1: ``qs(theta) = argmax_q s(q) - c(q, theta)`` on a box.
 
     Closed forms are used for additive scoring with quadratic/power/linear
-    costs; every other combination falls back to multi-start L-BFGS-B plus
+    costs and an exact corner search for multiplicative scoring with linear
+    cost; every other combination falls back to multi-start L-BFGS-B plus
     explicit corner evaluation (linear-in-q structures push optima to the
     box boundary).
     """
@@ -114,18 +116,30 @@ def optimize_quality(
         raise ValueError("bounds must be an (m, 2) array of [lo, hi] rows")
     if np.any(b[:, 1] < b[:, 0]):
         raise ValueError("each bound row must satisfy lo <= hi")
-    lo, hi = b[:, 0], b[:, 1]
 
-    if _has_closed_form(rule, cost):
-        # One-row batch: the closed forms live in optimize_quality_batch so
-        # grid builds and single queries share one (bitwise-identical)
-        # NumPy code path.
+    if _has_closed_form(rule, cost) or _is_multilinear(rule, cost):
+        # One-row batch: the closed forms and the corner search live in
+        # optimize_quality_batch so grid builds and single queries share
+        # one (bitwise-identical) NumPy code path.
         return optimize_quality_batch(rule, cost, np.asarray([float(theta)]), b)[0]
+    return _multi_start_quality(rule, cost, theta, b)
+
+
+def _multi_start_quality(
+    rule: ScoringRule, cost: CostModel, theta: float, bounds: np.ndarray
+) -> np.ndarray:
+    """Best of the box corners and three L-BFGS-B starts.
+
+    The numerical fallback for games without a batch form, and the
+    reference the corner search of multilinear games is tested against.
+    ``bounds`` must already be a validated ``(m, 2)`` float array.
+    """
+    lo, hi = bounds[:, 0], bounds[:, 1]
 
     def objective(q: np.ndarray) -> float:
         return -(rule.value(q) - cost.cost(q, theta))
 
-    candidates = [_best_corner(rule, cost, theta, b)]
+    candidates = [_best_corner(rule, cost, theta, bounds)]
     starts = [
         0.5 * (lo + hi),
         0.25 * lo + 0.75 * hi,
@@ -133,7 +147,7 @@ def optimize_quality(
     ]
     for x0 in starts:
         res = optimize.minimize(
-            objective, x0, method="L-BFGS-B", bounds=list(map(tuple, b))
+            objective, x0, method="L-BFGS-B", bounds=list(map(tuple, bounds))
         )
         if res.success or np.isfinite(res.fun):
             candidates.append(np.clip(res.x, lo, hi))
@@ -148,6 +162,15 @@ def _has_closed_form(rule: ScoringRule, cost: CostModel) -> bool:
     )
 
 
+def _is_multilinear(rule: ScoringRule, cost: CostModel) -> bool:
+    """True when ``s(q) - c(q, theta)`` is affine in each ``q_j`` alone.
+
+    Such an objective attains its maximum over a box at a corner, so the
+    corner search alone is exact.
+    """
+    return isinstance(rule, MultiplicativeScore) and isinstance(cost, LinearCost)
+
+
 def optimize_quality_batch(
     rule: ScoringRule,
     cost: CostModel,
@@ -157,11 +180,13 @@ def optimize_quality_batch(
     """``qs(theta)`` for a whole type vector in one NumPy pass.
 
     Row ``i`` is bitwise-identical to ``optimize_quality(rule, cost,
-    thetas[i], bounds)``: the closed-form families (additive scoring with
+    thetas[i], bounds)``.  The closed-form families (additive scoring with
     quadratic/linear/power costs) evaluate the same elementwise expressions
-    over the full ``(n, m)`` grid at once, which removes the last Python
-    hot loop from :meth:`EquilibriumSolver._build_tables`; every other
-    combination falls back to the per-point numerical optimiser.
+    over the full ``(n, m)`` grid at once.  Multiplicative scoring with
+    linear cost is multilinear, so its optimum is a box corner: the ``2**m``
+    corners are scored once and every row takes the first best corner,
+    exactly as :func:`_best_corner` does per point.  Every other combination
+    falls back to the per-point numerical optimiser.
     """
     b = np.asarray(bounds, dtype=float)
     if b.shape != (rule.n_dimensions, 2):
@@ -200,9 +225,16 @@ def optimize_quality_batch(
             q = np.where(gam == 1.0, np.where(alpha > theta_beta, hi, lo), q)
             return np.clip(q, lo, hi)
 
-    return np.stack(
-        [optimize_quality(rule, cost, float(theta), b) for theta in t]
-    )
+    if _is_multilinear(rule, cost):
+        # _best_corner's scalar expressions, evaluated once per corner:
+        # s(c) - theta * (betas . c) per (theta, corner) pair is then one
+        # float64 product and difference, and argmax keeps the first tie.
+        corners = _box_corners(b)
+        values = np.asarray([rule.value(c) for c in corners])
+        slopes = np.asarray([np.dot(cost.betas, c) for c in corners])
+        return corners[np.argmax(values - t[:, None] * slopes, axis=1)]
+
+    return np.stack([_multi_start_quality(rule, cost, float(theta), b) for theta in t])
 
 
 def _best_corner(rule: ScoringRule, cost: CostModel, theta: float, bounds: np.ndarray):

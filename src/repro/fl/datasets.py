@@ -176,16 +176,19 @@ class SyntheticImageGenerator(DataGenerator):
         if n < 0:
             raise ValueError("n must be non-negative")
         spec = self.spec
-        out = np.empty((n, *self.input_shape))
         modes = rng.integers(spec.modes, size=n)
         shifts = rng.integers(-spec.max_shift, spec.max_shift + 1, size=(n, 2))
-        for i in range(n):
-            img = self._prototypes[class_id, modes[i]]
-            img = np.roll(img, shift=tuple(shifts[i]), axis=(0, 1))
-            if spec.color_jitter > 0.0 and spec.channels > 1:
-                jitter = 1.0 + spec.color_jitter * rng.standard_normal(spec.channels)
-                img = img * jitter
-            out[i] = img
+        # Rolling an image by (dy, dx) reads pixel ((i - dy) % S, (j - dx) % S)
+        # of its prototype, so one gather builds every shifted image.
+        pixels = np.arange(spec.size)
+        rows = (pixels - shifts[:, :1]) % spec.size
+        cols = (pixels - shifts[:, 1:]) % spec.size
+        out = self._prototypes[class_id][
+            modes[:, None, None], rows[:, :, None], cols[:, None, :]
+        ]
+        if spec.color_jitter > 0.0 and spec.channels > 1:
+            jitter = 1.0 + spec.color_jitter * rng.standard_normal((n, spec.channels))
+            out *= jitter[:, None, None, :]
         out += spec.noise_std * rng.standard_normal(out.shape)
         return out
 

@@ -95,6 +95,43 @@ class TestImageGenerator:
         np.testing.assert_array_equal(counts, np.full(10, 7))
 
 
+def _rolled_sample(gen, class_id, n, rng):
+    """The per-image ``np.roll`` sampler the one-gather version replaced."""
+    spec = gen.spec
+    out = np.empty((n, *gen.input_shape))
+    modes = rng.integers(spec.modes, size=n)
+    shifts = rng.integers(-spec.max_shift, spec.max_shift + 1, size=(n, 2))
+    for i in range(n):
+        img = gen._prototypes[class_id, modes[i]]
+        img = np.roll(img, shift=tuple(shifts[i]), axis=(0, 1))
+        if spec.color_jitter > 0.0 and spec.channels > 1:
+            jitter = 1.0 + spec.color_jitter * rng.standard_normal(spec.channels)
+            img = img * jitter
+        out[i] = img
+    out += spec.noise_std * rng.standard_normal(out.shape)
+    return out
+
+
+class TestImageSamplerOracle:
+    """``sample`` equals the rolled loop byte for byte and leaves the rng
+    in the same state, so every later draw of a federation build is
+    unchanged."""
+
+    @pytest.mark.parametrize("size", [9, 14, 28])
+    @pytest.mark.parametrize("name", ["mnist_o", "mnist_f", "cifar10"])
+    def test_bytes_and_rng_state_match_rolled_loop(self, name, size):
+        gen = make_generator(name, seed=4, image_size=size)
+        for n in (0, 1, 7, 300):
+            for class_id in (0, gen.n_classes - 1):
+                rng = np.random.default_rng(1000 * n + class_id)
+                ref_rng = np.random.default_rng(1000 * n + class_id)
+                got = gen.sample(class_id, n, rng)
+                want = _rolled_sample(gen, class_id, n, ref_rng)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (name, size, n, class_id)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestTextGenerator:
     def test_tokens_in_vocabulary(self):
         gen = make_generator("hpnews", seed=0)

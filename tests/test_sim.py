@@ -32,8 +32,8 @@ class TestConfig:
         assert scenario.n_rounds == 3  # original intact
 
     def test_validation(self):
-        """Bad federation shapes and component parameters fail at
-        construction, not later inside ``build_solver``."""
+        """Bad federation shapes, component parameters and training
+        fields fail at construction, not later inside a run."""
         with pytest.raises(ValueError, match="n_clients"):
             Scenario(n_clients=1)
         with pytest.raises(ValueError, match="k_winners"):
@@ -44,6 +44,23 @@ class TestConfig:
             Scenario(scoring={"name": "multiplicative", "scale": 0.0})
         with pytest.raises(ValueError, match="psi"):
             Scenario(psi=1.5)
+        # Training fields fail here too, not in evaluation, in the model
+        # build or inside a store worker.
+        for field_name, bad in [
+            ("test_per_class", 0),
+            ("model_width", 0.0),
+            ("model_width", float("nan")),
+            ("model_width", float("inf")),
+            ("lr", 0.0),
+            ("lr", -0.1),
+            ("lr", float("nan")),
+            ("lr", float("inf")),
+            ("batch_size", 0),
+            ("local_epochs", 0),
+            ("max_batches_per_round", 0),
+        ]:
+            with pytest.raises(ValueError, match=field_name):
+                Scenario(**{field_name: bad})
 
     def test_dataset_lr_calibration(self):
         def lr(ds):
