@@ -27,7 +27,8 @@ Usage::
     python -m repro run --preset smoke \
         --set 'bidding={"mix":[{"name":"fixed_markup","fraction":0.2,"markup":0.1}]}'
     python -m repro report --incentives --preset smoke --store runs/
-    python -m repro report --incentives --preset paper --assert-ic  # CI gate
+    python -m repro report --incentives --preset paper --set win_model=exact \
+        --assert-ic                         # CI gate
     #   ^ also trains the adaptive adversary (--learned-episodes, default 8)
     #     and gates the resulting "learned_deviation" row
 
@@ -74,11 +75,9 @@ sweeps fan their ``(scheme, seed)`` cells out through the scenario's
 and ``--executor serial|thread|process`` picks the pool type (results are
 bitwise-identical either way).  ``--local-parallel N`` additionally fans
 each round's K winner trainings over a within-round thread pool (serial/
-thread/process agree bitwise with each other), and ``--nn-backend NAME``
-swaps the neural-network hot kernels onto a registered ``NN_BACKENDS``
-array backend.  The pytest benches in ``benchmarks/``
-remain the canonical reproduction (they record paper-vs-measured blocks);
-this CLI is the quick interactive path.
+thread/process agree bitwise with each other).  The pytest benches in
+``benchmarks/`` remain the canonical reproduction (they record
+paper-vs-measured blocks); this CLI is the quick interactive path.
 """
 
 from __future__ import annotations
@@ -558,6 +557,13 @@ def _cmd_report_incentives(args) -> int:
         raise SystemExit("error: --deviant-fraction must lie in (0, 1)")
     if args.learned_episodes < 0:
         raise SystemExit("error: --learned-episodes must be >= 0")
+    if args.assert_ic and scenario.win_model == "paper":
+        print(
+            "warning: under win_model=paper --assert-ic tests Eq. 9's win "
+            "kernel, not the mechanism; add --set win_model=exact to test "
+            "the mechanism",
+            file=sys.stderr,
+        )
     try:
         report = run_incentive_sweep(
             scenario,
@@ -835,14 +841,6 @@ def main(argv: list[str] | None = None) -> int:
         "execution.local_training.executor=process for a process pool",
     )
     parser.add_argument(
-        "--nn-backend",
-        default=None,
-        metavar="NAME",
-        help="array backend for the neural-network hot kernels "
-        "(NN_BACKENDS registry: 'numpy' is the bitwise reference; 'numba' "
-        "needs the optional numba dependency)",
-    )
-    parser.add_argument(
         "--coordinator",
         default=None,
         metavar="URL",
@@ -1073,16 +1071,6 @@ def main(argv: list[str] | None = None) -> int:
         "(the committed docs/scenario_reference.md)",
     )
     args = parser.parse_args(argv)
-
-    if args.nn_backend is not None:
-        # Process-wide: every Sequential built afterwards routes its hot
-        # kernels through the selected NN_BACKENDS entry.
-        from .fl.nn.backends import BackendUnavailableError, set_backend
-
-        try:
-            set_backend(args.nn_backend)
-        except (KeyError, BackendUnavailableError) as exc:
-            raise SystemExit(f"error: {exc}")
 
     if args.command == "list":
         return _cmd_list()

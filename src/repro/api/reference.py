@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from .. import core as _core  # noqa: F401 - registers the auction families
+from ..core import registry as _registries
 from ..core.registry import (
     BID_LEARNERS,
     BID_POLICIES,
     COST_MODELS,
     EXECUTORS,
     MARGIN_METHODS,
-    NN_BACKENDS,
     PAYMENT_RULES,
     ROUND_POLICIES,
     SCORING_RULES,
@@ -35,7 +35,6 @@ from ..core.registry import (
     WINNER_SELECTIONS,
     Registry,
 )
-from ..fl.nn import backends as _backends  # noqa: F401 - registers NN backends
 from ..strategic import learn as _learn  # noqa: F401 - registers bid learners
 from ..strategic import policies as _strategic  # noqa: F401 - registers bid policies
 from . import coordinator as _coordinator  # noqa: F401 - registers "service"
@@ -138,17 +137,6 @@ FAMILIES: tuple[tuple[Registry, str, str], ...] = (
         "round's K winner trainings over a within-round pool — the three "
         "pool types match each other bitwise. See the within-round "
         "parallelism section of the README.",
-    ),
-    (
-        NN_BACKENDS,
-        "NN array backends",
-        "Not a Scenario field: process-wide compute engines for the "
-        "neural-network substrate's hot kernels (GEMM, im2col/col2im, "
-        "LSTM step), selected via `repro.fl.nn.set_backend(\"<name>\")` or "
-        "the CLI's `--nn-backend`. `numpy` is the bitwise reference; "
-        "`numba` JIT-compiles the scatter/gate kernels and needs the "
-        "optional numba dependency (validated against the reference to "
-        "1e-10 in the test suite).",
     ),
 )
 
@@ -261,20 +249,7 @@ def registry_reference_markdown() -> str:
 
 def _registry_var_name(registry: Registry) -> str:
     """The ``repro.core.registry`` variable holding this table."""
-    mapping = {
-        id(SCORING_RULES): "SCORING_RULES",
-        id(COST_MODELS): "COST_MODELS",
-        id(THETA_DISTRIBUTIONS): "THETA_DISTRIBUTIONS",
-        id(WINNER_SELECTIONS): "WINNER_SELECTIONS",
-        id(PAYMENT_RULES): "PAYMENT_RULES",
-        id(MARGIN_METHODS): "MARGIN_METHODS",
-        id(ROUND_POLICIES): "ROUND_POLICIES",
-        id(BID_POLICIES): "BID_POLICIES",
-        id(BID_LEARNERS): "BID_LEARNERS",
-        id(EXECUTORS): "EXECUTORS",
-        id(NN_BACKENDS): "NN_BACKENDS",
-    }
-    return mapping[id(registry)]
+    return next(name for name, value in vars(_registries).items() if value is registry)
 
 
 def registry_summary() -> str:

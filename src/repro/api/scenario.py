@@ -39,6 +39,8 @@ from ..core.registry import (
     SCORING_RULES,
     THETA_DISTRIBUTIONS,
 )
+from ..fl.datasets import DATASET_NAMES, IMAGE_PRESETS, TEXT_PRESETS
+from ..fl.models import smallest_image_size
 from ..strategic import policies as _strategic  # noqa: F401 - registers bid policies
 from . import coordinator as _coordinator  # noqa: F401 - registers "service"
 from . import distributed as _distributed  # noqa: F401 - registers "distributed"
@@ -426,8 +428,9 @@ class Scenario:
             raise ValueError("need 1 <= k_winners <= n_clients")
         if self.n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
-        # Training fields: a bad value would otherwise surface rounds into
-        # a run (or inside a store worker after it claimed the cell).
+        # Training and data fields: a bad value would otherwise fail later,
+        # in the federation or model build or rounds into a run, and under
+        # the store executors inside a worker that already claimed the cell.
         for name in ("test_per_class", "local_epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -440,6 +443,29 @@ class Scenario:
         lo, hi = self.size_range
         if not (0 < lo <= hi):
             raise ValueError("size_range must satisfy 0 < lo <= hi")
+        if self.dataset not in DATASET_NAMES:
+            raise ValueError(
+                f"unknown dataset {self.dataset!r}; choose from {DATASET_NAMES}"
+            )
+        data_spec = IMAGE_PRESETS.get(self.dataset) or TEXT_PRESETS[self.dataset]
+        if self.image_size is not None and self.dataset in IMAGE_PRESETS:
+            smallest = smallest_image_size(
+                self.dataset, data_spec.n_classes, data_spec.channels, self.model_width
+            )
+            if self.image_size < smallest:
+                raise ValueError(
+                    f"image_size must be >= {smallest} for the {self.dataset} "
+                    f"model, got {self.image_size}"
+                )
+        max_classes = data_spec.n_classes if self.max_classes is None else self.max_classes
+        if not (1 <= self.min_classes <= max_classes <= data_spec.n_classes):
+            raise ValueError(
+                f"need 1 <= min_classes <= max_classes <= {data_spec.n_classes} "
+                f"(the {self.dataset} classes), got min_classes={self.min_classes}, "
+                f"max_classes={self.max_classes}"
+            )
+        if self.data_seed < 0:
+            raise ValueError(f"data_seed must be >= 0, got {self.data_seed}")
         if not self.schemes:
             raise ValueError("schemes must be non-empty")
         for scheme in self.schemes:
@@ -451,6 +477,8 @@ class Scenario:
             raise ValueError("schemes must be unique")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be >= 0, got {self.seeds}")
         for spec_name, registry in _SPEC_FIELDS.items():
             spec = getattr(self, spec_name)
             if not isinstance(spec, Mapping):

@@ -14,7 +14,7 @@ Public surface of the auction-theory layer.  Typical usage::
     quality, payment = solver.bid(theta=0.4)
 """
 
-from .auction import AuctionOutcome, MultiDimensionalProcurementAuction, PAYMENT_RULES
+from .auction import AuctionOutcome, MultiDimensionalProcurementAuction
 from .bids import AuctionWinner, Bid, ScoredBid
 from .blacklist import (
     Blacklist,
@@ -73,6 +73,7 @@ from .properties import (
 from .registry import (
     COST_MODELS,
     MARGIN_METHODS,
+    PAYMENT_RULES,
     ROUND_POLICIES,
     SCORING_RULES,
     THETA_DISTRIBUTIONS,
@@ -106,12 +107,13 @@ from .valuation import (
 )
 
 __all__ = [
-    # registries (the payment-rule registry lives at repro.core.registry)
+    # registries
     "Registry",
     "SCORING_RULES",
     "COST_MODELS",
     "THETA_DISTRIBUTIONS",
     "WINNER_SELECTIONS",
+    "PAYMENT_RULES",
     "MARGIN_METHODS",
     "ROUND_POLICIES",
     # scoring
@@ -150,7 +152,6 @@ __all__ = [
     "AuctionWinner",
     "AuctionOutcome",
     "MultiDimensionalProcurementAuction",
-    "PAYMENT_RULES",
     # selection
     "WinnerSelection",
     "TopKSelection",

@@ -17,13 +17,12 @@ import numpy as np
 
 from .bids import AuctionWinner, Bid, ScoredBid
 from .psi import TopKSelection, WinnerSelection
-from .registry import PAYMENT_RULES as PAYMENT_RULE_REGISTRY
+from .registry import PAYMENT_RULES
 from .scoring import QuasiLinearScoringRule, ScoringRule
 
 __all__ = [
     "AuctionOutcome",
     "MultiDimensionalProcurementAuction",
-    "PAYMENT_RULES",
     "descending_order",
     "first_score_payment",
     "second_score_payment",
@@ -68,7 +67,7 @@ def top_k_order(scores: np.ndarray, tiebreak: np.ndarray, k: int) -> np.ndarray:
     return chosen[np.lexsort((tiebreak[chosen], -scores[chosen]))]
 
 
-@PAYMENT_RULE_REGISTRY.register("first_score")
+@PAYMENT_RULES.register("first_score")
 def first_score_payment(
     scored: list[ScoredBid],
     positions: list[int],
@@ -78,7 +77,7 @@ def first_score_payment(
     return [float(scored[pos].bid.payment) for pos in positions]
 
 
-@PAYMENT_RULE_REGISTRY.register("second_score")
+@PAYMENT_RULES.register("second_score")
 def second_score_payment(
     scored: list[ScoredBid],
     positions: list[int],
@@ -95,11 +94,6 @@ def second_score_payment(
         s_value = scoring.score(sb.bid.quality, 0.0)
         charges.append(float(max(s_value - reference, sb.bid.payment)))
     return charges
-
-
-# Legacy tuple view of the registered rule names (kept as a stable export;
-# third-party rules registered at runtime are accepted by the auction too).
-PAYMENT_RULES = ("first_score", "second_score")
 
 
 @dataclass
@@ -181,13 +175,13 @@ class MultiDimensionalProcurementAuction:
         if k_winners < 1:
             raise ValueError("k_winners must be >= 1")
         self.k_winners = int(k_winners)
-        if payment_rule not in PAYMENT_RULE_REGISTRY:
+        if payment_rule not in PAYMENT_RULES:
             raise ValueError(
                 f"unknown payment rule {payment_rule!r}; choose from "
-                f"{list(PAYMENT_RULE_REGISTRY.names())}"
+                f"{list(PAYMENT_RULES.names())}"
             )
         self.payment_rule = payment_rule
-        self._charge_policy = PAYMENT_RULE_REGISTRY.get(payment_rule)
+        self._charge_policy = PAYMENT_RULES.get(payment_rule)
         self.selection = selection if selection is not None else TopKSelection()
         if ranking not in ("full", "top_k"):
             raise ValueError("ranking must be 'full' or 'top_k'")

@@ -41,7 +41,6 @@ __all__ = [
     "ROUND_POLICIES",
     "BID_POLICIES",
     "BID_LEARNERS",
-    "NN_BACKENDS",
 ]
 
 
@@ -167,8 +166,3 @@ BID_POLICIES = Registry("bid policy")
 # q_table/pg_mlp), driven by BidLearnerTrainer over AuctionEnv episodes and
 # deployed through the "learned" BID_POLICIES entry once trained.
 BID_LEARNERS = Registry("bid learner")
-# Array backends for the neural-network substrate's hot kernels (members
-# live in repro.fl.nn.backends: numpy is the bitwise reference; numba is
-# optional and auto-skipped when the dependency is absent).  Selected
-# process-wide via repro.fl.nn.backends.set_backend / the CLI --nn-backend.
-NN_BACKENDS = Registry("nn backend")

@@ -21,6 +21,7 @@ local-training pool ships scratch replicas to worker processes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,7 @@ __all__ = [
     "cnn_cifar_factory",
     "lstm_factory",
     "build_model",
+    "smallest_image_size",
 ]
 
 
@@ -136,6 +138,24 @@ def lstm_factory(
     )
 
 
+def _model_factory(dataset_name, input_shape, n_classes, width, vocab_size):
+    if dataset_name in ("mnist_o", "mnist_f"):
+        return cnn_mnist_factory(n_classes, width)
+    if dataset_name == "cifar10":
+        size = input_shape[0]
+        # Width-scaled small nets are fragile under the paper's 0.2 dropout;
+        # keep dropout proportional to capacity.
+        drop = 0.2 if width >= 0.75 else 0.1
+        if size >= 10:
+            return cnn_cifar_factory(n_classes, width, dropout=drop)
+        return cnn_mnist_factory(n_classes, width, dropout=drop)
+    if dataset_name == "hpnews":
+        if vocab_size is None:
+            raise ValueError("hpnews model requires vocab_size")
+        return lstm_factory(vocab_size, n_classes, width=max(width, 0.25))
+    raise ValueError(f"unknown dataset {dataset_name!r}")
+
+
 def build_model(
     dataset_name: str,
     input_shape: tuple[int, ...],
@@ -151,21 +171,25 @@ def build_model(
     smaller presets automatically fall back to the single-pool MNIST
     architecture (identical code path, one fewer stage).
     """
-    if dataset_name in ("mnist_o", "mnist_f"):
-        factory = cnn_mnist_factory(n_classes, width)
-    elif dataset_name == "cifar10":
-        size = input_shape[0]
-        # Width-scaled small nets are fragile under the paper's 0.2 dropout;
-        # keep dropout proportional to capacity.
-        drop = 0.2 if width >= 0.75 else 0.1
-        if size >= 10:
-            factory = cnn_cifar_factory(n_classes, width, dropout=drop)
-        else:
-            factory = cnn_mnist_factory(n_classes, width, dropout=drop)
-    elif dataset_name == "hpnews":
-        if vocab_size is None:
-            raise ValueError("hpnews model requires vocab_size")
-        factory = lstm_factory(vocab_size, n_classes, width=max(width, 0.25))
-    else:
-        raise ValueError(f"unknown dataset {dataset_name!r}")
+    factory = _model_factory(dataset_name, input_shape, n_classes, width, vocab_size)
     return Sequential(factory, input_shape, optimizer=SGD(lr), rng=rng)
+
+
+def smallest_image_size(
+    dataset_name: str, n_classes: int, channels: int, width: float = 1.0
+) -> int:
+    """The smallest square image side :func:`build_model` accepts.
+
+    Read from the layers themselves: Conv2D and MaxPool2D reject, in
+    ``output_shape``, an input their window does not fit, so the answer is
+    the first side whose shape passes through every layer.
+    """
+    for size in itertools.count(1):
+        shape = (size, size, channels)
+        layers = _model_factory(dataset_name, shape, n_classes, width, None)()
+        try:
+            for layer in layers:
+                shape = layer.output_shape(shape)
+        except ValueError:
+            continue
+        return size

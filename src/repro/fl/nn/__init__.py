@@ -5,16 +5,6 @@ against finite differences; the :class:`Sequential` container exposes the
 ``get_weights``/``set_weights`` interface FedAvg averages over.
 """
 
-from .backends import (
-    NN_BACKENDS,
-    ArrayBackend,
-    BackendUnavailableError,
-    available_backend_names,
-    backend_available,
-    get_backend,
-    set_backend,
-    use_backend,
-)
 from .initializers import glorot_uniform, he_normal, orthogonal, zeros
 from .layers import (
     Conv2D,
@@ -55,12 +45,4 @@ __all__ = [
     "he_normal",
     "orthogonal",
     "zeros",
-    "NN_BACKENDS",
-    "ArrayBackend",
-    "BackendUnavailableError",
-    "available_backend_names",
-    "backend_available",
-    "get_backend",
-    "set_backend",
-    "use_backend",
 ]

@@ -17,11 +17,8 @@ Convolutions use im2col/col2im so the heavy lifting is one GEMM per layer —
 the standard trick for acceptable pure-numpy speed.  All layers are
 gradient-checked against central finite differences in the test suite.
 
-The super-linear kernels (GEMM, im2col/col2im) are fetched at call time
-from the active :mod:`~repro.fl.nn.backends` entry, so a registered
-``NN_BACKENDS`` backend swaps the compute engine under every layer at
-once; the default ``numpy`` backend is bitwise-identical to the
-historically inlined operations.
+The super-linear kernels (GEMM, im2col/col2im) live in
+:mod:`~repro.fl.nn.backends`; the layers look them up there at every call.
 """
 
 from __future__ import annotations
@@ -30,11 +27,8 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-# _im2col/_col2im stay importable from here (their historical home); the
-# implementations now live beside the other reference kernels in backends.
-from .backends import get_backend
-from .backends import numpy_col2im as _col2im  # noqa: F401 - re-export
-from .backends import numpy_im2col as _im2col  # noqa: F401 - re-export
+from . import backends
+from .backends import KERNELS
 from .initializers import glorot_uniform, he_normal, zeros
 
 __all__ = [
@@ -130,15 +124,15 @@ class Dense(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._x = x
         w, b = self.params
-        return get_backend().matmul(x, w) + b
+        return KERNELS.matmul(x, w) + b
 
     def param_backward(self, grad: np.ndarray) -> None:
-        self.grads[0][...] = get_backend().matmul(self._x.T, grad)
+        self.grads[0][...] = KERNELS.matmul(self._x.T, grad)
         self.grads[1][...] = grad.sum(axis=0)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         self.param_backward(grad)
-        return get_backend().matmul(grad, self.params[0].T)
+        return KERNELS.matmul(grad, self.params[0].T)
 
 
 class ReLU(Layer):
@@ -285,27 +279,25 @@ class Conv2D(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         k, s, p = self.kernel_size, self.stride, self._pad()
-        backend = get_backend()
-        cols, (oh, ow) = backend.im2col(x, k, k, s, p)
+        cols, (oh, ow) = backends.numpy_im2col(x, k, k, s, p)
         self._cols = cols
         self._x_shape = x.shape
         self._out_hw = (oh, ow)
         kernel, bias = self.params
-        out = backend.matmul(cols, kernel) + bias
+        out = KERNELS.matmul(cols, kernel) + bias
         return out.reshape(x.shape[0], oh, ow, self.filters)
 
     def param_backward(self, grad: np.ndarray) -> None:
         g = grad.reshape(-1, self.filters)
-        self.grads[0][...] = get_backend().matmul(self._cols.T, g)
+        self.grads[0][...] = KERNELS.matmul(self._cols.T, g)
         self.grads[1][...] = g.sum(axis=0)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         self.param_backward(grad)
         k, s, p = self.kernel_size, self.stride, self._pad()
         oh, ow = self._out_hw
-        backend = get_backend()
-        dcols = backend.matmul(grad.reshape(-1, self.filters), self.params[0].T)
-        return backend.col2im(dcols, self._x_shape, k, k, s, p, oh, ow)
+        dcols = KERNELS.matmul(grad.reshape(-1, self.filters), self.params[0].T)
+        return backends.numpy_col2im(dcols, self._x_shape, k, k, s, p, oh, ow)
 
 
 class MaxPool2D(Layer):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backends import get_backend
+from .backends import KERNELS
 from .initializers import glorot_uniform, orthogonal, zeros
 from .layers import Layer
 
@@ -82,10 +82,6 @@ class LSTM(Layer):
         self.grads = [np.zeros_like(p) for p in self.params]
         return super().build(input_shape, rng)
 
-    @staticmethod
-    def _sigmoid(x: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         n, t, d = x.shape
         h = self.units
@@ -93,9 +89,8 @@ class LSTM(Layer):
         hs = np.zeros((t + 1, n, h))
         cs = np.zeros((t + 1, n, h))
         cache = []
-        backend = get_backend()
         for step in range(t):
-            h_next, c_next, i, f, g, o, tanh_c = backend.lstm_step(
+            h_next, c_next, i, f, g, o, tanh_c = KERNELS.lstm_step(
                 x[:, step, :], hs[step], cs[step], wx, wh, b
             )
             cs[step + 1] = c_next
@@ -118,7 +113,6 @@ class LSTM(Layer):
         dx = np.zeros_like(x)
         dh_next = grad.copy()
         dc_next = np.zeros((n, h))
-        backend = get_backend()
         for step in range(t - 1, -1, -1):
             i, f, g, o, tanh_c = cache[step]
             dc = dc_next + dh_next * o * (1.0 - tanh_c * tanh_c)
@@ -135,10 +129,10 @@ class LSTM(Layer):
                 ],
                 axis=1,
             )
-            dwx += backend.matmul(x[:, step, :].T, dz)
-            dwh += backend.matmul(hs[step].T, dz)
+            dwx += KERNELS.matmul(x[:, step, :].T, dz)
+            dwh += KERNELS.matmul(hs[step].T, dz)
             db += dz.sum(axis=0)
-            dx[:, step, :] = backend.matmul(dz, wx.T)
-            dh_next = backend.matmul(dz, wh.T)
+            dx[:, step, :] = KERNELS.matmul(dz, wx.T)
+            dh_next = KERNELS.matmul(dz, wh.T)
             dc_next = dc * f
         return dx

@@ -21,32 +21,6 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
-@pytest.fixture
-def nn_backend(request) -> str:
-    """Activate one registered NN array backend for the duration of a test.
-
-    Parameterised over every ``NN_BACKENDS`` entry (see
-    ``pytest_generate_tests``); entries whose dependency is missing (the
-    optional ``numba``) skip rather than fail, so the battery pins each
-    backend that can actually run here.
-    """
-    from repro.fl.nn.backends import backend_available, use_backend
-
-    name = request.param
-    if not backend_available(name):
-        pytest.skip(f"nn backend {name!r} unavailable in this environment")
-    with use_backend(name):
-        yield name
-
-
-def pytest_generate_tests(metafunc):
-    if "nn_backend" in metafunc.fixturenames:
-        from repro.core.registry import NN_BACKENDS
-        from repro.fl.nn import backends as _backends  # noqa: F401 - registers
-
-        metafunc.parametrize("nn_backend", sorted(NN_BACKENDS.names()), indirect=True)
-
-
 @pytest.fixture(scope="session")
 def additive_quadratic_solver() -> EquilibriumSolver:
     """Additive score + quadratic cost: interior optima, closed-form qs."""

@@ -496,3 +496,26 @@ class TestCLI:
             ]
         ) == 0
         assert "PsiFMore" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("win_model", ["paper", "exact"])
+    def test_incentive_gate_warns_under_paper_kernel(self, win_model, monkeypatch, capsys):
+        """`report --incentives --assert-ic` says when it gates Eq. 9's kernel."""
+        import repro.analysis
+        from repro.__main__ import main
+
+        swept = []
+
+        def sweep(scenario, **kwargs):
+            swept.append(scenario.win_model)
+            return repro.analysis.IncentiveReport(scenario.name, kwargs["fraction"])
+
+        monkeypatch.setattr(repro.analysis, "run_incentive_sweep", sweep)
+        argv = ["report", "--incentives", "--preset", "smoke", "--assert-ic"]
+        assert main([*argv, "--set", f"win_model={win_model}"]) == 0
+        assert swept == [win_model]
+        warnings = [
+            line
+            for line in capsys.readouterr().err.splitlines()
+            if line.startswith("warning:") and "--set win_model=exact" in line
+        ]
+        assert len(warnings) == (win_model == "paper")

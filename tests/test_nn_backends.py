@@ -1,111 +1,21 @@
-"""The NN_BACKENDS array-backend family: registry, selection, agreement.
+"""The NN substrate's kernels: GEMM, im2col/col2im and the LSTM step.
 
-The ``numpy`` backend is the bitwise reference — its kernels are the exact
-code historically inlined in the layers.  Any other registered backend
-(currently the optional ``numba``) must agree with the reference to 1e-10
-on every hot kernel, forward and backward; those cross-backend tests skip
-when the backend's dependency is absent rather than fail.
+Each is checked bit for bit: the GEMM against ``a @ b``, col2im as the
+inverse of im2col on disjoint windows, the LSTM step against its own gate
+equations.  ``tests/test_nn_kernels.py`` holds the differential oracles
+for col2im and max-pooling.
 """
 
 import numpy as np
-import pytest
 
-from repro.core.registry import NN_BACKENDS
-from repro.fl.nn.backends import (
-    ArrayBackend,
-    BackendUnavailableError,
-    NumpyBackend,
-    available_backend_names,
-    backend_available,
-    get_backend,
-    numpy_col2im,
-    numpy_im2col,
-    set_backend,
-    use_backend,
-)
-
-
-class TestRegistry:
-    def test_both_backends_registered(self):
-        assert set(NN_BACKENDS.names()) >= {"numpy", "numba"}
-
-    def test_numpy_always_available(self):
-        assert backend_available("numpy")
-        assert "numpy" in available_backend_names()
-
-    def test_available_names_subset_of_registered(self):
-        assert set(available_backend_names()) <= set(NN_BACKENDS.names())
-
-    def test_default_backend_is_numpy(self):
-        assert isinstance(get_backend(), NumpyBackend)
-        assert get_backend().name == "numpy"
-
-
-class TestSelection:
-    def test_set_backend_by_name_and_instance(self):
-        previous = get_backend()
-        try:
-            chosen = set_backend("numpy")
-            assert isinstance(chosen, NumpyBackend)
-            assert get_backend() is chosen
-            explicit = NumpyBackend()
-            assert set_backend(explicit) is explicit
-            assert get_backend() is explicit
-        finally:
-            set_backend(previous)
-
-    def test_set_backend_rejects_unknown_name(self):
-        with pytest.raises(KeyError):
-            set_backend("tensorflow")
-
-    def test_set_backend_rejects_non_backend(self):
-        with pytest.raises(TypeError):
-            set_backend(42)
-
-    def test_use_backend_restores_previous(self):
-        before = get_backend()
-        with use_backend("numpy") as inner:
-            assert get_backend() is inner
-            assert inner is not before
-        assert get_backend() is before
-
-    def test_use_backend_restores_on_error(self):
-        before = get_backend()
-        with pytest.raises(RuntimeError):
-            with use_backend("numpy"):
-                raise RuntimeError("boom")
-        assert get_backend() is before
-
-    def test_unavailable_numba_raises_cleanly(self):
-        if backend_available("numba"):
-            pytest.skip("numba installed; the unavailable path cannot trigger")
-        with pytest.raises(BackendUnavailableError):
-            set_backend("numba")
-        # A failed set leaves the active backend untouched.
-        assert isinstance(get_backend(), ArrayBackend)
+from repro.fl.nn.backends import KERNELS, numpy_col2im, numpy_im2col
 
 
 class TestNumpyReference:
-    """The numpy backend must be bitwise-identical to the reference kernels."""
-
     def test_matmul_is_numpy_matmul(self, rng):
         a = rng.standard_normal((5, 7))
         b = rng.standard_normal((7, 3))
-        np.testing.assert_array_equal(NumpyBackend().matmul(a, b), a @ b)
-
-    def test_im2col_matches_reference(self, rng):
-        x = rng.standard_normal((2, 6, 6, 3))
-        got, got_hw = NumpyBackend().im2col(x, 3, 3, 1, 0)
-        want, want_hw = numpy_im2col(x, 3, 3, 1, 0)
-        assert got_hw == want_hw
-        np.testing.assert_array_equal(got, want)
-
-    def test_col2im_matches_reference(self, rng):
-        x_shape = (2, 6, 6, 3)
-        cols = rng.standard_normal((2 * 4 * 4, 3 * 3 * 3))
-        got = NumpyBackend().col2im(cols, x_shape, 3, 3, 1, 0, 4, 4)
-        want = numpy_col2im(cols, x_shape, 3, 3, 1, 0, 4, 4)
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(KERNELS.matmul(a, b), a @ b)
 
     def test_col2im_inverts_im2col_for_disjoint_windows(self, rng):
         # Stride == kernel: windows tile the input exactly once, so
@@ -123,7 +33,7 @@ class TestNumpyReference:
         wx = rng.standard_normal((d, 4 * h))
         wh = rng.standard_normal((h, 4 * h))
         b = rng.standard_normal(4 * h)
-        h_next, c_next, i, f, g, o, tanh_c = NumpyBackend().lstm_step(
+        h_next, c_next, i, f, g, o, tanh_c = KERNELS.lstm_step(
             x_t, h_prev, c_prev, wx, wh, b
         )
         for arr in (h_next, c_next, i, f, g, o, tanh_c):
@@ -132,87 +42,3 @@ class TestNumpyReference:
             assert np.all((gate > 0.0) & (gate < 1.0))
         np.testing.assert_array_equal(c_next, f * c_prev + i * g)
         np.testing.assert_array_equal(h_next, o * np.tanh(c_next))
-
-
-def _kernel_inputs(rng):
-    n, d, h = 4, 5, 3
-    return {
-        "a": rng.standard_normal((6, 9)),
-        "b": rng.standard_normal((9, 4)),
-        "x_img": rng.standard_normal((2, 7, 7, 3)),
-        "cols": rng.standard_normal((2 * 5 * 5, 3 * 3 * 3)),
-        "x_t": rng.standard_normal((n, d)),
-        "h_prev": rng.standard_normal((n, h)),
-        "c_prev": rng.standard_normal((n, h)),
-        "wx": rng.standard_normal((d, 4 * h)),
-        "wh": rng.standard_normal((h, 4 * h)),
-        "bias": rng.standard_normal(4 * h),
-    }
-
-
-class TestCrossBackendAgreement:
-    """Every available non-reference backend agrees with numpy to 1e-10."""
-
-    @pytest.fixture
-    def backends(self, nn_backend):
-        return NumpyBackend(), NN_BACKENDS.create(nn_backend)
-
-    def test_matmul_agreement(self, rng, backends):
-        ref, other = backends
-        inp = _kernel_inputs(rng)
-        np.testing.assert_allclose(
-            other.matmul(inp["a"], inp["b"]),
-            ref.matmul(inp["a"], inp["b"]),
-            rtol=0.0,
-            atol=1e-10,
-        )
-
-    def test_im2col_agreement(self, rng, backends):
-        ref, other = backends
-        x = _kernel_inputs(rng)["x_img"]
-        got, got_hw = other.im2col(x, 3, 3, 1, 1)
-        want, want_hw = ref.im2col(x, 3, 3, 1, 1)
-        assert got_hw == want_hw
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
-
-    def test_col2im_agreement(self, rng, backends):
-        ref, other = backends
-        cols = _kernel_inputs(rng)["cols"]
-        x_shape = (2, 7, 7, 3)
-        np.testing.assert_allclose(
-            other.col2im(cols, x_shape, 3, 3, 1, 0, 5, 5),
-            ref.col2im(cols, x_shape, 3, 3, 1, 0, 5, 5),
-            rtol=0.0,
-            atol=1e-10,
-        )
-
-    def test_lstm_step_agreement(self, rng, backends):
-        ref, other = backends
-        inp = _kernel_inputs(rng)
-        args = (
-            inp["x_t"], inp["h_prev"], inp["c_prev"],
-            inp["wx"], inp["wh"], inp["bias"],
-        )
-        for got, want in zip(other.lstm_step(*args), ref.lstm_step(*args)):
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
-
-    def test_forward_backward_agreement_through_model(self, rng, nn_backend):
-        """A full CNN forward/backward pass agrees across backends."""
-        from repro.fl.models import build_model
-        from repro.sim.rng import rng_from
-
-        x = rng.standard_normal((8, 8, 8, 1))
-        y = rng.integers(0, 10, size=8)
-
-        def run():
-            model = build_model("mnist_o", (8, 8, 1), 10, rng_from(3, "agree"), width=0.25)
-            loss = model.fit(x, y, epochs=1, batch_size=4, shuffle_rng=rng_from(3, "fit"))
-            return loss, model.get_weights()
-
-        with use_backend("numpy"):
-            ref_loss, ref_weights = run()
-        with use_backend(nn_backend):
-            got_loss, got_weights = run()
-        assert got_loss == pytest.approx(ref_loss, abs=1e-10)
-        for got, want in zip(got_weights, ref_weights):
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)

@@ -2,9 +2,8 @@
 
 Every layer's backward pass is validated against central finite differences
 of its forward pass — both for input gradients and parameter gradients.
-The checks on backend-routed layers (Dense, Conv2D) take the ``nn_backend``
-fixture, which re-runs them under every registered ``NN_BACKENDS`` entry
-(skipping backends whose optional dependency is absent).
+Dense and Conv2D compute on the kernels of ``repro.fl.nn.backends``, so
+their checks cover those kernels too.
 """
 
 import numpy as np
@@ -75,10 +74,10 @@ class TestDense:
         layer.build((4,), rng)
         assert layer.forward(rng.standard_normal((3, 4))).shape == (3, 7)
 
-    def test_input_gradient(self, rng, nn_backend):
+    def test_input_gradient(self, rng):
         assert input_gradient_error(Dense(5), rng.standard_normal((4, 6)), rng) < 1e-6
 
-    def test_param_gradient(self, rng, nn_backend):
+    def test_param_gradient(self, rng):
         assert param_gradient_error(Dense(5), rng.standard_normal((4, 6)), rng) < 1e-6
 
     def test_rejects_multidim_input(self, rng):
@@ -172,13 +171,13 @@ class TestConv2D:
                     naive[0, i, j, f] = np.sum(patch * k[:, :, :, f]) + bias[f]
         np.testing.assert_allclose(out, naive, atol=1e-12)
 
-    def test_input_gradient(self, rng, nn_backend):
+    def test_input_gradient(self, rng):
         assert input_gradient_error(Conv2D(3, 3), rng.standard_normal((2, 6, 6, 2)), rng) < 1e-6
 
-    def test_param_gradient(self, rng, nn_backend):
+    def test_param_gradient(self, rng):
         assert param_gradient_error(Conv2D(3, 3), rng.standard_normal((2, 6, 6, 2)), rng) < 1e-6
 
-    def test_stride_two(self, rng, nn_backend):
+    def test_stride_two(self, rng):
         layer = Conv2D(2, kernel_size=3, stride=2)
         assert layer.output_shape((7, 7, 1)) == (3, 3, 2)
         assert input_gradient_error(layer, rng.standard_normal((2, 7, 7, 1)), rng) < 1e-6

@@ -69,7 +69,7 @@ class TestLSTM:
         out = layer.forward(rng.standard_normal((2, 4, 3)))
         assert out.shape == (2, 6)
 
-    def test_input_gradient_finite_difference(self, rng, nn_backend):
+    def test_input_gradient_finite_difference(self, rng):
         layer = LSTM(4)
         layer.build((3, 5), rng)
         x = rng.standard_normal((2, 3, 5))
@@ -89,7 +89,7 @@ class TestLSTM:
             num = (fp - fm) / (2 * eps)
             assert gx.reshape(-1)[i] == pytest.approx(num, abs=1e-6)
 
-    def test_param_gradient_finite_difference(self, rng, nn_backend):
+    def test_param_gradient_finite_difference(self, rng):
         layer = LSTM(3)
         layer.build((3, 4), rng)
         x = rng.standard_normal((2, 3, 4))

@@ -86,6 +86,16 @@ class TestPackageSurface:
         assert hasattr(core, symbol), f"repro.core.{symbol} missing"
         assert symbol in core.__all__
 
+    def test_core_payment_rules_is_the_registry(self):
+        """One PAYMENT_RULES: the registry Scenario checks against."""
+        core = importlib.import_module("repro.core")
+        registry = importlib.import_module("repro.core.registry")
+        assert core.PAYMENT_RULES is registry.PAYMENT_RULES
+        assert "PAYMENT_RULES" in core.__all__
+        assert tuple(core.PAYMENT_RULES) == ("first_score", "second_score")
+        assert len(core.PAYMENT_RULES) == 2
+        assert "first_score" in core.PAYMENT_RULES
+
     @pytest.mark.parametrize(
         "symbol",
         [

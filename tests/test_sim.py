@@ -5,6 +5,7 @@ import pytest
 
 from repro.api import Scenario
 from repro.api.engine import SeriesStats, average_histories
+from repro.fl.models import build_model
 from repro.sim.reporting import ascii_table, fmt, paper_vs_measured, series_table
 from repro.sim.rng import rng_from, spawn_rngs
 from repro.fl.trainer import RoundRecord, TrainingHistory
@@ -61,6 +62,28 @@ class TestConfig:
         ]:
             with pytest.raises(ValueError, match=field_name):
                 Scenario(**{field_name: bad})
+        # Data fields fail here too, not in build_federation or the model
+        # build: an unknown dataset, an image too small for the CNN, class
+        # bounds outside the dataset's classes, negative seeds.
+        for field_name, kwargs in [
+            ("dataset", {"dataset": "mnist"}),
+            ("image_size", {"image_size": 0}),
+            ("image_size", {"image_size": 5}),
+            ("image_size", {"dataset": "cifar10", "image_size": 1}),
+            ("image_size", {"dataset": "cifar10", "image_size": 5}),
+            ("min_classes", {"min_classes": 0}),
+            ("max_classes", {"max_classes": 99}),
+            ("min_classes", {"min_classes": 4, "max_classes": 2}),
+            ("data_seed", {"data_seed": -1}),
+            ("seeds", {"seeds": (-1,)}),
+        ]:
+            with pytest.raises(ValueError, match=field_name):
+                Scenario(**kwargs)
+        # The smallest size is accepted, and its model builds.
+        for dataset, channels in (("mnist_o", 1), ("cifar10", 3)):
+            scenario = Scenario(dataset=dataset, image_size=6)
+            shape = (6, 6, channels)
+            build_model(dataset, shape, 10, rng_from(0, "t"), scenario.model_width)
 
     def test_dataset_lr_calibration(self):
         def lr(ds):
