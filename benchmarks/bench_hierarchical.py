@@ -2,13 +2,15 @@
 
 The flat ``FMoreMechanism.run_round`` walks every agent in Python — fine
 at the paper's N~100, hopeless at MEC scale.  The hierarchical variant
-(:mod:`repro.core.hierarchy`) prices the whole sharded population through
-grouped ``bid_batch`` calls and ranks each cluster with an O(n_c)
-argpartition, so one two-tier round stays within seconds at N=10^5-10^6.
+(:mod:`repro.core.hierarchy`) prices the whole sharded population in one
+``bid_batch`` call (margins per run of equal-size clusters), ranks every
+cluster at once with a segmented top-``k_local`` and builds the head tier
+from row sums of a ``(heads, k)`` gather, so one two-tier round has no
+Python loop over clusters and stays within seconds at N=10^5-10^6.
 This bench tracks that claim as numbers:
 
 * **hier round** — one complete two-tier round (availability/type draws,
-  equilibrium pricing, per-cluster winner determination, head auction,
+  equilibrium pricing, local winner determination, head auction,
   payments) at N = 10^4 / 10^5 / 10^6 (quick mode: 10^4 and 10^5).
 * **flat round** — the flat single-auction protocol round at N = 10^4,
   the baseline the tentpole speedup gate compares against.
@@ -116,7 +118,6 @@ def _hier_mechanism(n: int):
         solver.quality_rule,
         scenario.clusters["k_clusters"],
         selection=WINNER_SELECTIONS.create("top_k"),
-        ranking="top_k",
     )
     return scenario, HierarchicalMechanism(
         auction, population, solver, k_local=scenario.clusters["k_local"]
@@ -127,7 +128,8 @@ def time_hier_round(n: int, repeats: int = 3) -> dict:
     """One full two-tier round at population ``n`` (best of ``repeats``).
 
     The mechanism is reused across repeats so the per-cluster-size solver
-    clones stay warm (the steady state of a multi-round run); its history
+    clones (memoised on the solver) stay warm, the steady state of a
+    multi-round run; its history
     is cleared per call, and a fresh seeded RNG makes every repeat draw
     identically.
     """

@@ -430,12 +430,16 @@ def _hierarchical_selection(
     """The two-tier auction strategy of a ``variant="hierarchical"`` cell.
 
     The top-tier auction competes cluster heads for ``k_clusters`` slots
-    (top-K or psi admission, per the scheme); every cluster's local game
-    is a :meth:`~repro.core.equilibrium.EquilibriumSolver.with_population`
-    clone of the shared population solver, built inside the mechanism per
-    distinct cluster size.  The intra-round fan-out executor comes from
-    the ``clusters`` spec and is independent of the scenario's
-    ``execution`` spec (which schedules whole cells).
+    (top-K or psi admission, per the scheme) and is consulted only for
+    its scoring rule, ``k_winners``, payment rule and selection policy:
+    the mechanism ranks heads itself and never calls its ``run``.  Every
+    cluster's local game is a
+    :meth:`~repro.core.equilibrium.EquilibriumSolver.with_population`
+    clone of the shared population solver, one per distinct cluster
+    size, memoised on that solver so every session of the game reuses
+    it.  The intra-round fan-out executor comes from the ``clusters``
+    spec and is independent of the scenario's ``execution`` spec (which
+    schedules whole cells).
     """
     if federation.population is None:
         raise ValueError(
@@ -453,7 +457,6 @@ def _hierarchical_selection(
         clusters["k_clusters"],
         payment_rule=scenario.payment_rule,
         selection=policy,
-        ranking="top_k",
     )
     executor = None
     if clusters["executor"] != "serial":

@@ -448,7 +448,14 @@ class Scenario:
                 f"unknown dataset {self.dataset!r}; choose from {DATASET_NAMES}"
             )
         data_spec = IMAGE_PRESETS.get(self.dataset) or TEXT_PRESETS[self.dataset]
-        if self.image_size is not None and self.dataset in IMAGE_PRESETS:
+        if self.image_size is not None:
+            if self.dataset not in IMAGE_PRESETS:
+                # The text generator has no image size; accepting one would
+                # give identical federations two content hashes.
+                raise ValueError(
+                    f"image_size applies to image datasets only; {self.dataset} "
+                    f"is text, got image_size={self.image_size}"
+                )
             smallest = smallest_image_size(
                 self.dataset, data_spec.n_classes, data_spec.channels, self.model_width
             )

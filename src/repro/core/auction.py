@@ -26,45 +26,63 @@ __all__ = [
     "descending_order",
     "first_score_payment",
     "second_score_payment",
-    "top_k_order",
+    "segmented_top_k",
 ]
 
 
 def descending_order(scores: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:
-    """Indices sorting ``scores`` descending, ties by ascending ``tiebreak``.
+    """Indices sorting ``scores`` by the auction's tie rule.
 
-    ``np.lexsort`` keys are (secondary, primary); both it and Python's
-    ``sorted`` are stable on the composite key ``(-score, tiebreak)``, so
-    this is bitwise-identical to the historical
-    ``sorted(range(n), key=lambda i: (-scores[i], tiebreak[i]))`` ranking
-    while staying entirely in NumPy.
+    The rule, shared by the flat auction and both tiers of the two-tier
+    round: a higher score ranks first; equal scores rank by the smaller
+    tie-break key (the uniform "coin flip" drawn for every bid that
+    round); equal scores with equal keys rank by the lower index.
+    ``np.lexsort`` keys are (secondary, primary) and the sort is stable,
+    so this equals ``sorted(range(n), key=lambda i: (-scores[i],
+    tiebreak[i]))`` bitwise.
     """
     return np.lexsort((tiebreak, -scores))
 
 
-def top_k_order(scores: np.ndarray, tiebreak: np.ndarray, k: int) -> np.ndarray:
-    """The first ``k`` indices of :func:`descending_order`, without a full sort.
+def segmented_top_k(
+    scores: np.ndarray, tiebreak: np.ndarray, starts: np.ndarray, k: int
+) -> np.ndarray:
+    """The first ``k`` of :func:`descending_order` within each segment.
 
-    ``np.argpartition`` finds the k-th largest score in O(n); boundary
-    ties are resolved exactly as the full sort would — every index with a
-    strictly greater score is in, and the remaining slots go to the tied
-    indices with the smallest tie-break keys.  Only the selected ``k``
-    indices are then ordered.  Equivalence against the full-sort path is
-    pinned bitwise in tests (continuous tie-break keys make exact
-    (score, tiebreak) collisions a measure-zero event).
+    Segment ``s`` holds rows ``[starts[s], starts[s+1])`` (the last runs
+    to the end); every segment must be non-empty.  Returns an ``(S,
+    min(k, longest segment))`` array of row indices in rank order,
+    padded with ``-1`` where a segment has fewer rows than ranks.  Each
+    rank is one pass over all segments at once: a ``maximum.reduceat``
+    finds each segment's best remaining score, a ``minimum.reduceat``
+    the smallest key among the rows holding it, and another the lowest
+    such row, which is then taken.  With ``starts=[0]`` this is the top
+    ``k`` of one ranking.
     """
     scores = np.asarray(scores)
+    tiebreak = np.asarray(tiebreak)
+    starts = np.asarray(starts, dtype=np.intp)
     n = scores.shape[0]
-    if k >= n:
-        return descending_order(scores, tiebreak)
-    boundary = scores[np.argpartition(-scores, k - 1)[k - 1]]
-    definite = np.flatnonzero(scores > boundary)
-    tied = np.flatnonzero(scores == boundary)
-    need = k - definite.size
-    if need < tied.size:
-        tied = tied[np.argpartition(tiebreak[tied], need - 1)[:need]]
-    chosen = np.concatenate([definite, tied])
-    return chosen[np.lexsort((tiebreak[chosen], -scores[chosen]))]
+    lengths = np.diff(np.append(starts, n))
+    if lengths.size == 0:
+        return np.empty((0, 0), dtype=np.intp)
+    if lengths.min() < 1:
+        raise ValueError("segments must be non-empty")
+    ranks = min(int(k), int(lengths.max()))
+    segment = np.repeat(np.arange(starts.size), lengths)
+    rows = np.arange(n)
+    free = np.ones(n, dtype=bool)
+    out = np.full((starts.size, ranks), -1, dtype=np.intp)
+    for r in range(ranks):
+        best = np.maximum.reduceat(np.where(free, scores, -np.inf), starts)
+        tied = free & (scores == best[segment])
+        key = np.minimum.reduceat(np.where(tied, tiebreak, np.inf), starts)
+        tied &= tiebreak == key[segment]
+        pick = np.minimum.reduceat(np.where(tied, rows, n), starts)
+        taken = pick < n
+        out[taken, r] = pick[taken]
+        free[pick[taken]] = False
+    return out
 
 
 @PAYMENT_RULES.register("first_score")
@@ -102,8 +120,6 @@ class AuctionOutcome:
 
     ``scored_bids`` holds every submitted bid in descending score order
     (post tie-break); ``winners`` the selected subset with charged payments.
-    Under the auction's ``ranking="top_k"`` fast path ``scored_bids`` is
-    truncated to the K selected bids (same order as the full sort's head).
     """
 
     winners: list[AuctionWinner]
@@ -152,13 +168,6 @@ class MultiDimensionalProcurementAuction:
         zero applies.
     selection:
         Winner-selection policy over the sorted list (default: top-K).
-    ranking:
-        ``"full"`` (default) ranks every bid — the total descending order
-        feeds ``AuctionOutcome.scored_bids`` and downstream manifests.
-        ``"top_k"`` ranks only the K winners via ``np.argpartition``
-        whenever that is safe (plain top-K selection, first-score
-        payments, K < N) and falls back to the full sort otherwise; the
-        outcome's ``scored_bids`` then holds just the K selected bids.
     """
 
     def __init__(
@@ -167,7 +176,6 @@ class MultiDimensionalProcurementAuction:
         k_winners: int,
         payment_rule: str = "first_score",
         selection: WinnerSelection | None = None,
-        ranking: str = "full",
     ):
         if isinstance(scoring, ScoringRule):
             scoring = QuasiLinearScoringRule(scoring)
@@ -183,9 +191,6 @@ class MultiDimensionalProcurementAuction:
         self.payment_rule = payment_rule
         self._charge_policy = PAYMENT_RULES.get(payment_rule)
         self.selection = selection if selection is not None else TopKSelection()
-        if ranking not in ("full", "top_k"):
-            raise ValueError("ranking must be 'full' or 'top_k'")
-        self.ranking = ranking
 
     def score_bid(self, bid: Bid) -> float:
         """Evaluate ``S(q_i, p_i)`` for one bid."""
@@ -220,20 +225,7 @@ class MultiDimensionalProcurementAuction:
         scores = np.asarray([self.score_bid(b) for b in bids])
         tiebreak = rng.random(len(bids))
         policy = selection if selection is not None else self.selection
-        # Partial ranking is only equivalent when nothing downstream needs
-        # the bids beyond rank K: plain top-K admission (psi policies walk
-        # the whole order) and pay-as-bid (second score prices off the
-        # best *rejected* bid).
-        partial = (
-            self.ranking == "top_k"
-            and type(policy) is TopKSelection
-            and self.payment_rule == "first_score"
-            and self.k_winners < len(bids)
-        )
-        if partial:
-            order = top_k_order(scores, tiebreak, self.k_winners)
-        else:
-            order = descending_order(scores, tiebreak)
+        order = descending_order(scores, tiebreak)
         scored = [ScoredBid(bids[i], float(scores[i])) for i in order]
 
         positions = policy.select(len(scored), self.k_winners, rng)

@@ -303,6 +303,7 @@ class EquilibriumSolver:
         self.payment_method = payment_method
         self.grid_size = int(grid_size)
         self._margin_cache: dict[tuple[str, str], np.ndarray] = {}
+        self._clones: dict[tuple[int, int], EquilibriumSolver] = {}
         self._build_tables()
 
     # ------------------------------------------------------------------
@@ -440,6 +441,7 @@ class EquilibriumSolver:
         thetas: Sequence[float] | np.ndarray,
         capacities: np.ndarray | None = None,
         with_costs: bool = False,
+        ranges: Sequence[tuple[int, "EquilibriumSolver"]] | None = None,
     ):
         """Equilibrium bids for a whole population in one NumPy call.
 
@@ -453,6 +455,16 @@ class EquilibriumSolver:
         capacities[i])`` — same table interpolations, vectorised — which is
         what lets :class:`~repro.core.mechanism.FMoreMechanism` collect all
         N bids of a round without N Python-level solver round-trips.
+
+        ``ranges`` prices consecutive row ranges in other games of this
+        solver's family: ``(stop, clone)`` pairs in row order, each
+        ``clone`` a :meth:`with_population` clone (or this solver), range
+        ``i`` covering rows ``[stop_(i-1), stop_i)`` and the last stop
+        ``n``.  Qualities, costs and scores come from the tables every
+        clone shares, so they are computed once for all rows; only the
+        margin lookup ``m(u)`` runs per range, in that range's game.  Row
+        ``i`` of a range then equals ``clone.bid_batch`` of that row.
+        ``None`` is the one range ``[(n, self)]``.
         """
         t = np.asarray(thetas, dtype=float)
         if t.ndim != 1:
@@ -484,8 +496,21 @@ class EquilibriumSolver:
             )
             costs = self.cost.cost_rows(qualities, t)
             u = self.quality_rule.value_batch(qualities) - costs
-        grid = self._margin_grid()
-        margins = np.interp(u, self.u_incr, grid, left=0.0, right=grid[-1])
+        margins = np.empty(t.size)
+        start = 0
+        for stop, solver in ranges if ranges is not None else ((t.size, self),):
+            if solver.quality_grid is not self.quality_grid or stop < start:
+                raise ValueError(
+                    "ranges must be (stop, clone) pairs in row order, each "
+                    "clone a with_population clone of this solver"
+                )
+            grid = solver._margin_grid()
+            margins[start:stop] = np.interp(
+                u[start:stop], solver.u_incr, grid, left=0.0, right=grid[-1]
+            )
+            start = stop
+        if start != t.size:
+            raise ValueError(f"ranges cover {start} of {t.size} rows")
         payments = costs + margins
         if with_costs:
             return qualities, payments, costs
@@ -543,6 +568,7 @@ class EquilibriumSolver:
         clone.payment_method = self.payment_method
         clone.grid_size = self.grid_size
         clone._margin_cache = {}
+        clone._clones = {}
         clone.theta_grid = self.theta_grid
         clone.quality_grid = self.quality_grid
         clone.u0_grid = self.u0_grid
@@ -551,6 +577,20 @@ class EquilibriumSolver:
         clone.g_grid = win_kernel(
             clone.h_grid, new_model.n_nodes, new_model.k_winners, clone.win_model
         )
+        return clone
+
+    def clone_for(self, n_nodes: int, k_winners: int) -> "EquilibriumSolver":
+        """:meth:`with_population` ``(n_nodes, k_winners)``, memoised here.
+
+        The two-tier auction prices each cluster in its own ``(n_c,
+        k_local)`` game; keeping the clones (and their margin tables) on
+        the population solver, which the engine caches per game, lets
+        every session of that game reuse them.
+        """
+        key = (int(n_nodes), int(k_winners))
+        clone = self._clones.get(key)
+        if clone is None:
+            clone = self._clones[key] = self.with_population(*key)
         return clone
 
     def _check_theta(self, theta: float) -> None:

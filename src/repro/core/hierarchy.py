@@ -8,21 +8,29 @@ learning (see PAPERS.md):
 
 * **local tier** — every cluster runs the ordinary FMore winner
   determination over its own slice: members bid at the equilibrium of
-  the *cluster* game ``(s, c, F, n_c, k_local)`` (the population solver
-  cloned per distinct cluster size via
-  :meth:`~repro.core.equilibrium.EquilibriumSolver.with_population`, so
-  the strategy tables are built once), scores come from one vectorised
-  ``score_batch`` call, and the per-cluster top-``k_local`` ranking uses
-  :func:`~repro.core.auction.top_k_order` — O(n_c) argpartition instead
-  of a full sort;
+  the *cluster* game ``(s, c, F, n_c, k_local)``.  The population is
+  kept ordered by cluster size, each cluster's members contiguous, so
+  one :meth:`~repro.core.equilibrium.EquilibriumSolver.bid_batch` call
+  prices every node: qualities, costs and scores from the shared
+  tables once, and the margin ``m(u)`` per run of equal-size clusters
+  in that size's game (a memoised
+  :meth:`~repro.core.equilibrium.EquilibriumSolver.with_population`
+  clone).  One ``score_batch`` call scores every bid, and one
+  :func:`~repro.core.auction.segmented_top_k` ranks every cluster's
+  top ``k_local`` at once, one ``reduceat`` pass per rank;
 * **top tier** — each non-empty cluster's head aggregates its local
   winners into one synthetic bid (summed score, summed quality vector,
-  summed asking payment) and the heads compete in a conventional auction
-  for the ``k_clusters`` slots of the global round (top-K or psi
-  admission, the auction's configured selection policy).
+  summed asking payment, taken as row sums of a ``(heads, k)`` gather)
+  and the heads compete in a conventional auction for the
+  ``k_clusters`` slots of the global round (top-K or psi admission, the
+  auction's configured selection policy).
 
-Every RNG draw happens up front in the caller's thread, so the
-per-cluster winner determination is *pure array math* — it fans out
+Both tiers rank by the auction's tie rule
+(:func:`~repro.core.auction.descending_order`): higher score first, then
+the smaller tie-break key drawn that round, then the lower index.
+
+Every RNG draw happens up front in the caller's thread, so the local
+ranking is *pure array math* — it fans out as contiguous cluster ranges
 through any in-process :class:`~repro.api.executor.Executor` (serial /
 thread / process) and the result is bitwise-identical regardless of
 which pool ran it.
@@ -36,11 +44,12 @@ materialised — which is what keeps one round at N=10^6 within seconds
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .auction import MultiDimensionalProcurementAuction, top_k_order
+from .auction import MultiDimensionalProcurementAuction, segmented_top_k
 from .auction import AuctionOutcome, descending_order
 from .bids import AuctionWinner, Bid, ScoredBid
 from .equilibrium import EquilibriumSolver
@@ -115,9 +124,7 @@ class ShardedPopulation:
         bounds = np.searchsorted(
             self.cluster_ids[order], np.arange(self.cluster_count + 1)
         )
-        self._members = [
-            order[bounds[c] : bounds[c + 1]] for c in range(self.cluster_count)
-        ]
+        self._order, self._bounds = order, bounds
 
     @property
     def n_nodes(self) -> int:
@@ -126,11 +133,30 @@ class ShardedPopulation:
     @property
     def members(self) -> list[np.ndarray]:
         """Per-cluster member indices (into the population arrays)."""
-        return self._members
+        order, bounds = self._order, self._bounds
+        return [order[bounds[c] : bounds[c + 1]] for c in range(self.cluster_count)]
 
     @property
     def cluster_sizes(self) -> np.ndarray:
-        return np.asarray([m.size for m in self._members])
+        return np.diff(self._bounds)
+
+    @cached_property
+    def size_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The population ordered by cluster size, each cluster contiguous.
+
+        Returns ``(rows, cids, starts)``: ``rows`` lists population
+        indices, cluster ``cids[s]``'s members (ascending) at
+        ``rows[starts[s]:starts[s+1]]``; the non-empty clusters run by
+        ascending size, then cluster id.  Built on first use, not with
+        the population.
+        """
+        sizes = self.cluster_sizes
+        cids = np.argsort(sizes, kind="stable")
+        cids = cids[sizes[cids] > 0]
+        counts = sizes[cids]
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        offsets = np.repeat(self._bounds[cids] - starts[:-1], counts)
+        return self._order[offsets + np.arange(starts[-1])], cids, starts
 
 
 def build_population(
@@ -195,22 +221,15 @@ def build_population(
     )
 
 
-def _local_winners_chunk(
-    payload: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, int]],
-) -> list[tuple[int, np.ndarray]]:
-    """Winner determination for a chunk of clusters — pure array math.
+def _top_k_chunk(
+    payload: tuple[np.ndarray, np.ndarray, np.ndarray, int],
+) -> np.ndarray:
+    """:func:`segmented_top_k` of one contiguous range of clusters.
 
-    Each item is ``(cluster_id, member_idx, scores, tiebreak, k_local)``
-    with the score/tiebreak slices pre-gathered by the caller, so the
-    payload is plain ndarrays: picklable for the process pool, and free
-    of RNG state so every executor returns bitwise-identical winners.
-    Returns ``(cluster_id, winning member_idx in rank order)`` per item.
+    The payload is plain ndarrays: picklable for the process pool, and
+    free of RNG state so every executor returns bitwise-identical winners.
     """
-    out: list[tuple[int, np.ndarray]] = []
-    for cid, idx, scores, tiebreak, k in payload:
-        order = top_k_order(scores, tiebreak, int(k))
-        out.append((cid, idx[order]))
-    return out
+    return segmented_top_k(*payload)
 
 
 class HierarchicalMechanism(FMoreMechanism):
@@ -221,6 +240,11 @@ class HierarchicalMechanism(FMoreMechanism):
     state from the mechanism) works unchanged — a hierarchical round
     keeps all of its state in the training RNG stream, so snapshotting
     between rounds restores bitwise.
+
+    A round is loop-free over clusters: one ``bid_batch`` call prices the
+    size-ordered population, one segmented top-``k_local`` ranks every
+    cluster, and the head tier is built from row sums of the winners'
+    gathered scores, qualities and payments.
 
     Parameters
     ----------
@@ -233,17 +257,17 @@ class HierarchicalMechanism(FMoreMechanism):
         The sharded bidder population (shared across rounds; per-round
         dynamics are drawn fresh from the training RNG).
     solver:
-        The population-level equilibrium solver; per-cluster games are
-        :meth:`~repro.core.equilibrium.EquilibriumSolver.with_population`
-        clones keyed by ``(cluster size, k_local)`` — one per *distinct*
-        size, cached across rounds.
+        The population-level equilibrium solver; each cluster's game is
+        its ``(cluster size, min(k_local, size))`` clone, memoised on the
+        solver (:meth:`~repro.core.equilibrium.EquilibriumSolver.clone_for`)
+        so every session of the game reuses it.
     k_local:
         Winners each cluster's local auction forwards to its head.
     executor:
-        An in-process executor mapping the per-cluster winner
-        determination over cluster chunks (``None`` = inline serial).
-        RNG draws never cross this boundary, so serial / thread /
-        process all produce identical rounds.
+        An in-process executor mapping the local ranking over contiguous
+        ranges of clusters (``None`` = inline serial).  RNG draws never
+        cross this boundary, so serial / thread / process all produce
+        identical rounds.
     """
 
     def __init__(
@@ -261,15 +285,44 @@ class HierarchicalMechanism(FMoreMechanism):
         if self.k_local < 1:
             raise ValueError("k_local must be >= 1")
         self.executor = executor
-        self._clones: dict[tuple[int, int], EquilibriumSolver] = {}
+        self._ranges: list[tuple[int, EquilibriumSolver]] | None = None
 
-    def _cluster_solver(self, size: int) -> EquilibriumSolver:
-        key = (int(size), min(self.k_local, int(size)))
-        clone = self._clones.get(key)
-        if clone is None:
-            clone = self.solver.with_population(key[0], key[1])
-            self._clones[key] = clone
-        return clone
+    def _size_ranges(self) -> list[tuple[int, EquilibriumSolver]]:
+        """``bid_batch`` ranges of :attr:`ShardedPopulation.size_order`:
+        one ``(stop, clone)`` per run of equal-size clusters."""
+        if self._ranges is None:
+            _, _, starts = self.population.size_order
+            # Sizes ascend, so each size's clusters form one run.
+            sizes, first = np.unique(np.diff(starts), return_index=True)
+            stops = starts[np.append(first[1:], starts.size - 1)]
+            self._ranges = [
+                (int(stop), self.solver.clone_for(size, min(self.k_local, size)))
+                for size, stop in zip(sizes.tolist(), stops)
+            ]
+        return self._ranges
+
+    def _local_winners(
+        self, scores: np.ndarray, tiebreak: np.ndarray, starts: np.ndarray
+    ) -> np.ndarray:
+        """Every cluster's top ``k_local`` rows, ``-1``-padded (see
+        :func:`segmented_top_k`), fanned out over contiguous cluster ranges."""
+        n_heads = starts.size
+        if self.executor is None or n_heads <= 1:
+            return segmented_top_k(scores, tiebreak, starts, self.k_local)
+        workers = self.executor.worker_count(n_heads)
+        cuts = [n_heads * i // workers for i in range(workers + 1)]
+        bounds = np.append(starts, scores.size)
+        payloads = []
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            lo, hi = bounds[a], bounds[b]
+            payloads.append(
+                (scores[lo:hi], tiebreak[lo:hi], starts[a:b] - lo, self.k_local)
+            )
+        chunks = self.executor.map(_top_k_chunk, payloads)
+        out = np.full((n_heads, max(c.shape[1] for c in chunks)), -1, dtype=np.intp)
+        for a, b, chunk in zip(cuts[:-1], cuts[1:], chunks):
+            out[a:b, : chunk.shape[1]] = np.where(chunk >= 0, chunk + bounds[a], -1)
+        return out
 
     def run_round(
         self,
@@ -299,72 +352,61 @@ class HierarchicalMechanism(FMoreMechanism):
         member_tiebreak = rng.random(n)
         head_tiebreak = rng.random(pop.cluster_count)
 
-        # -- equilibrium pricing: one bid_batch per distinct cluster size --
+        # -- equilibrium pricing: one bid_batch over the size-ordered rows -
+        # Everything below indexes rows of ``size_order``, not node ids.
+        rows, cids, starts = pop.size_order
         caps = np.column_stack(
             [
-                np.floor(pop.data_sizes * fracs) / pop.samples_per_quality_unit,
-                pop.category_proportions,
+                np.floor(pop.data_sizes[rows] * fracs[rows])
+                / pop.samples_per_quality_unit,
+                pop.category_proportions[rows],
             ]
         )
-        m = self.auction.scoring.quality_rule.n_dimensions
-        qualities = np.empty((n, m))
-        payments = np.empty(n)
-        eligible = np.zeros(n, dtype=bool)
-        by_size: dict[int, list[np.ndarray]] = {}
-        for members in pop.members:
-            if members.size:
-                by_size.setdefault(int(members.size), []).append(members)
-        for size, groups in by_size.items():
-            idx = np.concatenate(groups)
-            clone = self._cluster_solver(size)
-            q, p, costs = clone.bid_batch(thetas[idx], caps[idx], with_costs=True)
-            qualities[idx] = q
-            payments[idx] = p
-            eligible[idx] = (p - costs) >= -1e-12
+        qualities, payments, costs = self.solver.bid_batch(
+            thetas[rows], caps, with_costs=True, ranges=self._size_ranges()
+        )
+        eligible = (payments - costs) >= -1e-12
         scores = self.auction.scoring.score_batch(qualities, payments)
 
-        # -- local tier: per-cluster winner determination (fanned out) ----
-        tasks = []
-        for cid, members in enumerate(pop.members):
-            live = members[eligible[members]]
-            if live.size:
-                tasks.append(
-                    (
-                        cid,
-                        live,
-                        scores[live],
-                        member_tiebreak[live],
-                        min(self.k_local, live.size),
-                    )
-                )
-        if self.executor is None or len(tasks) <= 1:
-            chunk_results = [_local_winners_chunk(tasks)]
-        else:
-            workers = self.executor.worker_count(len(tasks))
-            chunks = [tasks[i::workers] for i in range(workers) if tasks[i::workers]]
-            chunk_results = self.executor.map(_local_winners_chunk, chunks)
-        local_winners = dict(
-            pair for chunk in chunk_results for pair in chunk
+        # -- local tier: one segmented top-k_local over the live rows -----
+        live = np.flatnonzero(eligible)
+        live_before = np.concatenate([[0], np.cumsum(eligible)])[starts]
+        live_counts = np.diff(live_before)
+        bidding = np.flatnonzero(live_counts)
+        picks = self._local_winners(
+            scores[live], member_tiebreak[rows[live]], live_before[bidding]
         )
+        # Heads in cluster-id order, as the head auction ranks them.
+        by_cid = np.argsort(cids[bidding])
+        bidding, picks = bidding[by_cid], picks[by_cid]
+        head_cids = cids[bidding]
+        local = np.where(picks >= 0, live[picks], -1)
+        n_local = np.minimum(self.k_local, live_counts[bidding])
 
         # -- top tier: cluster heads compete for k_clusters slots ----------
-        head_cids = sorted(local_winners)
-        head_scores = np.asarray(
-            [float(scores[local_winners[cid]].sum()) for cid in head_cids]
-        )
-        head_order = descending_order(
-            head_scores, head_tiebreak[np.asarray(head_cids, dtype=int)]
-        )
-        scored_heads: list[ScoredBid] = []
-        for pos in head_order:
-            cid = head_cids[int(pos)]
-            win_idx = local_winners[cid]
-            head_bid = Bid(
-                node_id=-(cid + 1),  # synthetic: never collides with nodes
-                quality=qualities[win_idx].sum(axis=0),
-                payment=float(payments[win_idx].sum()),
+        m = qualities.shape[1]
+        head_scores = np.empty(head_cids.size)
+        head_payments = np.empty(head_cids.size)
+        head_qualities = np.empty((head_cids.size, m))
+        for w in np.unique(n_local):
+            # Row sums of a (heads, w) gather equal each head's own 1-D
+            # .sum() bitwise; np.add.reduceat would not.
+            heads = np.flatnonzero(n_local == w)
+            gathered = local[heads, :w]
+            head_scores[heads] = scores[gathered].sum(axis=1)
+            head_payments[heads] = payments[gathered].sum(axis=1)
+            head_qualities[heads] = qualities[gathered].sum(axis=1)
+        head_order = descending_order(head_scores, head_tiebreak[head_cids])
+        scored_heads = [
+            # synthetic node ids -(cid + 1) never collide with nodes
+            ScoredBid(Bid(node_id=node_id, quality=quality, payment=payment), score)
+            for node_id, quality, payment, score in zip(
+                (-(head_cids[head_order] + 1)).tolist(),
+                head_qualities[head_order],
+                head_payments[head_order].tolist(),
+                head_scores[head_order].tolist(),
             )
-            scored_heads.append(ScoredBid(head_bid, float(head_scores[int(pos)])))
+        ]
         positions = self.auction.selection.select(
             len(scored_heads), self.auction.k_winners, rng
         )
@@ -373,16 +415,16 @@ class HierarchicalMechanism(FMoreMechanism):
         winners: list[AuctionWinner] = []
         selected_cids: list[int] = []
         for pos in positions:
-            cid = -(scored_heads[pos].node_id) - 1
-            selected_cids.append(int(cid))
-            for i in local_winners[int(cid)]:
+            head = head_order[pos]
+            selected_cids.append(int(head_cids[head]))
+            for j in local[head, : n_local[head]]:
                 winners.append(
                     AuctionWinner(
-                        node_id=int(pop.node_ids[i]),
-                        quality=qualities[i].copy(),
-                        asked_payment=float(payments[i]),
-                        charged_payment=float(payments[i]),
-                        score=float(scores[i]),
+                        node_id=int(pop.node_ids[rows[j]]),
+                        quality=qualities[j].copy(),
+                        asked_payment=float(payments[j]),
+                        charged_payment=float(payments[j]),
+                        score=float(scores[j]),
                         rank=len(winners),
                     )
                 )
@@ -392,21 +434,16 @@ class HierarchicalMechanism(FMoreMechanism):
 
         # -- accounting + the per-tier action record -----------------------
         n_bids = int(eligible.sum())
+        sorting = live_counts[live_counts > 1]
+        n_heads = len(scored_heads)
         accounting = RoundAccounting(
             n_asked=n,
             n_bids=n_bids,
             downlink_bytes=BID_ASK_BYTES_PER_NODE * n,
             uplink_bytes=FLOAT_BYTES * (m + 1) * n_bids,
             comparisons=int(
-                sum(
-                    np.ceil(t[1].size * np.log2(t[1].size)) if t[1].size > 1 else 0
-                    for t in tasks
-                )
-                + (
-                    np.ceil(len(scored_heads) * np.log2(len(scored_heads)))
-                    if len(scored_heads) > 1
-                    else 0
-                )
+                np.ceil(sorting * np.log2(sorting)).sum()
+                + (np.ceil(n_heads * np.log2(n_heads)) if n_heads > 1 else 0)
             ),
         )
         sizes = pop.cluster_sizes
@@ -415,7 +452,7 @@ class HierarchicalMechanism(FMoreMechanism):
             round_index=round_index,
             payload={
                 "clusters": int(pop.cluster_count),
-                "bidding_clusters": len(head_cids),
+                "bidding_clusters": int(head_cids.size),
                 "selected": selected_cids,
                 "k_local": self.k_local,
                 "n_local_winners": len(winners),

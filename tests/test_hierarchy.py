@@ -13,10 +13,12 @@ The contracts under test (the hierarchical-variant ISSUE acceptance):
   and the executor is therefore a plan knob outside the scenario hash;
 * checkpoint/resume mid-hierarchical-run restores bitwise, including
   through a store round-trip with byte-identical manifests;
-* the argpartition rankings (``top_k_order`` / ``descending_order``)
-  equal the historical full ``sorted()`` order bitwise, ties included,
-  and the auction's ``ranking="top_k"`` fast path picks the same winners
-  as the full sort.
+* the rankings (``descending_order`` and one-segment
+  ``segmented_top_k``) equal the historical full ``sorted()`` order
+  bitwise, ties included.
+
+The round itself is checked against the previous implementation in
+``tests/test_prop_hierarchy.py``.
 """
 
 from __future__ import annotations
@@ -33,14 +35,8 @@ from repro.api import (
     Scenario,
     scenario_hash,
 )
-from repro.core.auction import (
-    MultiDimensionalProcurementAuction,
-    descending_order,
-    top_k_order,
-)
-from repro.core.bids import Bid
+from repro.core.auction import descending_order, segmented_top_k
 from repro.core.hierarchy import assign_clusters, build_population
-from repro.core.scoring import AdditiveScore
 from repro.sim.rng import rng_from
 
 # The values scenario_hash() produced on main before the hierarchical
@@ -255,11 +251,16 @@ class TestCheckpointResume:
 
 
 # ----------------------------------------------------------------------
-# Argpartition rankings (the flat hot path's satellite)
+# Rankings: the full sort and the top k of one segment
 # ----------------------------------------------------------------------
 def _reference_order(scores, tiebreak):
     """The historical full sort: descending score, ascending tie-break."""
     return sorted(range(len(scores)), key=lambda i: (-scores[i], tiebreak[i]))
+
+
+def _top_k(scores, tiebreak, k):
+    """One segment's top ``k``, without the padding."""
+    return segmented_top_k(scores, tiebreak, [0], k)[0].tolist()
 
 
 class TestPartialRanking:
@@ -275,36 +276,14 @@ class TestPartialRanking:
     @pytest.mark.parametrize("k", [1, 7, 50, 199, 200, 300])
     def test_top_k_order_is_the_full_sorts_head(self, k):
         rng = np.random.default_rng(99)
-        # Integer scores force heavy boundary ties, the hard case for the
-        # argpartition cut.
+        # Integer scores force heavy boundary ties.
         scores = rng.integers(0, 10, size=200).astype(float)
         tiebreak = rng.random(200)
         expected = _reference_order(scores, tiebreak)[: min(k, 200)]
-        assert top_k_order(scores, tiebreak, k).tolist() == expected
+        assert _top_k(scores, tiebreak, k) == expected
 
     def test_all_tied_scores(self):
         scores = np.zeros(50)
         tiebreak = np.random.default_rng(1).random(50)
         expected = _reference_order(scores, tiebreak)[:5]
-        assert top_k_order(scores, tiebreak, 5).tolist() == expected
-
-    @pytest.mark.parametrize("trial", range(3))
-    def test_auction_top_k_ranking_equals_full(self, trial):
-        rng = np.random.default_rng(100 + trial)
-        bids = [
-            Bid(i, rng.uniform(0.0, 5.0, 2), float(rng.uniform(0.0, 3.0)))
-            for i in range(60)
-        ]
-        rule = AdditiveScore([0.5, 0.5])
-        full = MultiDimensionalProcurementAuction(rule, 8, ranking="full")
-        fast = MultiDimensionalProcurementAuction(rule, 8, ranking="top_k")
-        out_full = full.run(bids, rng_from(trial, "rank-tie"))
-        out_fast = fast.run(bids, rng_from(trial, "rank-tie"))
-        assert out_fast.winner_ids == out_full.winner_ids
-        assert [w.charged_payment for w in out_fast.winners] == [
-            w.charged_payment for w in out_full.winners
-        ]
-        # The fast path's scored_bids is the full order's head.
-        assert [sb.bid.node_id for sb in out_fast.scored_bids] == [
-            sb.bid.node_id for sb in out_full.scored_bids[:8]
-        ]
+        assert _top_k(scores, tiebreak, 5) == expected

@@ -71,6 +71,10 @@ class TestConfig:
             ("image_size", {"image_size": 5}),
             ("image_size", {"dataset": "cifar10", "image_size": 1}),
             ("image_size", {"dataset": "cifar10", "image_size": 5}),
+            # hpnews is text: its generator ignores the field, which would
+            # still enter the content hash.
+            ("image_size", {"dataset": "hpnews", "image_size": 28}),
+            ("image_size", {"dataset": "hpnews", "image_size": 3}),
             ("min_classes", {"min_classes": 0}),
             ("max_classes", {"max_classes": 99}),
             ("min_classes", {"min_classes": 4, "max_classes": 2}),
