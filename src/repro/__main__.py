@@ -592,14 +592,25 @@ def _cmd_report_incentives(args) -> int:
 
 def _cmd_report(args) -> int:
     """Render scheme-comparison tables from an experiment store."""
-    from .api import RunResult, Scenario, scenario_hash
-    from .api.store import ExperimentStore
-    from .sim.reporting import ascii_table
+    from .api.store import StoreError
 
     if args.incentives:
         return _cmd_report_incentives(args)
     if args.store is None:
         raise SystemExit("error: report needs --store DIR")
+    try:
+        return _report_store(args)
+    except StoreError as exc:
+        # A damaged store (a manifest or scenario file that does not parse)
+        # is the user's to mend: one line naming the file, no traceback.
+        raise SystemExit(f"error: {exc}")
+
+
+def _report_store(args) -> int:
+    from .api import RunResult, Scenario, scenario_hash
+    from .api.store import ExperimentStore
+    from .sim.reporting import ascii_table
+
     store = ExperimentStore(args.store)
     stored = store.scenarios()
     if args.scenario is not None:

@@ -591,6 +591,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _read_json(path: Path) -> dict:
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(path.read_text())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise StoreError(f"corrupt store file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise StoreError(f"corrupt store file {path}: not a JSON object")
+    return data

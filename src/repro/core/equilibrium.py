@@ -33,12 +33,10 @@ The ablation benchmark compares the payments the two kernels induce.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Callable, Sequence
+import math
+from typing import Sequence
 
 import numpy as np
-from scipy import optimize
-from scipy.special import comb
 
 from .costs import CostModel, LinearCost, PowerCost, QuadraticCost
 from .odesolvers import MARGIN_BACKENDS
@@ -79,7 +77,7 @@ def win_kernel(h: np.ndarray | float, n_nodes: int, k_winners: int, model: str =
             out += (1.0 - h_arr) ** (i - 1) * h_arr ** (n_nodes - i)
     else:
         for i in range(0, k_winners):
-            out += comb(n_nodes - 1, i, exact=True) * (1.0 - h_arr) ** i * h_arr ** (
+            out += math.comb(n_nodes - 1, i) * (1.0 - h_arr) ** i * h_arr ** (
                 n_nodes - 1 - i
             )
     if np.ndim(h) == 0:
@@ -134,6 +132,10 @@ def _multi_start_quality(
     reference the corner search of multilinear games is tested against.
     ``bounds`` must already be a validated ``(m, 2)`` float array.
     """
+    # Imported on first use: the paper's game never gets here, and a
+    # process that never optimises should not pay for loading scipy.
+    from scipy import optimize
+
     lo, hi = bounds[:, 0], bounds[:, 1]
 
     def objective(q: np.ndarray) -> float:
@@ -237,6 +239,25 @@ def optimize_quality_batch(
     return np.stack([_multi_start_quality(rule, cost, float(theta), b) for theta in t])
 
 
+def _column_fills(table: np.ndarray) -> tuple[float | None, ...]:
+    """Per column of ``table``, the value ``np.interp`` returns everywhere.
+
+    A column holding one finite value ``v`` interpolates to ``v`` on the
+    grid, between grid points and beyond its ends, so a lookup can fill
+    ``v`` instead.  ``-0.0`` is the exception: between grid points
+    ``np.interp`` adds a ``+0.0`` slope term and returns ``+0.0``.  Every
+    other column (``None``) must be interpolated.
+    """
+    fills: list[float | None] = []
+    for column in table.T:
+        v = column[0]
+        # Equal floats share their bits except for the sign of zero.
+        signed_ok = v != 0.0 or not np.signbit(column).any()
+        constant = np.isfinite(v) and (column == v).all() and signed_ok
+        fills.append(float(v) if constant else None)
+    return tuple(fills)
+
+
 def _best_corner(rule: ScoringRule, cost: CostModel, theta: float, bounds: np.ndarray):
     corners = _box_corners(bounds)
     values = [rule.value(c) - cost.cost(c, theta) for c in corners]
@@ -316,6 +337,7 @@ class EquilibriumSolver:
             self.quality_rule, self.cost, self.theta_grid, self.quality_bounds
         )
         self.quality_grid = qualities
+        self._quality_fills = _column_fills(qualities)
         scores = self.quality_rule.value_batch(qualities)
         costs = np.asarray(
             [self.cost.cost(q, t) for q, t in zip(qualities, self.theta_grid)]
@@ -478,8 +500,11 @@ class EquilibriumSolver:
             )
         m = self.quality_rule.n_dimensions
         qualities = np.empty((t.size, m))
-        for j in range(m):
-            qualities[:, j] = np.interp(t, self.theta_grid, self.quality_grid[:, j])
+        for j, fill in enumerate(self._quality_fills):
+            if fill is None:
+                qualities[:, j] = np.interp(t, self.theta_grid, self.quality_grid[:, j])
+            else:
+                qualities[:, j] = fill
         if capacities is None:
             # Uncapped path mirrors bid(): u comes from the tabulated
             # envelope u0(theta), not from re-evaluating s(q) - c(q, theta).
@@ -571,6 +596,7 @@ class EquilibriumSolver:
         clone._clones = {}
         clone.theta_grid = self.theta_grid
         clone.quality_grid = self.quality_grid
+        clone._quality_fills = self._quality_fills
         clone.u0_grid = self.u0_grid
         clone.u_incr = self.u_incr
         clone.h_grid = self.h_grid

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .scoring import normalize_weights
 
@@ -165,6 +164,8 @@ def solve_mix_numerically(
     the closed form; exposed publicly because it also handles alphas that do
     not sum to one.
     """
+    from scipy import optimize
+
     alpha = np.asarray(alphas, dtype=float)
     beta = np.asarray(beta_estimates, dtype=float)
     if np.any(alpha <= 0) or np.any(beta <= 0):

@@ -78,20 +78,22 @@ def euler_margin(u_grid: np.ndarray, g_values: np.ndarray) -> np.ndarray:
     the grid, matching the discretisation the paper's Eq. 13-14 imply.
     """
     u, g = _validate(u_grid, g_values)
-    n = u.size
-    margin = np.zeros(n)
-    for i in range(1, n):
-        h = u[i] - u[i - 1]
+    with np.errstate(divide="ignore"):
+        log_g = np.log(g).tolist()
+    # The recurrence runs over Python floats: the same IEEE operations in
+    # the same order as over NumPy scalars, at a fraction of the cost.
+    u, g = u.tolist(), g.tolist()
+    margin = [0.0] * len(u)
+    for i in range(1, len(u)):
         if g[i - 1] <= 0.0 or g[i] <= 0.0:
             # Below the competitive support: nobody wins with such a score,
             # profit margin pinned at zero.
-            margin[i] = 0.0
             continue
-        phi = (np.log(g[i]) - np.log(g[i - 1])) / h
-        margin[i] = margin[i - 1] + h * (1.0 - margin[i - 1] * phi)
-        if margin[i] < 0.0:
-            margin[i] = 0.0
-    return margin
+        h = u[i] - u[i - 1]
+        phi = (log_g[i] - log_g[i - 1]) / h
+        m = margin[i - 1] + h * (1.0 - margin[i - 1] * phi)
+        margin[i] = 0.0 if m < 0.0 else m
+    return np.asarray(margin)
 
 
 def rk4_margin(u_grid: np.ndarray, g_values: np.ndarray) -> np.ndarray:

@@ -17,11 +17,11 @@ index appears to be off by one, and tests compare both against Monte Carlo.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb
 
 from .registry import WINNER_SELECTIONS
 
@@ -225,7 +225,7 @@ def paper_fill_probability(psi: float, n_nodes: int, k_winners: int) -> float:
     _check_fill_args(psi, n_nodes, k_winners)
     total = 0.0
     for i in range(0, n_nodes - k_winners + 1):
-        total += comb(i + k_winners, i, exact=True) * (1.0 - psi) ** i * psi ** k_winners
+        total += math.comb(i + k_winners, i) * (1.0 - psi) ** i * psi ** k_winners
     return float(total)
 
 
@@ -239,7 +239,7 @@ def negative_binomial_fill_probability(psi: float, n_nodes: int, k_winners: int)
     _check_fill_args(psi, n_nodes, k_winners)
     total = 0.0
     for i in range(0, n_nodes - k_winners + 1):
-        total += comb(i + k_winners - 1, i, exact=True) * psi ** k_winners * (1.0 - psi) ** i
+        total += math.comb(i + k_winners - 1, i) * psi ** k_winners * (1.0 - psi) ** i
     return float(min(total, 1.0))
 
 

@@ -9,7 +9,9 @@ and a positive, continuously differentiable density ``f``.  Nodes learn
 
 The equilibrium machinery only touches distributions through this small
 interface (``cdf``, ``pdf``, ``ppf``, ``sample``), so adding a new family is
-a three-method exercise.
+a three-method exercise.  The two scipy-backed families import
+``scipy.stats`` when one is built, so runs on the uniform family never load
+scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .registry import THETA_DISTRIBUTIONS
 
@@ -100,6 +101,8 @@ class TruncatedNormalTheta(ThetaDistribution):
         self.sigma = float(sigma) if sigma is not None else (hi - lo) / 4.0
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
+        from scipy import stats
+
         a = (self.lo - self.mu) / self.sigma
         b = (self.hi - self.mu) / self.sigma
         self._dist = stats.truncnorm(a, b, loc=self.mu, scale=self.sigma)
@@ -129,6 +132,8 @@ class ScaledBetaTheta(ThetaDistribution):
         super().__init__(lo, hi)
         if a <= 0 or b <= 0:
             raise ValueError("beta shape parameters must be positive")
+        from scipy import stats
+
         self.a = float(a)
         self.b = float(b)
         self._dist = stats.beta(self.a, self.b)

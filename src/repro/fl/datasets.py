@@ -30,7 +30,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "DataGenerator",
@@ -159,6 +158,9 @@ class SyntheticImageGenerator(DataGenerator):
 
     @staticmethod
     def _smooth_field(rng: np.random.Generator, spec: ImageSpec) -> np.ndarray:
+        # Imported on first use so that text-only processes never load scipy.
+        from scipy import ndimage
+
         field = rng.standard_normal((spec.size, spec.size, spec.channels))
         for ch in range(spec.channels):
             field[:, :, ch] = ndimage.gaussian_filter(

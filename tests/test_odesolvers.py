@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.odesolvers import (
     MARGIN_BACKENDS,
+    _validate,
     euler_margin,
     quadrature_margin,
     rk4_margin,
@@ -79,3 +82,44 @@ class TestValidation:
         g = _power_kernel(u, 2)
         for backend in MARGIN_BACKENDS.values():
             assert np.all(backend(u, g) >= 0.0)
+
+
+def _euler_margin_oracle(u_grid, g_values):
+    """``euler_margin`` as it was, looping over NumPy scalars."""
+    u, g = _validate(u_grid, g_values)
+    n = u.size
+    margin = np.zeros(n)
+    for i in range(1, n):
+        h = u[i] - u[i - 1]
+        if g[i - 1] <= 0.0 or g[i] <= 0.0:
+            # Below the competitive support: nobody wins with such a score,
+            # profit margin pinned at zero.
+            margin[i] = 0.0
+            continue
+        phi = (np.log(g[i]) - np.log(g[i - 1])) / h
+        margin[i] = margin[i - 1] + h * (1.0 - margin[i - 1] * phi)
+        if margin[i] < 0.0:
+            margin[i] = 0.0
+    return margin
+
+
+@st.composite
+def margin_grids(draw):
+    """A strictly increasing score grid and a kernel with a zero prefix."""
+    n = draw(st.integers(2, 300))
+    start = draw(st.floats(-5.0, 5.0))
+    steps = draw(hnp.arrays(np.float64, n - 1, elements=st.floats(1e-6, 10.0)))
+    u = np.concatenate([[start], start + np.cumsum(steps)])
+    g = draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 1.0)))
+    if draw(st.booleans()):
+        g = np.sort(g) ** draw(st.floats(0.5, 40.0))  # kernel-shaped
+    g[: draw(st.integers(0, n))] = 0.0
+    return u, g
+
+
+@given(grid=margin_grids())
+@settings(max_examples=150, deadline=None)
+def test_euler_margin_matches_the_numpy_scalar_loop_bytewise(grid):
+    u, g = grid
+    assume(np.all(np.diff(u) > 0))  # no step lost to rounding
+    assert euler_margin(u, g).tobytes() == _euler_margin_oracle(u, g).tobytes()

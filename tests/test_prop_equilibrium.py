@@ -1,5 +1,7 @@
 """Property-based tests for the equilibrium strategy (Thms 1-3, 5; IR)."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,6 +10,7 @@ from repro.core.costs import LinearCost, QuadraticCost
 from repro.core.equilibrium import (
     EquilibriumSolver,
     _best_corner,
+    _column_fills,
     _multi_start_quality,
     optimize_quality_batch,
     win_kernel,
@@ -117,6 +120,28 @@ def test_win_kernel_expected_winner_count(n, k_fraction):
 
 @given(
     h=st.floats(0.0, 1.0),
+    n=st.integers(1, 120),
+    k_fraction=st.floats(0.0, 1.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_exact_win_kernel_matches_scipy_binomials(h, n, k_fraction):
+    """``math.comb`` gives the exact kernel the same integer coefficients
+    that ``scipy.special.comb(..., exact=True)`` did, so its value is the
+    same float."""
+    from scipy.special import comb
+
+    k = 1 + int(k_fraction * (n - 1))
+    h_arr = np.asarray([h])
+    reference = np.zeros(1)
+    for i in range(k):
+        reference += comb(n - 1, i, exact=True) * (1.0 - h_arr) ** i * h_arr ** (
+            n - 1 - i
+        )
+    assert win_kernel(h_arr, n, k, "exact").tobytes() == reference.tobytes()
+
+
+@given(
+    h=st.floats(0.0, 1.0),
     n=st.integers(1, 60),
     k_fraction=st.floats(0.0, 1.0),
     model=st.sampled_from(["paper", "exact"]),
@@ -197,3 +222,91 @@ def test_vertex_table_is_the_best_corner_and_matches_multi_start(game):
         s_ref, c_ref = rule.value(ref), cost.cost(ref, theta)
         gap = (s_ref - c_ref) - (rule.value(q) - cost.cost(q, theta))
         assert gap <= 1e-14 * (abs(s_ref) + abs(c_ref))
+
+
+# ----------------------------------------------------------------------
+# bid_batch fills a quality column that holds one value
+# ----------------------------------------------------------------------
+_FILL_SOLVER = EquilibriumSolver(
+    MultiplicativeScore(2, 25.0),
+    LinearCost([4.0, 2.0]),
+    PrivateValueModel(UniformTheta(0.1, 1.0), n_nodes=10, k_winners=3),
+    [[0.01, 5.0], [0.05, 1.0]],
+    grid_size=17,
+)
+_GRID = _FILL_SOLVER.theta_grid
+
+
+@st.composite
+def quality_columns(draw):
+    """One table column: constant (``+-0.0`` included), signed zeros, or
+    varying; returns the column and whether it must be filled."""
+    kind = draw(st.sampled_from(["constant", "zeros", "varying"]))
+    if kind == "constant":
+        v = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0)))
+        return np.full(_GRID.size, v), not (v == 0.0 and np.signbit(v))
+    if kind == "zeros":
+        signs = draw(st.lists(st.booleans(), min_size=_GRID.size, max_size=_GRID.size))
+        column = np.where(signs, -0.0, 0.0)
+        return column, not np.signbit(column).any()
+    values = draw(
+        st.lists(
+            st.floats(-10.0, 10.0), min_size=_GRID.size, max_size=_GRID.size
+        ).filter(lambda v: len(set(v)) > 1)
+    )
+    return np.asarray(values), False
+
+
+#: Grid points, the support edges and 1e-9 beyond them, and points between.
+_fill_thetas = st.lists(
+    st.one_of(
+        st.sampled_from(list(_GRID)),
+        st.sampled_from([0.1 - 1e-9, 0.1, 1.0, 1.0 + 1e-9]),
+        st.floats(0.1, 1.0),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(
+    columns=st.lists(quality_columns(), min_size=2, max_size=2),
+    thetas=_fill_thetas,
+    cap_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+)
+@example(
+    # A -0.0 column between grid points: np.interp returns +0.0 there.
+    columns=[(np.full(_GRID.size, -0.0), False), (np.full(_GRID.size, 2.0), True)],
+    thetas=[0.5 * (_GRID[3] + _GRID[4]), float(_GRID[5])],
+    cap_seed=None,
+)
+@settings(max_examples=150, deadline=None)
+def test_bid_batch_fill_equals_np_interp_bytewise(columns, thetas, cap_seed):
+    """Filling a column gives the bytes ``np.interp`` gives on every row."""
+    table = np.stack([column for column, _ in columns], axis=1)
+    solver = copy.copy(_FILL_SOLVER)
+    solver.quality_grid = table
+    solver._quality_fills = _column_fills(table)
+    assert [f is not None for f in solver._quality_fills] == [
+        filled for _, filled in columns
+    ]
+    reference = copy.copy(solver)
+    reference._quality_fills = (None, None)  # np.interp on every column
+    t = np.asarray(thetas)
+    caps = None
+    if cap_seed is not None:
+        caps = np.random.default_rng(cap_seed).uniform(-1.0, 6.0, size=(t.size, 2))
+    got = solver.bid_batch(t, caps, with_costs=True)
+    want = reference.bid_batch(t, caps, with_costs=True)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_paper_game_columns_are_filled(multiplicative_solver, additive_quadratic_solver):
+    """The multilinear game plays one corner for every theta; the additive
+    quadratic game's interior optimum moves with theta."""
+    assert None not in multiplicative_solver._quality_fills
+    assert multiplicative_solver.with_population(5, 2)._quality_fills == (
+        multiplicative_solver._quality_fills
+    )
+    assert additive_quadratic_solver._quality_fills == (None, None)

@@ -11,10 +11,14 @@ Pins the tentpole contracts of :mod:`repro.api.store` and
 * re-running against a store computes only the missing ``(scheme, seed)``
   cells unless ``force=True``;
 * ``--resume`` against a store written by a *different* scenario fails
-  fast, listing the stored hashes.
+  fast, listing the stored hashes;
+* a manifest or scenario file that does not parse is a hard
+  ``StoreError`` naming the file, never a silent re-run.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -284,6 +288,68 @@ class TestCLI:
     def test_report_without_runs_errors(self, tmp_path):
         with pytest.raises(SystemExit, match="no runs stored"):
             main(["report", "--store", str(tmp_path / "empty")])
+
+
+class TestCorruptStore:
+    """A store file that does not parse is a hard ``StoreError`` naming it.
+
+    A damaged manifest is never silently re-run; ``--force`` replaces it.
+    The CLI turns the error into one ``error:`` line and exit status 1.
+    """
+
+    @pytest.fixture
+    def store(self, tmp_path, capsys):
+        root = tmp_path / "store"
+        assert main(["run", *TestCLI.ARGS, "--store", str(root)]) == 0
+        capsys.readouterr()
+        return root
+
+    @staticmethod
+    def _cut(path):
+        original = path.read_bytes()
+        path.write_bytes(original[:100])
+        return original
+
+    @staticmethod
+    def _assert_one_error_line(excinfo, path):
+        message = excinfo.value.code
+        assert isinstance(message, str), message
+        assert message.startswith(f"error: corrupt store file {path}: ")
+        assert "\n" not in message
+
+    def test_engine_run_raises_naming_the_manifest(self, store):
+        (manifest,) = store.glob("runs/*/FMore-seed0.json")
+        scenario = ExperimentStore(store).load_scenario(manifest.parent.name)
+        self._cut(manifest)
+        with pytest.raises(StoreError, match=re.escape(f"corrupt store file {manifest}")):
+            FMoreEngine().run(scenario, store=str(store))
+
+    def test_cli_run_fails_then_force_restores_the_manifest(self, store):
+        (manifest,) = store.glob("runs/*/FMore-seed0.json")
+        original = self._cut(manifest)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", *TestCLI.ARGS, "--store", str(store)])
+        self._assert_one_error_line(excinfo, manifest)
+        assert manifest.read_bytes() == original[:100]  # not re-run
+        assert main(["run", *TestCLI.ARGS, "--store", str(store), "--force"]) == 0
+        assert manifest.read_bytes() == original
+
+    @pytest.mark.parametrize("damage", [b"\xff\xfe{", b"[1, 2]"])
+    def test_undecodable_or_non_object_manifest_names_the_file(self, store, damage):
+        (manifest,) = store.glob("runs/*/FMore-seed0.json")
+        manifest.write_bytes(damage)
+        with pytest.raises(StoreError, match=re.escape(f"corrupt store file {manifest}")):
+            ExperimentStore(store).load_history(manifest.parent.name, "FMore", 0)
+
+    @pytest.mark.parametrize(
+        "pattern", ["runs/*/FMore-seed0.json", "scenarios/*.json"]
+    )
+    def test_cli_report_fails_with_one_line(self, store, pattern):
+        (damaged,) = store.glob(pattern)
+        self._cut(damaged)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "--store", str(store)])
+        self._assert_one_error_line(excinfo, damaged)
 
 
 # ----------------------------------------------------------------------
