@@ -437,9 +437,7 @@ def _hierarchical_selection(
     :meth:`~repro.core.equilibrium.EquilibriumSolver.with_population`
     clone of the shared population solver, one per distinct cluster
     size, memoised on that solver so every session of the game reuses
-    it.  The intra-round fan-out executor comes from the ``clusters``
-    spec and is independent of the scenario's ``execution`` spec (which
-    schedules whole cells).
+    it.
     """
     if federation.population is None:
         raise ValueError(
@@ -458,17 +456,8 @@ def _hierarchical_selection(
         payment_rule=scenario.payment_rule,
         selection=policy,
     )
-    executor = None
-    if clusters["executor"] != "serial":
-        executor = EXECUTORS.create(
-            clusters["executor"], max_workers=clusters["max_workers"]
-        )
     mechanism = HierarchicalMechanism(
-        auction,
-        federation.population,
-        solver,
-        k_local=clusters["k_local"],
-        executor=executor,
+        auction, federation.population, solver, k_local=clusters["k_local"]
     )
     strategy = AuctionSelection(mechanism, (), _quality_to_samples)
     strategy.name = scheme

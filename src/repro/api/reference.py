@@ -128,10 +128,7 @@ FAMILIES: tuple[tuple[Registry, str, str], ...] = (
         "`poll_interval` and allow `max_workers=0` (coordinate-only), "
         "and `service` takes `coordinator_url` (null = an embedded "
         "coordinator). See docs/deployment.md. "
-        "The in-process pools (`serial`/`thread`/`process`) also fan out "
-        "the per-cluster auctions of `variant=\"hierarchical\"` runs via "
-        "`clusters.executor`; see the hierarchical auctions section of "
-        "the README.  An optional `execution.local_training` sub-spec "
+        "An optional `execution.local_training` sub-spec "
         "(`{\"executor\": \"serial\"|\"thread\"|\"process\", "
         "\"max_workers\": N}`; CLI `run --local-parallel N`) fans each "
         "round's K winner trainings over a within-round pool — the three "

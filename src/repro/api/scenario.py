@@ -107,10 +107,14 @@ _CLUSTERS_KEYS = (
     "theta_skew",
     "capacity_skew",
     "assignment_seed",
-    "executor",
-    "max_workers",
     "fl_pool",
 )
+
+# Keys the `clusters` spec carried while its per-cluster ranking could
+# fan out over a pool.  Every spec stored until then (scenario files,
+# checkpoints, job specs) holds exactly these defaults, so they load and
+# are dropped; any other value is rejected.
+_RETIRED_CLUSTERS_KEYS = {"executor": "serial", "max_workers": None}
 
 _CLUSTER_SIZE_DISTS = ("uniform", "lognormal")
 
@@ -298,9 +302,7 @@ class Scenario:
     # per-cluster theta/capacity skew, seeded assignment), each cluster
     # runs a local FMore auction for `k_local` winners, and a top-level
     # auction among the cluster heads admits `k_clusters` clusters to the
-    # global round.  `executor`/`max_workers` pick the in-process
-    # EXECUTORS member that fans the per-cluster auctions out within one
-    # round; `fl_pool` bounds how many FL clients are materialised.
+    # global round; `fl_pool` bounds how many FL clients are materialised.
     # Empty (the default, required for flat variants) is *omitted* from
     # to_dict() so pre-existing scenario hashes stay byte-identical.
     clusters: dict = field(default_factory=dict)
@@ -761,6 +763,14 @@ class Scenario:
                 "the two-tier mechanism records its own cluster_round "
                 "actions instead of running the per-agent pipeline"
             )
+        for key, default in _RETIRED_CLUSTERS_KEYS.items():
+            if key in spec and spec.pop(key) != default:
+                raise ValueError(
+                    f"clusters keys {list(_RETIRED_CLUSTERS_KEYS)} are retired: "
+                    "the per-cluster ranking now runs inline, and a stored spec "
+                    "may carry only their old defaults "
+                    f"{json.dumps(_RETIRED_CLUSTERS_KEYS)}"
+                )
         unknown = sorted(set(spec) - set(_CLUSTERS_KEYS))
         if unknown:
             raise ValueError(
@@ -789,23 +799,18 @@ class Scenario:
                 f"unknown clusters size_dist {size_dist!r}; "
                 f"choose from {_CLUSTER_SIZE_DISTS}"
             )
-        theta_skew = float(spec.get("theta_skew", 0.0))
-        capacity_skew = float(spec.get("capacity_skew", 0.0))
-        if theta_skew < 0.0 or capacity_skew < 0.0:
-            raise ValueError("clusters theta_skew/capacity_skew must be >= 0")
-        executor = str(spec.get("executor", "serial"))
-        if executor not in EXECUTORS or executor == "distributed":
-            choices = sorted(set(EXECUTORS.names()) - {"distributed"})
+        skews = {}
+        for key in ("theta_skew", "capacity_skew"):
+            skews[key] = float(spec.get(key, 0.0))
+            if not (math.isfinite(skews[key]) and skews[key] >= 0.0):
+                raise ValueError(
+                    f"clusters {key} must be finite and >= 0, got {skews[key]!r}"
+                )
+        assignment_seed = int(spec.get("assignment_seed", 0))
+        if assignment_seed < 0:
             raise ValueError(
-                f"clusters executor {executor!r} must be an in-round pool, "
-                f"one of {choices} (the 'distributed' backend schedules "
-                "whole cells, not intra-round cluster auctions)"
+                f"clusters assignment_seed must be >= 0, got {assignment_seed}"
             )
-        max_workers = spec.get("max_workers")
-        if max_workers is not None:
-            max_workers = int(max_workers)
-            if max_workers < 1:
-                raise ValueError("clusters max_workers must be >= 1")
         fl_pool = spec.get("fl_pool")
         fl_pool = min(self.n_clients, DEFAULT_FL_POOL) if fl_pool is None else int(fl_pool)
         if fl_pool < 1:
@@ -815,11 +820,8 @@ class Scenario:
             "k_clusters": k_clusters,
             "k_local": k_local,
             "size_dist": size_dist,
-            "theta_skew": theta_skew,
-            "capacity_skew": capacity_skew,
-            "assignment_seed": int(spec.get("assignment_seed", 0)),
-            "executor": executor,
-            "max_workers": max_workers,
+            **skews,
+            "assignment_seed": assignment_seed,
             "fl_pool": min(fl_pool, self.n_clients),
         }
 

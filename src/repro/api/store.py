@@ -71,11 +71,6 @@ FORMAT_VERSION = 1
 #: even ``name`` (it feeds the named seed streams) — is part of the hash.
 PLAN_FIELDS = ("schemes", "seeds", "execution")
 
-#: Keys of the hierarchical ``clusters`` spec that are likewise plan, not
-#: content: the in-round executor fans the per-cluster auctions out but is
-#: bitwise-invisible in the result (every RNG draw happens in the caller).
-_CLUSTERS_PLAN_KEYS = ("executor", "max_workers")
-
 _CELL_RE = re.compile(r"^(?P<scheme>[A-Za-z0-9_]+)-seed(?P<seed>-?\d+)$")
 
 
@@ -113,10 +108,7 @@ def scenario_hash(scenario: Scenario) -> str:
     The run plan (:data:`PLAN_FIELDS`) is excluded: a cell is a pure
     function of ``(scenario-sans-plan, scheme, seed)``, so sweeps that
     grow their seed list — or fan out over a different executor — keep
-    hitting the manifests earlier runs wrote.  The same goes for the
-    in-round ``clusters`` executor of hierarchical scenarios: serial,
-    thread and process fan-out produce bitwise-identical rounds, so those
-    keys are stripped before hashing.
+    hitting the manifests earlier runs wrote.
 
     One execution key IS content: the presence of a ``local_training``
     sub-spec.  Its within-round pool switches local training onto
@@ -130,12 +122,6 @@ def scenario_hash(scenario: Scenario) -> str:
     }
     if scenario.execution.get("local_training") is not None:
         payload["local_training"] = True
-    if "clusters" in payload:
-        payload["clusters"] = {
-            k: v
-            for k, v in payload["clusters"].items()
-            if k not in _CLUSTERS_PLAN_KEYS
-        }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -303,11 +289,15 @@ class ExperimentStore:
 
         The stored spec includes the registering run's plan — enough to
         rebuild a :class:`Scenario` for reports; the plan-free projection
-        is what the address hashes.
+        is what the address hashes.  A stored file that does not parse
+        is rewritten, so the next run that saves a cell (``--force``
+        re-runs them all) repairs it.
         """
         h = scenario_hash(scenario)
         path = self.scenario_path(h)
-        if not path.exists():
+        try:
+            _read_json(path)
+        except (FileNotFoundError, StoreError):  # missing or damaged
             _write_json(
                 path,
                 {

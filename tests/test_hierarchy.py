@@ -8,9 +8,10 @@ The contracts under test (the hierarchical-variant ISSUE acceptance):
   variant existed;
 * the cluster partition is a seeded experiment constant — it depends on
   ``assignment_seed`` alone, never on the run seed;
-* one hierarchical round is bitwise-identical under the serial, thread
-  and process in-round executors (every RNG draw happens in the caller),
-  and the executor is therefore a plan knob outside the scenario hash;
+* the ``executor``/``max_workers`` keys of the retired in-round fan-out
+  load from stored specs only at their old defaults, and drop without
+  moving the content address (the CI hierarchical leg's hash is pinned);
+* the ``clusters`` skews are finite and the assignment seed non-negative;
 * checkpoint/resume mid-hierarchical-run restores bitwise, including
   through a store round-trip with byte-identical manifests;
 * the rankings (``descending_order`` and one-segment
@@ -28,6 +29,7 @@ import shutil
 import numpy as np
 import pytest
 
+from repro.__main__ import main
 from repro.api import (
     ExperimentStore,
     FMoreEngine,
@@ -46,6 +48,17 @@ FLAT_HASH_PINS = {
     "smoke": "eeeae5bdcfafe01203f030d891b26a3129fe0a6a6cb85c577fc4cca00f39ae0e",
     "paper": "f8d0aecbdcea401204f5cce71b31ff40b2a8413f8d61fdaff30367885ddff12f",
 }
+
+# The spec of the CI resume-smoke hierarchical leg (``HIER_ARGS``), word-split
+# as the workflow's unquoted ``$HIER_ARGS`` is, and its content address
+# before the in-round executor keys were retired.
+HIER_ARGS = """
+    --preset smoke --set variant=hierarchical --set n_clients=2000
+    --set k_winners=4 --set n_rounds=3 --set test_per_class=8
+    --set grid_size=17 --set schemes=FMore,PsiFMore
+    --set clusters={"count":40,"k_clusters":2,"k_local":2,"size_dist":"lognormal","fl_pool":8}
+""".split()
+HIER_ARGS_HASH = "1d16a4f46d1e7004917441996f6acfd0066e2cba46767981ac298f5a69fe7e9f"
 
 CLUSTERS = {
     "count": 8,
@@ -93,8 +106,8 @@ class TestClustersSpec:
         scenario = _hier_scenario()
         # Canonicalisation filled every defaulted key explicitly.
         assert scenario.clusters["assignment_seed"] == 0
-        assert scenario.clusters["executor"] == "serial"
         assert scenario.clusters["fl_pool"] == 48
+        assert not {"executor", "max_workers"} & set(scenario.clusters)
         restored = Scenario.from_dict(scenario.to_dict())
         assert restored.clusters == scenario.clusters
         assert restored == scenario
@@ -129,17 +142,55 @@ class TestClustersSpec:
         with pytest.raises(ValueError, match="first_score"):
             _hier_scenario(payment_rule="second_score")
 
-    def test_distributed_is_not_an_in_round_executor(self):
-        with pytest.raises(ValueError, match="in-round pool"):
-            _hier_scenario(clusters={**CLUSTERS, "executor": "distributed"})
+    def test_ci_hierarchical_spec_keeps_its_address(self, capsys):
+        assert main(["scenario", *HIER_ARGS]) == 0
+        scenario = Scenario.from_json(capsys.readouterr().out)
+        assert scenario_hash(scenario) == HIER_ARGS_HASH
 
-    def test_in_round_executor_is_plan_not_content(self):
-        """Serial/thread/process fan-out shares one content address."""
-        serial = _hier_scenario()
-        threaded = _hier_scenario(
-            clusters={**CLUSTERS, "executor": "thread", "max_workers": 2}
-        )
-        assert scenario_hash(threaded) == scenario_hash(serial)
+    def test_stored_executor_defaults_load_and_drop(self):
+        """Every hierarchical spec stored before the ranking ran inline
+        carries ``"executor": "serial", "max_workers": null``."""
+        scenario = _hier_scenario()
+        spec = scenario.to_dict()
+        clusters = {**spec["clusters"], "executor": "serial", "max_workers": None}
+        loaded = Scenario.from_dict({**spec, "clusters": clusters})
+        assert loaded == scenario
+        assert loaded.to_dict() == spec
+        assert scenario_hash(loaded) == scenario_hash(scenario)
+
+    @pytest.mark.parametrize(
+        "retired",
+        [
+            {"executor": "thread"},
+            {"executor": "process"},
+            {"executor": "distributed"},
+            {"executor": "service"},
+            {"max_workers": 2},
+        ],
+        ids=lambda retired: "-".join(f"{k}={v}" for k, v in retired.items()),
+    )
+    def test_retired_executor_keys_rejected(self, retired):
+        with pytest.raises(ValueError) as excinfo:
+            _hier_scenario(clusters={**CLUSTERS, **retired})
+        message = str(excinfo.value)
+        assert "['executor', 'max_workers'] are retired" in message
+        assert "runs inline" in message
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("theta_skew", float("nan")),
+            ("theta_skew", float("inf")),
+            ("theta_skew", -0.1),
+            ("capacity_skew", float("nan")),
+            ("capacity_skew", float("inf")),
+            ("capacity_skew", -0.1),
+            ("assignment_seed", -1),
+        ],
+    )
+    def test_non_finite_skews_and_negative_seed_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"clusters {key} must be"):
+            _hier_scenario(clusters={**CLUSTERS, key: value})
 
 
 # ----------------------------------------------------------------------
@@ -191,18 +242,9 @@ class TestClusterAssignment:
 
 
 # ----------------------------------------------------------------------
-# Executor-independent rounds
+# The cluster_round record
 # ----------------------------------------------------------------------
 class TestExecutorDeterminism:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_fanout_bitwise_equals_serial(self, executor, hier_reference):
-        scenario, reference = hier_reference
-        plan = scenario.with_(
-            clusters={**CLUSTERS, "executor": executor, "max_workers": 2}
-        )
-        result = FMoreEngine().run(plan)
-        assert result.histories == reference.histories
-
     def test_cluster_round_actions_and_metrics_columns(self, hier_reference):
         _, reference = hier_reference
         history = reference.history("FMore")

@@ -1,13 +1,14 @@
 """The two-tier round against its previous implementation (hypothesis).
 
-``ParentRound`` below is a verbatim copy of the per-cluster round this
-module's loop-free round replaced: one ``bid_batch`` call per distinct
-cluster size, one argpartition ``top_k_order`` per cluster, and a
-Python loop building each head's sums.  It is the oracle: on the same
-population and RNG stream both must produce byte-identical
-``MechanismRound`` pickles (head ``ScoredBid`` qualities, winners,
-accounting, the ``cluster_round`` payload) and leave the RNG in the same
-state.  Alongside it:
+``ParentRound`` below is a copy of the per-cluster round this module's
+loop-free round replaced, verbatim but for its executor fan-out (only
+the serial branch is kept): one ``bid_batch`` call per distinct cluster
+size, one argpartition ``top_k_order`` per cluster, and a Python loop
+building each head's sums.  It is the oracle: on the same population
+and RNG stream both must produce byte-identical ``MechanismRound``
+pickles (head ``ScoredBid`` qualities, winners, accounting, the
+``cluster_round`` payload) and leave the RNG in the same state.
+Alongside it:
 
 * a one-cluster round with ``k_local = K`` plays the population game,
   so its asks equal the population solver's flat ``bid_batch`` and its
@@ -30,7 +31,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Scenario, build_solver
-from repro.api.executor import SerialExecutor
 from repro.core import (
     AdditiveScore,
     EquilibriumSolver,
@@ -95,9 +95,7 @@ def _local_winners_chunk(
     """Winner determination for a chunk of clusters — pure array math.
 
     Each item is ``(cluster_id, member_idx, scores, tiebreak, k_local)``
-    with the score/tiebreak slices pre-gathered by the caller, so the
-    payload is plain ndarrays: picklable for the process pool, and free
-    of RNG state so every executor returns bitwise-identical winners.
+    with the score/tiebreak slices pre-gathered by the caller.
     Returns ``(cluster_id, winning member_idx in rank order)`` per item.
     """
     out: list[tuple[int, np.ndarray]] = []
@@ -108,7 +106,7 @@ def _local_winners_chunk(
 
 
 class ParentRound(HierarchicalMechanism):
-    """The previous ``HierarchicalMechanism.run_round``, unchanged."""
+    """The previous ``HierarchicalMechanism.run_round``, serial branch."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -133,7 +131,7 @@ class ParentRound(HierarchicalMechanism):
         All randomness — availability fractions, per-round theta
         re-estimates, member and head tie-break keys, the head-tier
         admission draw — is consumed here from ``rng`` in a fixed order;
-        the executor fan-out below is deterministic array work.
+        the rest is deterministic array work.
         """
         pop = self.population
         n = pop.n_nodes
@@ -174,7 +172,7 @@ class ParentRound(HierarchicalMechanism):
             eligible[idx] = (p - costs) >= -1e-12
         scores = self.auction.scoring.score_batch(qualities, payments)
 
-        # -- local tier: per-cluster winner determination (fanned out) ----
+        # -- local tier: per-cluster winner determination ---------------
         tasks = []
         for cid, members in enumerate(pop.members):
             live = members[eligible[members]]
@@ -188,15 +186,7 @@ class ParentRound(HierarchicalMechanism):
                         min(self.k_local, live.size),
                     )
                 )
-        if self.executor is None or len(tasks) <= 1:
-            chunk_results = [_local_winners_chunk(tasks)]
-        else:
-            workers = self.executor.worker_count(len(tasks))
-            chunks = [tasks[i::workers] for i in range(workers) if tasks[i::workers]]
-            chunk_results = self.executor.map(_local_winners_chunk, chunks)
-        local_winners = dict(
-            pair for chunk in chunk_results for pair in chunk
-        )
+        local_winners = dict(_local_winners_chunk(tasks))
 
         # -- top tier: cluster heads compete for k_clusters slots ----------
         head_cids = sorted(local_winners)
@@ -343,13 +333,13 @@ def _population(
     )
 
 
-def _mechanisms(solver, population, k_local, k_clusters, psi, executor=None):
+def _mechanisms(solver, population, k_local, k_clusters, psi):
     """The round under test and the oracle, over one auction."""
     selection = PsiSelection(0.7) if psi else TopKSelection()
     auction = MultiDimensionalProcurementAuction(
         solver.quality_rule, k_clusters, selection=selection
     )
-    new = HierarchicalMechanism(auction, population, solver, k_local, executor)
+    new = HierarchicalMechanism(auction, population, solver, k_local)
     old = ParentRound(auction, population, solver, k_local)
     return new, old
 
@@ -384,12 +374,11 @@ def _assert_rounds_identical(new, old, seed, n_rounds=2):
     psi=st.booleans(),
     ties=st.booleans(),
     jitter=st.booleans(),
-    workers=st.sampled_from([None, 1, 3]),
     seed=st.integers(0, 2**16),
 )
 @settings(max_examples=200, deadline=None)
 def test_round_bitwise_equals_the_previous_round(
-    game, n, count, size_dist, k_local, k_clusters, psi, ties, jitter, workers, seed
+    game, n, count, size_dist, k_local, k_clusters, psi, ties, jitter, seed
 ):
     solver = GAMES[game]
     population = _population(
@@ -403,8 +392,7 @@ def test_round_bitwise_equals_the_previous_round(
         theta_jitter=0.05 if jitter and not ties else 0.0,
         availability_min_fraction=1.0 if ties else 0.4,
     )
-    executor = None if workers is None else SerialExecutor(max_workers=workers)
-    new, old = _mechanisms(solver, population, k_local, k_clusters, psi, executor)
+    new, old = _mechanisms(solver, population, k_local, k_clusters, psi)
     _assert_rounds_identical(new, old, seed)
 
 

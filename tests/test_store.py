@@ -334,6 +334,15 @@ class TestCorruptStore:
         assert main(["run", *TestCLI.ARGS, "--store", str(store), "--force"]) == 0
         assert manifest.read_bytes() == original
 
+    def test_cli_force_restores_the_scenario_file(self, store, capsys):
+        (spec,) = store.glob("scenarios/*.json")
+        original = self._cut(spec)
+        assert main(["run", *TestCLI.ARGS, "--store", str(store), "--force"]) == 0
+        assert spec.read_bytes() == original
+        assert main(["report", "--store", str(store)]) == 0
+        assert main(["run", *TestCLI.ARGS, "--store", str(store), "--resume"]) == 0
+        capsys.readouterr()
+
     @pytest.mark.parametrize("damage", [b"\xff\xfe{", b"[1, 2]"])
     def test_undecodable_or_non_object_manifest_names_the_file(self, store, damage):
         (manifest,) = store.glob("runs/*/FMore-seed0.json")

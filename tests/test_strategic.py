@@ -43,6 +43,16 @@ MIX = [
     {"name": "regret_matching", "fraction": 0.2},
 ]
 
+#: Mixes in which every node bids truthfully, however labelled and split.
+TRUTHFUL_MIXES = {
+    "control": [{"name": "truthful", "fraction": 0.3, "label": "ctl"}],
+    "all": [{"name": "truthful", "fraction": 1.0, "label": "all"}],
+    "two_halves": [
+        {"name": "truthful", "fraction": 0.5, "label": "a"},
+        {"name": "truthful", "fraction": 0.5, "label": "b"},
+    ],
+}
+
 
 def _scenario(**overrides):
     defaults = dict(
@@ -66,6 +76,24 @@ def _scenario(**overrides):
 def base_reference():
     scenario = _scenario()
     return scenario, FMoreEngine().run(scenario)
+
+
+@pytest.fixture(scope="module")
+def auction_reference():
+    scenario = _scenario(schemes=("FMore", "PsiFMore"), seeds=(0, 1, 2))
+    return scenario, FMoreEngine().run(scenario)
+
+
+def _records_sans_payoff(history):
+    """Every record as a dict, minus the mix's own ``bid_payoff`` actions."""
+    out = []
+    for record in history.records:
+        data = record.to_dict()
+        data["policy_actions"] = [
+            a for a in data["policy_actions"] if a["kind"] != "bid_payoff"
+        ]
+        out.append(data)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -203,21 +231,26 @@ class TestHashAndManifestCompat:
         spec = next((tmp_path / "scenarios").glob("*.json"))
         assert "bidding" not in spec.read_text()
 
+    @pytest.mark.parametrize("mix", list(TRUTHFUL_MIXES))
     def test_labelled_truthful_control_bids_like_the_hot_path(
-        self, base_reference
+        self, mix, auction_reference
     ):
-        scenario, reference = base_reference
-        control = scenario.with_(
-            bidding={
-                "mix": [{"name": "truthful", "fraction": 0.3, "label": "ctl"}]
-            }
-        )
-        history = FMoreEngine().run(control).history("FMore")
-        ref = reference.history("FMore")
-        assert history.accuracies == ref.accuracies
-        for got, want in zip(history.records, ref.records):
-            assert got.winner_ids == want.winner_ids
-            assert got.total_payment == want.total_payment
+        """Differential oracle: an all-truthful mix runs every round of
+        both auction schemes exactly as no mix does."""
+        scenario, reference = auction_reference
+        control = scenario.with_(bidding={"mix": TRUTHFUL_MIXES[mix]})
+        result = FMoreEngine().run(control)
+        for scheme in scenario.schemes:
+            for got, want in zip(
+                result.histories[scheme], reference.histories[scheme], strict=True
+            ):
+                # The mix did take the strategic path.
+                assert any(
+                    a.kind == "bid_payoff"
+                    for r in got.records
+                    for a in r.policy_actions
+                )
+                assert _records_sans_payoff(got) == _records_sans_payoff(want)
 
 
 class TestMixedPopulationRuns:
