@@ -414,10 +414,14 @@ class JobQueue:
             lock = self.lock_path_for(path)
             lease = float(data.get("lease_seconds", DEFAULT_LEASE_SECONDS))
             if self._acquire(lock, label, lease):
-                if "scenario" in data:  # legacy format-1: embedded spec
-                    spec = dict(data["scenario"])
-                else:
-                    spec = self.store.load_scenario(h).to_dict()
+                try:
+                    if "scenario" in data:  # legacy format-1: embedded spec
+                        spec = dict(data["scenario"])
+                    else:
+                        spec = self.store.load_scenario(h).to_dict()
+                except BaseException:
+                    self._remove(lock)  # a spec that does not load keeps no claim
+                    raise
                 return Job(
                     path=path,
                     lock_path=lock,
@@ -759,74 +763,67 @@ def _run_job(
     job: Job,
     *,
     link=None,
-    stop: _StopFlag | None = None,
+    stop: _StopFlag,
     stop_after_rounds: int | None = None,
 ) -> bool:
     """Run one claimed cell to completion; ``True`` when its manifest landed.
 
-    With ``job.resume`` the cell continues from its store checkpoint (a
-    previous worker's partial progress) — bitwise-identical to a fresh
-    run by the checkpoint contract; otherwise stolen cells restart from
-    round zero, which is merely slower, never different.  A lost lease
-    aborts the cell mid-run (another worker owns it now); a graceful stop
-    (SIGTERM/SIGINT) checkpoints the cell when the job asked for
-    ``checkpoint_every``, then releases the claim; any other failure
-    releases the claim so the cell is immediately re-queued.
+    The cell runs through the engine's cell driver, with the claim's
+    bookkeeping as its per-round hook.  With ``job.resume`` the cell
+    continues from its store checkpoint (a previous worker's partial
+    progress) — bitwise-identical to a fresh run by the checkpoint
+    contract; otherwise stolen cells restart from round zero, which is
+    merely slower, never different.  After every round the worker renews
+    its lease: a lost lease aborts the cell (another worker owns it now);
+    a graceful stop (SIGTERM/SIGINT) checkpoints the cell when the job
+    asked for ``checkpoint_every``, then releases the claim.  Any other
+    failure, set-up included (a corrupt checkpoint, a scenario that does
+    not build), releases the claim, so the cell is immediately re-queued.
 
     ``link`` (a :class:`repro.api.coordinator.ServiceLink`) routes
     heartbeats and completion through the coordinator — streaming one
     round-completion event per round — and transparently falls back to
     the filesystem lock protocol when the coordinator is unreachable.
     """
+    from .engine import _drive_session
     from .scenario import Scenario
 
-    scenario = Scenario.from_dict(job.scenario)
     linked = link is not None and link.owns(job)
-    heartbeat = link.heartbeat if linked else None
     complete = link.complete if linked else queue.complete
     release = link.release if linked else queue.release
     if store.has_cell(job.scenario_hash, job.scheme, job.seed):
         complete(job)
         return False
-    session = engine.session(scenario, job.scheme, job.seed)
-    if job.resume:
-        checkpoint = store.load_checkpoint(job.scenario_hash, job.scheme, job.seed)
-        if checkpoint is not None:
-            session.restore(checkpoint)
-    try:
-        advanced = 0
-        while session.rounds_remaining > 0:
-            next(session)
-            advanced += 1
-            if stop_after_rounds is not None and advanced >= stop_after_rounds:
-                if stop is not None:
-                    stop.event.set()
-            alive = (
-                heartbeat(job, advanced) if heartbeat is not None
-                else queue.heartbeat(job)
-            )
-            if not alive:
-                return False  # stolen: the thief owns the cell now
-            if stop is not None and stop.is_set() and session.rounds_remaining > 0:
-                # Graceful shutdown mid-cell: persist the progress when
-                # the job checkpoints, then hand the claim straight back.
-                if job.checkpoint_every:
-                    store.save_checkpoint(session.snapshot())
-                release(job)
-                return False
-            if (
-                job.checkpoint_every
-                and session.rounds_remaining > 0
-                and advanced % int(job.checkpoint_every) == 0
-            ):
+
+    def after_round(session, advanced: int) -> bool:
+        if stop_after_rounds is not None and advanced >= stop_after_rounds:
+            stop.event.set()
+        alive = link.heartbeat(job, advanced) if linked else queue.heartbeat(job)
+        if not alive:
+            return True  # stolen: the thief owns the cell now
+        if stop.is_set() and session.rounds_remaining > 0:
+            # Graceful shutdown mid-cell: persist the progress when the
+            # job checkpoints, then hand the claim straight back.
+            if job.checkpoint_every:
                 store.save_checkpoint(session.snapshot())
+            release(job)
+            return True
+        return False
+
+    try:
+        history = _drive_session(
+            engine.session(Scenario.from_dict(job.scenario), job.scheme, job.seed),
+            store,
+            resume=job.resume,
+            checkpoint_every=job.checkpoint_every,
+            after_round=after_round,
+        )
     except BaseException:
         release(job)
         raise
-    store.save_history(scenario, job.scheme, job.seed, session.history)
-    store.clear_checkpoint(job.scenario_hash, job.scheme, job.seed)
-    complete(job)
-    return True
+    if history is not None:
+        complete(job)
+    return history is not None
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 import copy
 import functools
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -67,7 +68,7 @@ from ..mec.node import EdgeNode
 from ..mec.resources import ResourceProfile, UniformAvailabilityDynamics
 from ..sim.rng import rng_from, rng_state, set_rng_state
 from ..strategic.policies import build_bid_policies
-from .executor import Executor, SerialExecutor
+from .executor import Executor
 from .scenario import SCHEME_NAMES, Scenario
 from .store import (
     Checkpoint,
@@ -1164,34 +1165,23 @@ class FMoreEngine:
             finally:
                 executor.close()
         elif pending:
+            drive = functools.partial(
+                _drive_session,
+                store=store,
+                resume=resume,
+                checkpoint_every=checkpoint_every,
+                after_round=(
+                    None if stop_after is None
+                    else functools.partial(_pause, store, int(stop_after))
+                ),
+            )
             if executor.in_process:
-                # Under a concurrent in-process executor the scheme-independent
-                # initial weights must be settled before cells race for them;
-                # the serial loop keeps the legacy lazy fill (first cell pays).
-                eager_weights = not isinstance(executor, SerialExecutor)
                 results = executor.map(
-                    self._cell_runner(
-                        scenario,
-                        pending,
-                        eager_weights=eager_weights,
-                        store=store,
-                        resume=resume,
-                        checkpoint_every=checkpoint_every,
-                        stop_after=stop_after,
-                    ),
-                    pending,
+                    self._cell_runner(scenario, pending, drive), pending
                 )
             else:
                 results = executor.map(
-                    functools.partial(
-                        _run_cell,
-                        scenario,
-                        self.timer,
-                        None if store is None else str(store.root),
-                        resume,
-                        checkpoint_every,
-                        stop_after,
-                    ),
+                    functools.partial(_run_cell, scenario, self.timer, drive),
                     pending,
                 )
         incomplete = [
@@ -1234,59 +1224,32 @@ class FMoreEngine:
         self,
         scenario: Scenario,
         cells: list[tuple[str, int]],
-        eager_weights: bool = False,
-        store: ExperimentStore | None = None,
-        resume: bool = False,
-        checkpoint_every: int | None = None,
-        stop_after: int | None = None,
+        drive: Callable[[Session], TrainingHistory | None],
     ) -> Callable[[tuple[str, int]], TrainingHistory | None]:
-        """The in-process cell function: shared solvers, pooled federations.
+        """The in-process cell function: one pooled federation per seed.
 
         Federations are built lazily under a lock — once per seed however
         many threads run its cells — and evicted when the seed's last
         scheme completes (``cells`` is the pending set, so store-cached
-        cells never pin a federation).  With ``eager_weights`` the
-        scheme-independent initial weights are settled at federation build
-        time (so concurrent cells never race to fill them); without it,
-        the first cell populates them as the legacy serial loop did.
+        cells never pin a federation).  Each session is built through
+        :meth:`session` under the same lock, so the seed's first cell fills
+        the federation's scheme-independent initial weights before any
+        other cell reads them.
         """
-        needs_solver = any(s in _AUCTION_SCHEMES for s, _ in cells)
         lock = threading.Lock()
-        # seed -> (federation, solver); one solver_for call per seed, like
-        # the serial loop always made (the engine cache dedupes the build).
-        pooled: dict[int, tuple[Federation, EquilibriumSolver | None]] = {}
-        remaining: dict[int, int] = {}
-        for _, seed in cells:
-            remaining[seed] = remaining.get(seed, 0) + 1
+        pooled: dict[int, Federation] = {}
+        remaining = Counter(seed for _, seed in cells)
 
         def run_cell(cell: tuple[str, int]) -> TrainingHistory | None:
             scheme, seed = cell
-            with lock:
-                entry = pooled.get(seed)
-                if entry is None:
-                    federation = build_federation(scenario, seed)
-                    if eager_weights:
-                        model = _build_global_model(scenario, federation, seed)
-                        federation.initial_weights = model.get_weights()
-                    solver = self.solver_for(scenario) if needs_solver else None
-                    entry = pooled[seed] = (federation, solver)
-                federation, solver = entry
             try:
-                session = make_session(
-                    scenario,
-                    scheme,
-                    seed,
-                    federation=federation,
-                    timer=self.timer,
-                    solver=solver,
-                )
-                return _drive_session(
-                    session,
-                    store=store,
-                    resume=resume,
-                    checkpoint_every=checkpoint_every,
-                    stop_after=stop_after,
-                )
+                with lock:
+                    if seed not in pooled:
+                        pooled[seed] = build_federation(scenario, seed)
+                    session = self.session(
+                        scenario, scheme, seed, federation=pooled[seed]
+                    )
+                return drive(session)
             finally:
                 with lock:
                     remaining[seed] -= 1
@@ -1306,35 +1269,38 @@ def _freeze(value: Any) -> Any:
 
 
 # ----------------------------------------------------------------------
-# Session driving (shared by the in-process and process-pool cell paths)
+# The cell driver (every cell path: in-process, process pool, store worker)
 # ----------------------------------------------------------------------
 def _drive_session(
     session: Session,
-    store: ExperimentStore | None = None,
+    store: ExperimentStore | None,
+    *,
     resume: bool = False,
     checkpoint_every: int | None = None,
-    stop_after: int | None = None,
+    after_round: Callable[[Session, int], bool] | None = None,
 ) -> TrainingHistory | None:
-    """Advance one cell's session, checkpointing/persisting via ``store``.
+    """Advance one cell's session to its end: the one round loop of a cell.
 
-    Returns the complete history, or ``None`` when ``stop_after`` halted
-    the cell early (its checkpoint is then durable in the store).  With a
-    store, a finished cell writes its manifest and drops its checkpoint —
-    the manifest is the cell's durable, content-addressed result.
+    With ``resume`` the session first continues from its cell's store
+    checkpoint, if there is one.  ``after_round(session, advanced)`` runs
+    after every round, the last included (``advanced`` counts the rounds
+    this call ran); when it returns ``True`` the cell stops there and
+    this returns ``None`` without writing anything more.  Otherwise a
+    still-running cell checkpoints every ``checkpoint_every`` rounds, and
+    a finished cell writes its manifest and drops its checkpoint — the
+    manifest is the cell's durable, content-addressed result.
     """
     scenario, scheme, seed = session.scenario, session.scheme, session.seed
     if store is not None and resume:
         checkpoint = store.load_checkpoint(scenario, scheme, seed)
         if checkpoint is not None:
             session.restore(checkpoint)
-    budget = None if stop_after is None else int(stop_after)
     advanced = 0
     while session.rounds_remaining > 0:
-        if budget is not None and advanced >= budget:
-            store.save_checkpoint(session.snapshot())
-            return None
         next(session)
         advanced += 1
+        if after_round is not None and after_round(session, advanced):
+            return None
         if (
             store is not None
             and checkpoint_every
@@ -1348,6 +1314,18 @@ def _drive_session(
     return session.history
 
 
+def _pause(
+    store: ExperimentStore, budget: int, session: Session, advanced: int
+) -> bool:
+    """``stop_after=budget`` as an ``after_round`` hook: after ``budget``
+    rounds an unfinished cell checkpoints (even without
+    ``checkpoint_every``) and stops."""
+    if advanced < budget or session.rounds_remaining == 0:
+        return False
+    store.save_checkpoint(session.snapshot())
+    return True
+
+
 # ----------------------------------------------------------------------
 # Process-pool entry point
 # ----------------------------------------------------------------------
@@ -1359,39 +1337,19 @@ _WORKER_ENGINE: FMoreEngine | None = None
 def _run_cell(
     scenario: Scenario,
     timer: RoundTimer | None,
-    store_root: str | None,
-    resume: bool,
-    checkpoint_every: int | None,
-    stop_after: int | None,
+    drive: Callable[[Session], TrainingHistory | None],
     cell: tuple[str, int],
 ) -> TrainingHistory | None:
     """Run one ``(scheme, seed)`` cell in the current (worker) process.
 
     Rebuilds the cell's federation from its named seed streams, so the
     returned history is bitwise-identical to the serial path no matter
-    which worker runs it.  The store rides across the process boundary as
-    its root path (checkpoints and manifests are plain files, so every
-    worker may write its own cells concurrently).
+    which worker runs it.  ``drive`` carries the store across the process
+    boundary (checkpoints and manifests are plain files, so every worker
+    may write its own cells concurrently).
     """
     global _WORKER_ENGINE
     if _WORKER_ENGINE is None:
         _WORKER_ENGINE = FMoreEngine()
-    scheme, seed = cell
-    solver = (
-        _WORKER_ENGINE.solver_for(scenario) if scheme in _AUCTION_SCHEMES else None
-    )
-    session = make_session(
-        scenario,
-        scheme,
-        seed,
-        federation=build_federation(scenario, seed),
-        timer=timer,
-        solver=solver,
-    )
-    return _drive_session(
-        session,
-        store=None if store_root is None else ExperimentStore(store_root),
-        resume=resume,
-        checkpoint_every=checkpoint_every,
-        stop_after=stop_after,
-    )
+    _WORKER_ENGINE.timer = timer
+    return drive(_WORKER_ENGINE.session(scenario, *cell))

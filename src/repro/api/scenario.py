@@ -314,10 +314,10 @@ class Scenario:
         # Normalise JSON-ish inputs (lists, or scalars from CLI --set
         # overrides like `seeds=0` / `schemes=FMore`) into canonical tuples.
         schemes = (self.schemes,) if isinstance(self.schemes, str) else self.schemes
-        seeds = (self.seeds,) if isinstance(self.seeds, int) else self.seeds
+        seeds = (self.seeds,) if isinstance(self.seeds, (int, float)) else self.seeds
         object.__setattr__(self, "size_range", tuple(int(v) for v in self.size_range))
         object.__setattr__(self, "schemes", tuple(str(s) for s in schemes))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
+        object.__setattr__(self, "seeds", tuple(_integer(s, "seeds entry") for s in seeds))
         object.__setattr__(
             self, "core_choices", tuple(int(c) for c in self.core_choices)
         )
@@ -473,6 +473,7 @@ class Scenario:
                 f"(the {self.dataset} classes), got min_classes={self.min_classes}, "
                 f"max_classes={self.max_classes}"
             )
+        object.__setattr__(self, "data_seed", _integer(self.data_seed, "data_seed"))
         if self.data_seed < 0:
             raise ValueError(f"data_seed must be >= 0, got {self.data_seed}")
         if not self.schemes:
@@ -778,11 +779,14 @@ class Scenario:
             )
         if "count" not in spec:
             raise ValueError("variant='hierarchical' needs clusters={'count': C, ...}")
-        count = int(spec["count"])
+        for key in ("count", "k_clusters", "k_local", "assignment_seed", "fl_pool"):
+            if spec.get(key) is not None:
+                spec[key] = _integer(spec[key], f"clusters {key}")
+        count = spec["count"]
         if not (1 <= count <= self.n_clients):
             raise ValueError("clusters count must satisfy 1 <= count <= n_clients")
         k_clusters = spec.get("k_clusters")
-        k_clusters = max(1, count // 2) if k_clusters is None else int(k_clusters)
+        k_clusters = max(1, count // 2) if k_clusters is None else k_clusters
         if not (1 <= k_clusters <= count):
             raise ValueError("clusters k_clusters must satisfy 1 <= k_clusters <= count")
         k_local = spec.get("k_local")
@@ -790,7 +794,6 @@ class Scenario:
             # Default so the selected clusters contribute ~k_winners
             # trainers to the global round.
             k_local = max(1, -(-self.k_winners // k_clusters))
-        k_local = int(k_local)
         if k_local < 1:
             raise ValueError("clusters k_local must be >= 1")
         size_dist = str(spec.get("size_dist", "uniform"))
@@ -806,13 +809,13 @@ class Scenario:
                 raise ValueError(
                     f"clusters {key} must be finite and >= 0, got {skews[key]!r}"
                 )
-        assignment_seed = int(spec.get("assignment_seed", 0))
+        assignment_seed = spec.get("assignment_seed", 0)
         if assignment_seed < 0:
             raise ValueError(
                 f"clusters assignment_seed must be >= 0, got {assignment_seed}"
             )
         fl_pool = spec.get("fl_pool")
-        fl_pool = min(self.n_clients, DEFAULT_FL_POOL) if fl_pool is None else int(fl_pool)
+        fl_pool = min(self.n_clients, DEFAULT_FL_POOL) if fl_pool is None else fl_pool
         if fl_pool < 1:
             raise ValueError("clusters fl_pool must be >= 1")
         return {
@@ -970,6 +973,16 @@ class Scenario:
         if schemes is not None:
             preset["schemes"] = schemes
         return cls(**{**preset, "seeds": seeds, **overrides})
+
+
+def _integer(value: Any, name: str) -> int:
+    """``value`` as an int; unlike ``int()`` it rejects a bool or a fraction."""
+    try:
+        if not isinstance(value, bool) and value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _detuple(value: Any) -> Any:

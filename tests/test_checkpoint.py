@@ -189,6 +189,26 @@ class TestEngineResumeThroughStore:
         resumed = FMoreEngine().run(plan, store=root, resume=True)
         assert resumed.histories == reference.histories
 
+    def test_paused_cell_writes_its_checkpoint_once(
+        self, tmp_path, monkeypatch, paper_reference
+    ):
+        """A cell paused on a round its checkpoint schedule also hits is
+        saved once, not once per reason."""
+        scenario, _ = paper_reference
+        saved = []
+        original = ExperimentStore.save_checkpoint
+
+        def counting(self, checkpoint):
+            saved.append((checkpoint.scheme, checkpoint.round_index))
+            return original(self, checkpoint)
+
+        monkeypatch.setattr(ExperimentStore, "save_checkpoint", counting)
+        with pytest.raises(IncompleteRunError):
+            FMoreEngine().run(
+                scenario, store=tmp_path, checkpoint_every=1, stop_after=1
+            )
+        assert sorted(saved) == [("FMore", 1), ("RandFL", 1)]
+
     def test_manifests_equal_uninterrupted_store_bytes(
         self, tmp_path, interrupted_store, paper_reference
     ):

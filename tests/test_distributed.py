@@ -40,6 +40,7 @@ from repro.api import (
     JobQueue,
     RunResult,
     Scenario,
+    StoreError,
     StoreMismatchError,
     emit_job_scripts,
     run_worker,
@@ -504,6 +505,40 @@ class TestWorker:
         assert run_worker(store, exit_when_idle=True, worker_id="thief") == 2
         _assert_manifests_bitwise(ref_root, tmp_path)
         assert not list((store.root / "checkpoints").rglob("state.json"))
+
+    def test_setup_failure_releases_the_claim(self, tmp_path, paper_reference):
+        """A cell that fails before its first round hands its claim back
+        at once, instead of holding it until the lease expires."""
+        scenario, _, _ = paper_reference
+        store = ExperimentStore(tmp_path)
+        queue = JobQueue(store)
+        queue.enqueue(scenario, [("FMore", 0)], resume=True)
+        state = store.checkpoint_dir(scenario, "FMore", 0) / "state.json"
+        state.parent.mkdir(parents=True)
+        state.write_text("{not json")
+        with pytest.raises(StoreError, match="corrupt store file"):
+            run_worker(store, exit_when_idle=True)
+        assert not list((store.root / "jobs").rglob("*.lock"))
+        assert queue.unclaimed() == [
+            queue.job_path(scenario_hash(scenario), "FMore", 0)
+        ]
+
+    def test_unloadable_scenario_releases_the_claim(self, tmp_path, paper_reference):
+        """A registered spec that no longer validates (here a fractional
+        ``data_seed``, which older versions accepted) fails the claim and
+        leaves no lock behind."""
+        scenario, _, _ = paper_reference
+        store = ExperimentStore(tmp_path)
+        queue = JobQueue(store)
+        queue.enqueue(scenario, [("FMore", 0)])
+        path = store.scenario_path(scenario)
+        registered = json.loads(path.read_text())
+        registered["scenario"]["data_seed"] = 3.7
+        path.write_text(json.dumps(registered))
+        with pytest.raises(ValueError, match="data_seed"):
+            run_worker(store, exit_when_idle=True)
+        assert not list((store.root / "jobs").rglob("*.lock"))
+        assert len(queue.unclaimed()) == 1
 
     def test_worker_skips_cell_completed_elsewhere(self, tmp_path, paper_reference):
         scenario, reference, _ = paper_reference

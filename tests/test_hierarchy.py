@@ -186,6 +186,13 @@ class TestClustersSpec:
             ("capacity_skew", float("inf")),
             ("capacity_skew", -0.1),
             ("assignment_seed", -1),
+            ("count", 7.9),
+            ("count", True),
+            ("k_clusters", 1.5),
+            ("k_local", 2.6),
+            ("assignment_seed", 3.7),
+            ("fl_pool", 4.5),
+            ("fl_pool", True),
         ],
     )
     def test_non_finite_skews_and_negative_seed_rejected(self, key, value):

@@ -1,12 +1,18 @@
 """Property-based tests (hypothesis) for auction invariants."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.auction import MultiDimensionalProcurementAuction
 from repro.core.bids import Bid
+from repro.core.costs import LinearCost
+from repro.core.equilibrium import EquilibriumSolver
+from repro.core.mechanism import FMoreMechanism
 from repro.core.psi import PsiSelection
-from repro.core.scoring import AdditiveScore
+from repro.core.scoring import AdditiveScore, MultiplicativeScore
+from repro.core.valuation import PrivateValueModel, UniformTheta
+from repro.mec.node import EdgeNode
+from repro.mec.resources import ResourceProfile, UniformAvailabilityDynamics
 
 finite_quality = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 finite_payment = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
@@ -87,3 +93,91 @@ def test_first_score_charged_equals_asked(bids, seed):
     out = auction.run(bids, np.random.default_rng(seed))
     for w in out.winners:
         assert w.charged_payment == w.asked_payment
+
+
+# ----------------------------------------------------------------------
+# The mechanism's batched bid collection against per-agent make_bid
+# ----------------------------------------------------------------------
+def _paper_game(n_nodes, k_winners, **options):
+    """The simulator's game ``25 q1 q2 - theta (4 q1 + 2 q2)`` for one
+    population, winning kernel and margin method."""
+    return EquilibriumSolver(
+        MultiplicativeScore(2, 25.0),
+        LinearCost([4.0, 2.0]),
+        PrivateValueModel(UniformTheta(0.1, 1.0), n_nodes, k_winners),
+        [[0.01, 5.0], [0.05, 1.0]],
+        **options,
+    )
+
+
+#: Game families the agents bid in, each built once.  All score and cost
+#: as the paper does: under additive scoring or a linear cost with
+#: coefficients that are not exact binary fractions, the batch's matrix
+#: product and the per-agent dot product can round a row's score or cost
+#: differently in its last bit, depending on the batch's size.
+_GAMES = {
+    "paper": _paper_game(30, 6, grid_size=65),
+    "paper-exact-kernel": _paper_game(12, 3, win_model="exact", grid_size=33),
+    "paper-one-winner-rk4": _paper_game(8, 1, payment_method="rk4", grid_size=33),
+}
+
+#: One agent: its type, data size (samples) and category proportion.
+_agents = st.tuples(
+    st.floats(0.1, 1.0), st.integers(0, 6000), st.floats(0.0, 1.0)
+)
+
+
+@given(
+    game=st.sampled_from(sorted(_GAMES)),
+    agents=st.lists(_agents, min_size=1, max_size=20),
+    min_fraction=st.floats(0.05, 1.0),
+    jitter=st.sampled_from([0.0, 0.2, 1.0]),
+    k=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+)
+@example(
+    game="paper",
+    agents=[(0.1 + 0.8 * i / 19, 500 + 200 * i, 0.2 + 0.04 * i) for i in range(20)],
+    min_fraction=0.4,
+    jitter=0.2,
+    k=6,
+    seed=42,
+)
+@settings(max_examples=40, deadline=None)
+def test_mechanism_batch_path_matches_sequential_make_bid(
+    game, agents, min_fraction, jitter, k, seed
+):
+    """run_round's batched collection == per-agent make_bid, exactly."""
+    solver = _GAMES[game]
+
+    def population():
+        return [
+            EdgeNode(
+                node_id=i,
+                theta=theta,
+                solver=solver,
+                profile=ResourceProfile(data_size=size, category_proportion=share),
+                dynamics=UniformAvailabilityDynamics(min_fraction),
+                theta_jitter=jitter,
+            )
+            for i, (theta, size, share) in enumerate(agents)
+        ]
+
+    auction = MultiDimensionalProcurementAuction(solver.quality_rule, k)
+    record = FMoreMechanism(auction).run_round(
+        population(), 3, np.random.default_rng(seed)
+    )
+    rng = np.random.default_rng(seed)
+    expected = {}
+    for agent in population():
+        bid = agent.make_bid(3, rng)
+        if bid is not None:
+            expected[agent.node_id] = (bid.quality, bid.payment)
+    got = {
+        sb.node_id: (sb.bid.quality, sb.bid.payment)
+        for sb in record.outcome.scored_bids
+    }
+    assert set(got) == set(expected)
+    for node_id, (quality, payment) in expected.items():
+        assert got[node_id][0].tobytes() == quality.tobytes()
+        assert got[node_id][1] == payment

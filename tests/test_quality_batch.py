@@ -2,16 +2,17 @@
 
 The executor refactor made the grid build one NumPy pass; these tests pin
 the contract that made that safe — bitwise equality with the per-point
-optimiser on every cost family — plus the ``with_population`` clone and
-``bid_batch`` edge cases the engine's solver cache leans on.  The preset
-games' tables are pinned by digest, and their builds must not reach the
-numerical optimiser at all.
+optimiser on every cost family, for drawn types and quality boxes — plus
+the ``with_population`` clone and ``bid_batch`` edge cases the engine's
+solver cache leans on.  The preset games' tables are pinned by digest,
+and their builds must not reach the numerical optimiser at all.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import optimize
 
 from repro.api import Scenario
@@ -43,15 +44,32 @@ def _families():
     ]
 
 
+@st.composite
+def boxes(draw):
+    """A 2-D quality box: each row's lower edge at 0 or anywhere in
+    [0, 5], its width from a single point to a wide interval."""
+    rows = []
+    for _ in range(2):
+        lo = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+        rows.append([lo, lo + draw(st.sampled_from([0.0, 0.01, 0.5, 1.0, 4.0]))])
+    return np.asarray(rows)
+
+
 class TestBatchEqualsLoop:
     @pytest.mark.parametrize("name,rule,cost", _families(), ids=[f[0] for f in _families()])
-    def test_bitwise_equal_to_per_point(self, name, rule, cost):
-        batch = optimize_quality_batch(rule, cost, THETAS, BOUNDS)
+    @given(
+        thetas=st.lists(st.floats(0.01, 5.0), min_size=1, max_size=40).map(np.asarray),
+        bounds=boxes(),
+    )
+    @example(thetas=THETAS, bounds=BOUNDS)
+    @settings(max_examples=40, deadline=None)
+    def test_bitwise_equal_to_per_point(self, name, rule, cost, thetas, bounds):
+        batch = optimize_quality_batch(rule, cost, thetas, bounds)
         loop = np.stack(
-            [optimize_quality(rule, cost, float(t), BOUNDS) for t in THETAS]
+            [optimize_quality(rule, cost, float(t), bounds) for t in thetas]
         )
-        assert batch.shape == (THETAS.size, 2)
-        assert (batch == loop).all(), f"{name}: batch differs from per-point loop"
+        assert batch.shape == (thetas.size, 2)
+        assert batch.tobytes() == loop.tobytes(), f"{name}: batch differs from per-point loop"
 
     def test_empty_thetas(self):
         out = optimize_quality_batch(

@@ -64,7 +64,7 @@ class TestConfig:
                 Scenario(**{field_name: bad})
         # Data fields fail here too, not in build_federation or the model
         # build: an unknown dataset, an image too small for the CNN, class
-        # bounds outside the dataset's classes, negative seeds.
+        # bounds outside the dataset's classes, negative or non-integer seeds.
         for field_name, kwargs in [
             ("dataset", {"dataset": "mnist"}),
             ("image_size", {"image_size": 0}),
@@ -80,6 +80,13 @@ class TestConfig:
             ("min_classes", {"min_classes": 4, "max_classes": 2}),
             ("data_seed", {"data_seed": -1}),
             ("seeds", {"seeds": (-1,)}),
+            # A bool or a fractional number is no seed: int() would take
+            # True as 1 and truncate 1.5 to 1 without a word.
+            ("data_seed", {"data_seed": 3.7}),
+            ("data_seed", {"data_seed": True}),
+            ("seeds", {"seeds": (1.5,)}),
+            ("seeds", {"seeds": 1.5}),
+            ("seeds", {"seeds": (0, True)}),
         ]:
             with pytest.raises(ValueError, match=field_name):
                 Scenario(**kwargs)
