@@ -17,9 +17,7 @@ each artifact:
 * ``hier_round.<n>.seconds`` — one full two-tier hierarchical round per
   population size (``bench_hierarchical.py``),
 * ``learn.<name>.seconds`` — a fixed-episode learned-bidder training run
-  per ``BID_LEARNERS`` entry (``bench_learner.py``),
-* ``fl_round.<k>.serial.seconds`` — one serial FL round of the paper CNN
-  per winner count (``bench_fl_round.py``).
+  per ``BID_LEARNERS`` entry (``bench_learner.py``).
 
 Artifacts with a ``coordinator`` section (``bench_coordinator.py``) get
 the ``coord:*`` gates: the warm service sweep must stay under 2x warm
@@ -28,13 +26,6 @@ manifests.  These are *absolute* bounds on the current artifact (the
 tiers train models, so their raw seconds are too noisy for the relative
 trajectory band); the per-tier overheads are still printed against the
 previous artifact so the trajectory stays visible.
-
-Artifacts with an ``fl_round`` section (``bench_fl_round.py``) get the
-``fl:*`` gates by the same split: the serial rows join the relative
-trajectory band (they are single-threaded NumPy, stable), while the
-thread/process rows carry absolute bounds — weights byte-identical to
-serial always, and the best parallel pool >= 1.5x serial at K = 8 when
-the recording machine had more than one CPU.
 
 The sweep section trains neural nets and the flat-round baseline of the
 hierarchical bench walks agents in Python — both are reported but not
@@ -92,10 +83,6 @@ def _gated_timings(data: dict) -> dict[str, float]:
         out[f"hier:{n}"] = float(row["seconds"])
     for name, row in sorted(data.get("learn", {}).items()):
         out[f"learn:{name}"] = float(row["seconds"])
-    for k_label, rows in sorted(data.get("fl_round", {}).items()):
-        serial = rows.get("serial", {})
-        if "seconds" in serial:
-            out[f"fl:serial_{k_label}"] = float(serial["seconds"])
     return out
 
 
@@ -155,26 +142,6 @@ def compare(
         from bench_coordinator import gate_failures
 
         failures.extend(gate_failures(coord))
-    # Within-round local-training pools (bench_fl_round.py): parallel
-    # rows are printed as speedup-vs-serial, with the absolute fl:*
-    # bounds (bitwise identity; >=1.5x at K=8 on multi-CPU machines)
-    # checked on the current artifact.
-    fl = current.get("fl_round", {})
-    prev_fl = previous.get("fl_round", {})
-    for k_label, rows in sorted(fl.items()):
-        for pool, row in sorted(rows.items()):
-            if "speedup" not in row:
-                continue
-            prev = prev_fl.get(k_label, {}).get(pool, {}).get("speedup")
-            prev_txt = f"{prev:.2f}x" if isinstance(prev, (int, float)) else "-"
-            print(
-                f"fl:{pool}_{k_label:<7} {prev_txt:>8} -> {row['speedup']:.2f}x "
-                f"serial ({row['seconds']:.3f}s)"
-            )
-    if fl:
-        from bench_fl_round import gate_failures as fl_gate_failures
-
-        failures.extend(fl_gate_failures(current))
     # The hierarchical bench's flat baseline walks agents in Python —
     # reported so the speedup stays visible, never gated.
     flat = current.get("flat_round")

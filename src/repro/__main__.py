@@ -73,9 +73,7 @@ façade; ``--set key=value`` overrides any scenario field.  Multi-seed
 sweeps fan their ``(scheme, seed)`` cells out through the scenario's
 ``execution`` spec: ``--parallel N`` runs them on an N-worker process pool
 and ``--executor serial|thread|process`` picks the pool type (results are
-bitwise-identical either way).  ``--local-parallel N`` additionally fans
-each round's K winner trainings over a within-round thread pool (serial/
-thread/process agree bitwise with each other).  The pytest benches in
+bitwise-identical either way).  The pytest benches in
 ``benchmarks/`` remain the canonical reproduction (they record
 paper-vs-measured blocks); this CLI is the quick interactive path.
 """
@@ -252,13 +250,6 @@ def _load_scenario(args) -> "object":
                 execution.pop("poll_interval", None)
             if execution["executor"] != "service":
                 execution.pop("coordinator_url", None)
-            scenario = scenario.with_(execution=execution)
-        if getattr(args, "local_parallel", None) is not None:
-            execution = dict(scenario.execution)
-            local_training = dict(execution.get("local_training") or {})
-            local_training.setdefault("executor", "thread")
-            local_training["max_workers"] = args.local_parallel
-            execution["local_training"] = local_training
             scenario = scenario.with_(execution=execution)
     except (ValueError, TypeError, json.JSONDecodeError, OSError) as exc:
         raise SystemExit(f"error: {exc}")
@@ -838,18 +829,6 @@ def main(argv: list[str] | None = None) -> int:
         "workers (spawned via --parallel N, or external `repro worker`s); "
         "`service` pushes cells through the event-driven coordinator "
         "(--coordinator URL, or an embedded one when omitted)",
-    )
-    parser.add_argument(
-        "--local-parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help="additionally fan each round's K winner trainings over an "
-        "N-worker thread pool (execution.local_training spec; serial, "
-        "thread and process pools match each other bitwise, but switching "
-        "the spec on changes results versus the legacy sequential "
-        "schedule); combine with --set "
-        "execution.local_training.executor=process for a process pool",
     )
     parser.add_argument(
         "--coordinator",

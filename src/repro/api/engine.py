@@ -773,12 +773,6 @@ def make_session(
     if scenario.variant == "hierarchical":
         clients = _PooledClients(clients)
     selection = build_selection(scenario, scheme, federation, seed, solver=solver)
-    local_training = scenario.execution.get("local_training")
-    local_executor = None
-    if local_training is not None:
-        local_executor = EXECUTORS.create(
-            local_training["executor"], max_workers=local_training["max_workers"]
-        )
     trainer = FederatedTrainer(
         server,
         clients,
@@ -787,7 +781,6 @@ def make_session(
         federation.test_y,
         rng_from(seed, _stream_names(scenario)["train"].format(scheme=scheme)),
         timer=timer,
-        local_executor=local_executor,
     )
     return Session(scenario, scheme, seed, trainer)
 
@@ -1114,10 +1107,6 @@ class FMoreEngine:
         if resume:
             store.require_scenario(scenario)
         exec_spec = dict(scenario.execution)
-        # The within-round training pool is built per session inside
-        # make_session, not here: the cell-level executor only takes the
-        # plan-level knobs.
-        exec_spec.pop("local_training", None)
         executor: Executor = EXECUTORS.create(exec_spec.pop("executor"), **exec_spec)
         if executor.needs_store:
             # Store-coordinated executors (repro.api.distributed) schedule

@@ -49,21 +49,11 @@ from ..core.registry import EXECUTORS
 
 __all__ = [
     "EXECUTORS",
-    "IN_PROCESS_POOL_NAMES",
     "Executor",
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
 ]
-
-#: Executors usable as plain map-a-function pools (no store coordination):
-#: the cell-level sweeps' in-round pools and the within-round
-#: ``local_training`` fan-out both restrict their spec to these names.
-#: (``process`` is in the list even though it leaves the calling process —
-#: "in-process pool" means *driven* in-process via :meth:`Executor.map`,
-#: as opposed to the store-coordinated ``distributed``/``service`` pair.)
-IN_PROCESS_POOL_NAMES = ("serial", "thread", "process")
-
 
 class Executor(ABC):
     """Maps a work function over cells, preserving input order.

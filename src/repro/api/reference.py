@@ -127,13 +127,7 @@ FAMILIES: tuple[tuple[Registry, str, str], ...] = (
         "(`distributed`, `service`) additionally take `lease_seconds` / "
         "`poll_interval` and allow `max_workers=0` (coordinate-only), "
         "and `service` takes `coordinator_url` (null = an embedded "
-        "coordinator). See docs/deployment.md. "
-        "An optional `execution.local_training` sub-spec "
-        "(`{\"executor\": \"serial\"|\"thread\"|\"process\", "
-        "\"max_workers\": N}`; CLI `run --local-parallel N`) fans each "
-        "round's K winner trainings over a within-round pool — the three "
-        "pool types match each other bitwise. See the within-round "
-        "parallelism section of the README.",
+        "coordinator). See docs/deployment.md.",
     ),
 )
 

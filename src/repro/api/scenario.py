@@ -23,6 +23,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
@@ -45,7 +46,6 @@ from ..strategic import policies as _strategic  # noqa: F401 - registers bid pol
 from . import coordinator as _coordinator  # noqa: F401 - registers "service"
 from . import distributed as _distributed  # noqa: F401 - registers "distributed"
 from .executor import EXECUTORS  # noqa: F401 - import registers the executors
-from .executor import IN_PROCESS_POOL_NAMES
 
 __all__ = ["Scenario", "SCHEME_NAMES", "VARIANT_NAMES", "PRESET_NAMES"]
 
@@ -64,14 +64,7 @@ _EXECUTION_KEYS = (
     "lease_seconds",
     "poll_interval",
     "coordinator_url",
-    "local_training",
 )
-
-# Keys of the optional ``execution.local_training`` sub-spec: the
-# within-round pool that fans one round's K winner trainings out (the CLI's
-# ``run --local-parallel N``).  Restricted to the plain map-style pools —
-# store-coordinated executors cannot run inside a round.
-_LOCAL_TRAINING_KEYS = ("executor", "max_workers")
 
 # Defaults filled into a "distributed" / "service" execution spec at
 # canonicalisation (kept in repro.api.distributed so the executors and
@@ -215,9 +208,7 @@ class Scenario:
       every registered name);
     * **run plan** — ``schemes``, ``seeds``, and ``execution`` (which
       executor fans the ``(scheme, seed)`` cells out, including the
-      store-coordinated ``"distributed"`` backend; an optional
-      ``local_training`` sub-spec additionally fans each round's K winner
-      trainings over a serial/thread/process pool);
+      store-coordinated ``"distributed"`` backend);
     * **round policies** — the ``policies`` pipeline spec with optional
       ``per_scheme`` overrides.
 
@@ -274,13 +265,7 @@ class Scenario:
     # "distributed" executor (repro.api.distributed) additionally takes
     # lease_seconds/poll_interval and allows max_workers=0
     # (coordinate-only: external `python -m repro worker` processes run
-    # the cells through a shared experiment store).  The optional
-    # "local_training" sub-spec ({"executor": serial|thread|process,
-    # "max_workers": N}) switches each round's K winner trainings onto a
-    # within-round pool with per-winner derived RNG streams — results are
-    # byte-identical across the three pool types, but NOT to the legacy
-    # shared-stream schedule run without the sub-spec, so its presence is
-    # part of the scenario's content hash.
+    # the cells through a shared experiment store).
     execution: dict = field(default_factory=_default_execution)
     # Round-policy pipeline spec: {stage: params} over the registered
     # stages (selection/guidance/audit_blacklist/churn, see
@@ -352,7 +337,7 @@ class Scenario:
             )
         max_workers = execution.get("max_workers")
         if max_workers is not None:
-            max_workers = int(max_workers)
+            max_workers = _integer(max_workers, "execution max_workers")
             if max_workers < 1 and not (
                 max_workers == 0 and executor in _STORE_EXECUTORS
             ):
@@ -368,8 +353,10 @@ class Scenario:
         if executor in _STORE_EXECUTORS:
             # Store-coordination knobs, defaulted at canonicalisation so
             # the spec round-trips explicitly through JSON.
-            lease = _DISTRIBUTED_DEFAULTS["lease_seconds"] if lease is None else float(lease)
-            poll = _DISTRIBUTED_DEFAULTS["poll_interval"] if poll is None else float(poll)
+            lease = _DISTRIBUTED_DEFAULTS["lease_seconds"] if lease is None else lease
+            poll = _DISTRIBUTED_DEFAULTS["poll_interval"] if poll is None else poll
+            lease = _finite(lease, "execution lease_seconds")
+            poll = _finite(poll, "execution poll_interval")
             if lease < 0.0:
                 raise ValueError("execution lease_seconds must be >= 0")
             if poll <= 0.0:
@@ -396,33 +383,6 @@ class Scenario:
                 "execution key coordinator_url only applies to the "
                 "'service' executor"
             )
-        local_training = execution.get("local_training")
-        if local_training is not None:
-            if not isinstance(local_training, Mapping):
-                raise TypeError("execution local_training must be a spec mapping")
-            local_training = {str(k): v for k, v in local_training.items()}
-            unknown_local = sorted(set(local_training) - set(_LOCAL_TRAINING_KEYS))
-            if unknown_local:
-                raise ValueError(
-                    f"unknown local_training keys {unknown_local}; "
-                    f"allowed: {_LOCAL_TRAINING_KEYS}"
-                )
-            local_exec = local_training.get("executor", "thread")
-            if not isinstance(local_exec, str) or local_exec not in IN_PROCESS_POOL_NAMES:
-                raise ValueError(
-                    f"local_training executor must be one of "
-                    f"{list(IN_PROCESS_POOL_NAMES)} (store-coordinated executors "
-                    f"cannot run within-round training), got {local_exec!r}"
-                )
-            local_workers = local_training.get("max_workers")
-            if local_workers is not None:
-                local_workers = int(local_workers)
-                if local_workers < 1:
-                    raise ValueError("local_training max_workers must be >= 1")
-            canonical_execution["local_training"] = {
-                "executor": local_exec,
-                "max_workers": local_workers,
-            }
         object.__setattr__(self, "execution", canonical_execution)
         if self.n_clients < 2:
             raise ValueError("n_clients must be >= 2")
@@ -983,6 +943,17 @@ def _integer(value: Any, name: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _finite(value: Any, name: str) -> float:
+    """``value`` as a float; rejects a bool, a non-number, NaN and infinity."""
+    if (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    ):
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _detuple(value: Any) -> Any:

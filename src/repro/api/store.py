@@ -109,19 +109,10 @@ def scenario_hash(scenario: Scenario) -> str:
     function of ``(scenario-sans-plan, scheme, seed)``, so sweeps that
     grow their seed list — or fan out over a different executor — keep
     hitting the manifests earlier runs wrote.
-
-    One execution key IS content: the presence of a ``local_training``
-    sub-spec.  Its within-round pool switches local training onto
-    per-winner derived RNG streams, changing every round's numbers versus
-    the legacy shared-stream schedule — though not across pool types,
-    which is why only a boolean marker (never the executor name or worker
-    count) enters the hash.
     """
     payload = {
         k: v for k, v in scenario.to_dict().items() if k not in PLAN_FIELDS
     }
-    if scenario.execution.get("local_training") is not None:
-        payload["local_training"] = True
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -320,14 +311,23 @@ class ExperimentStore:
         return out
 
     def load_scenario(self, h: str) -> Scenario:
-        """Rebuild the registered :class:`Scenario` for a stored hash."""
+        """Rebuild the registered :class:`Scenario` for a stored hash.
+
+        A stored spec that this version no longer accepts (one written
+        before a validation rule or with a since-retired key) raises a
+        :class:`StoreError` naming the file.
+        """
         path = self.scenario_path(h)
         if not path.exists():
             raise StoreError(
                 f"store {self.root} has no scenario {h[:12]}…; "
                 f"known: {[k[:12] for k in self.scenarios()]}"
             )
-        return Scenario.from_dict(_read_json(path)["scenario"])
+        spec = _read_json(path)["scenario"]
+        try:
+            return Scenario.from_dict(spec)
+        except (TypeError, ValueError) as exc:
+            raise StoreError(f"stored scenario {path} does not validate: {exc}") from exc
 
     def require_scenario(self, scenario: Scenario) -> str:
         """Fail fast when this store was populated by a *different* spec.

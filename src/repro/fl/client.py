@@ -104,23 +104,3 @@ class FLClient:
         # FedAvg weighting (Eq. 3) uses the *declared* data size D_i even
         # when step-capping subsampled the round's mini-batches.
         return LocalUpdate(self.client_id, scratch_model.get_weights(), declared_count, loss)
-
-    def train_with_stream(
-        self,
-        scratch_model: Sequential,
-        global_weights: list[np.ndarray],
-        stream_rng: np.random.Generator,
-        declared_samples: int | None = None,
-    ) -> LocalUpdate:
-        """:meth:`train`, with *all* stochastic draws bound to ``stream_rng``.
-
-        The within-round training pool hands every winner its own derived
-        generator (see :class:`repro.fl.trainer.FederatedTrainer`); binding
-        subset selection, step-cap sampling, shuffling *and* the replica's
-        dropout masks to that stream makes the local run independent of
-        which replica serves it or in which order winners complete — the
-        property that lets thread/process pools match the serial schedule
-        byte for byte.
-        """
-        scratch_model.reseed(stream_rng)
-        return self.train(scratch_model, global_weights, stream_rng, declared_samples)

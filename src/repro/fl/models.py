@@ -14,9 +14,8 @@ Footnotes 1-2 of the paper give the exact TensorFlow architectures:
 same architectures at laptop speed; ``width=1.0`` is the paper-faithful
 configuration.  Softmax itself is fused into the cross-entropy loss.
 
-The factories are frozen dataclasses rather than closures so a
-:class:`Sequential` built from them pickles — the ``process``
-local-training pool ships scratch replicas to worker processes.
+The factories are frozen dataclasses rather than closures, so a
+:class:`Sequential` built from them pickles.
 """
 
 from __future__ import annotations

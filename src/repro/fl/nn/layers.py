@@ -57,16 +57,6 @@ class Layer(ABC):
         self.built = True
         return self.output_shape(input_shape)
 
-    def reseed(self, rng: np.random.Generator) -> None:
-        """Rebind any build-time generator (dropout masks) to ``rng``.
-
-        The within-round training pool reseeds each scratch replica with
-        the winner's derived stream before local training, so stochastic
-        layers draw from the per-client stream rather than whichever
-        generator the replica was built with.  Deterministic layers (the
-        default) have nothing to rebind.
-        """
-
     @abstractmethod
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         """Shape of the activation (sans batch) for a given input shape."""
@@ -212,9 +202,6 @@ class Dropout(Layer):
     def build(self, input_shape, rng):
         self._rng = rng
         return super().build(input_shape, rng)
-
-    def reseed(self, rng: np.random.Generator) -> None:
-        self._rng = rng
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if not training or self.rate == 0.0:

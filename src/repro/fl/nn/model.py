@@ -158,19 +158,6 @@ class Sequential:
             rng=rng,
         )
 
-    def reseed(self, rng: np.random.Generator) -> None:
-        """Rebind all stochastic state (dropout masks, default shuffle) to ``rng``.
-
-        The within-round training pool calls this on a scratch replica
-        before every local run, so each winner's stochastic draws come
-        from its own derived stream (see
-        :meth:`repro.fl.client.FLClient.train_with_stream`) no matter
-        which replica — or which pool thread — serves it.
-        """
-        self.rng = rng
-        for layer in self.layers:
-            layer.reseed(rng)
-
     @property
     def n_parameters(self) -> int:
         return int(sum(layer.n_parameters for layer in self.layers))

@@ -7,31 +7,23 @@ accounting supplied by a :class:`RoundTimer` (the MEC cluster's timing
 model, for the "real-world" Figs 12-13).
 
 The paper's Algorithm 1 trains the K winners *in parallel* on their edge
-nodes; ``local_executor`` reproduces that within-round fan-out.  When an
-in-process :class:`~repro.api.executor.Executor` (``serial`` / ``thread``
-/ ``process``) is supplied, each winner trains on its own scratch replica
-with a generator derived from a single per-round entropy draw, so results
-are byte-identical across pool types and completion orders; without one,
-the trainer keeps its historical strictly-sequential shared-RNG schedule.
+nodes.  The simulator models that in time, not in compute: the winners
+train one after another on the round stream, and a :class:`RoundTimer`
+such as :class:`~repro.mec.cluster.SimulatedCluster` charges the round
+its slowest winner.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from ..sim.rng import rng_from
 from .client import FLClient, LocalUpdate
 from .metrics import rounds_to_accuracy
-from .nn import Sequential
 from .selection import SelectionResult, SelectionStrategy
 from .server import FedAvgServer
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports fl)
-    from ..api.executor import Executor
 
 __all__ = ["RoundTimer", "RoundRecord", "TrainingHistory", "FederatedTrainer"]
 
@@ -174,14 +166,7 @@ class TrainingHistory:
 
 
 class FederatedTrainer:
-    """Run ``n_rounds`` of federated learning under one selection scheme.
-
-    ``local_executor`` (optional) fans the winners' local trainings out
-    over an in-process or process pool; see the module docstring.  It is
-    duck-typed — anything with ``map`` (input-order-preserving) and
-    ``in_process`` works — so :mod:`repro.fl` never imports the executor
-    module at runtime.
-    """
+    """Run ``n_rounds`` of federated learning under one selection scheme."""
 
     def __init__(
         self,
@@ -192,7 +177,6 @@ class FederatedTrainer:
         test_y: np.ndarray,
         rng: np.random.Generator,
         timer: RoundTimer | None = None,
-        local_executor: "Executor | None" = None,
     ):
         self.server = server
         if isinstance(clients, Mapping):
@@ -209,18 +193,9 @@ class FederatedTrainer:
         self.test_y = test_y
         self.rng = rng
         self.timer = timer
-        if local_executor is not None and getattr(local_executor, "needs_store", False):
-            raise ValueError(
-                "local_executor must be an in-round pool (serial/thread/process); "
-                "store-coordinated executors cannot run within-round training"
-            )
-        self.local_executor = local_executor
         # One scratch replica shared across clients: weights are overwritten
         # before every local run, so no state can leak between clients.
         self._scratch = server.model.clone_architecture(rng)
-        # Extra replicas for concurrent in-process local training, grown
-        # lazily to the pool's width; slot 0 reuses the primary replica.
-        self._scratch_pool: list[Sequential] = [self._scratch]
 
     def _client_for(self, wid: int) -> FLClient:
         """The client registered for a winner id, or a diagnosable error."""
@@ -232,86 +207,19 @@ class FederatedTrainer:
                 f"registered under that id ({len(self.clients)} clients known)"
             ) from None
 
-    def _scratch_for(self, slot: int) -> Sequential:
-        """The scratch replica reserved for concurrent task slot ``slot``.
-
-        Replicas beyond the first are built from a fixed throwaway seed:
-        their parameters are overwritten with the global weights and their
-        dropout generators rebound to the winner's derived stream before
-        every use, so the build-time draws never reach any result.
-        """
-        while len(self._scratch_pool) <= slot:
-            self._scratch_pool.append(
-                self.server.model.clone_architecture(np.random.default_rng(0))
-            )
-        return self._scratch_pool[slot]
-
-    def _run_local_pool(
-        self,
-        sel: SelectionResult,
-        global_weights: list[np.ndarray],
-    ) -> tuple[list[LocalUpdate], int]:
-        """Fan the winners' local trainings out over ``local_executor``.
-
-        One entropy draw per round from the round stream seeds every
-        winner's derived generator (``rng_from(entropy,
-        "local-train-{id}")``).  The draw advances ``self.rng`` exactly
-        once regardless of K — checkpoint/resume sees the same stream
-        position — and the derived streams make each winner's stochastic
-        path independent of scheduling, so serial, thread and process
-        pools agree byte for byte.  Updates come back in ``winner_ids``
-        order (executors preserve input order), which fixes the FedAvg
-        aggregation order.
-        """
-        entropy = int(self.rng.integers(2**63))
-        local_epochs = 1
-        tasks: list[tuple[int, FLClient, int | None]] = []
-        for wid in sel.winner_ids:
-            client = self._client_for(wid)
-            local_epochs = client.local_epochs
-            tasks.append((wid, client, sel.declared_samples.get(wid)))
-        if not tasks:
-            return [], local_epochs
-        executor = self.local_executor
-        assert executor is not None
-        if executor.in_process:
-
-            def run_slot(slot_task: tuple[int, tuple[int, FLClient, int | None]]):
-                slot, (wid, client, declared) = slot_task
-                stream = rng_from(entropy, f"local-train-{wid}")
-                return client.train_with_stream(
-                    self._scratch_for(slot), global_weights, stream, declared
-                )
-
-            # Pre-grow the replica pool serially; concurrent tasks then only
-            # ever touch their own slot.
-            self._scratch_for(len(tasks) - 1)
-            updates = executor.map(run_slot, list(enumerate(tasks)))
-        else:
-            fn = functools.partial(
-                _train_winner_remote, self._scratch, global_weights, entropy
-            )
-            updates = executor.map(fn, tasks)
-        return updates, local_epochs
-
     def run_round(self, round_index: int) -> RoundRecord:
         sel: SelectionResult = self.selection.select(round_index, self.rng)
         global_weights = self.server.broadcast()
         updates: list[LocalUpdate] = []
         local_epochs = 1
-        if self.local_executor is not None:
-            updates, local_epochs = self._run_local_pool(sel, global_weights)
-        else:
-            # Historical strictly-sequential schedule: every local run draws
-            # from the shared round stream in winner order.  Kept verbatim so
-            # legacy scenarios stay bitwise-identical.
-            for wid in sel.winner_ids:
-                client = self._client_for(wid)
-                local_epochs = client.local_epochs
-                declared = sel.declared_samples.get(wid)
-                updates.append(
-                    client.train(self._scratch, global_weights, self.rng, declared)
-                )
+        # Every local run draws from the shared round stream, in winner order.
+        for wid in sel.winner_ids:
+            client = self._client_for(wid)
+            local_epochs = client.local_epochs
+            declared = sel.declared_samples.get(wid)
+            updates.append(
+                client.train(self._scratch, global_weights, self.rng, declared)
+            )
         if updates:
             self.server.aggregate(updates)
         loss, accuracy = self.server.evaluate(self.test_x, self.test_y)
@@ -354,21 +262,3 @@ class FederatedTrainer:
         for t in range(1, n_rounds + 1):
             history.records.append(self.run_round(t))
         return history
-
-
-def _train_winner_remote(
-    scratch_model: Sequential,
-    global_weights: list[np.ndarray],
-    entropy: int,
-    task: tuple[int, FLClient, int | None],
-) -> LocalUpdate:
-    """Process-pool work function for one winner's local training.
-
-    Module-level so :class:`~repro.api.executor.ProcessExecutor` can pickle
-    it; each task unpickles private copies of the scratch replica, the
-    client and the global weights, and derives the winner's stream exactly
-    like the in-process path — hence byte-identical results.
-    """
-    wid, client, declared = task
-    stream = rng_from(entropy, f"local-train-{wid}")
-    return client.train_with_stream(scratch_model, global_weights, stream, declared)

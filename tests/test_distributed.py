@@ -192,10 +192,20 @@ class TestDistributedExecutionSpec:
             Scenario(execution={"executor": "thread", "max_workers": 0})
 
     def test_bad_lease_and_poll_rejected(self):
-        with pytest.raises(ValueError, match="lease_seconds"):
-            Scenario(execution={"executor": "distributed", "lease_seconds": -1})
-        with pytest.raises(ValueError, match="poll_interval"):
-            Scenario(execution={"executor": "distributed", "poll_interval": 0})
+        # A NaN or inf lease never expires, so a crashed claimant would
+        # strand its cell for good.
+        for key, bad in (
+            ("lease_seconds", -1),
+            ("lease_seconds", float("nan")),
+            ("lease_seconds", float("inf")),
+            ("lease_seconds", True),
+            ("poll_interval", 0),
+            ("poll_interval", float("nan")),
+            ("poll_interval", float("inf")),
+            ("poll_interval", True),
+        ):
+            with pytest.raises(ValueError, match=key):
+                Scenario(execution={"executor": "distributed", key: bad})
 
     def test_execution_spec_still_outside_the_content_address(self):
         scenario = _paper_scenario()
@@ -523,19 +533,34 @@ class TestWorker:
             queue.job_path(scenario_hash(scenario), "FMore", 0)
         ]
 
-    def test_unloadable_scenario_releases_the_claim(self, tmp_path, paper_reference):
-        """A registered spec that no longer validates (here a fractional
-        ``data_seed``, which older versions accepted) fails the claim and
-        leaves no lock behind."""
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("data_seed", 3.7),
+            ("execution.local_training", {"executor": "thread", "max_workers": 2}),
+        ],
+        ids=["data_seed", "local_training"],
+    )
+    def test_unloadable_scenario_releases_the_claim(
+        self, tmp_path, paper_reference, key, value
+    ):
+        """A registered spec that no longer validates (a fractional
+        ``data_seed`` or an ``execution.local_training`` sub-spec, both of
+        which older versions wrote) fails the claim and leaves no lock
+        behind."""
         scenario, _, _ = paper_reference
         store = ExperimentStore(tmp_path)
         queue = JobQueue(store)
         queue.enqueue(scenario, [("FMore", 0)])
         path = store.scenario_path(scenario)
         registered = json.loads(path.read_text())
-        registered["scenario"]["data_seed"] = 3.7
+        *parents, field = key.split(".")
+        spec = registered["scenario"]
+        for part in parents:
+            spec = spec[part]
+        spec[field] = value
         path.write_text(json.dumps(registered))
-        with pytest.raises(ValueError, match="data_seed"):
+        with pytest.raises(ValueError, match=field):
             run_worker(store, exit_when_idle=True)
         assert not list((store.root / "jobs").rglob("*.lock"))
         assert len(queue.unclaimed()) == 1

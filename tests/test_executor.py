@@ -59,18 +59,28 @@ class TestExecutionSpec:
         again = Scenario.from_json(scenario.to_json())
         assert again == scenario
         assert again.execution == scenario.execution
+        integral = Scenario(execution={"executor": "process", "max_workers": 2.0})
+        assert integral == scenario
+        assert type(integral.execution["max_workers"]) is int
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
             Scenario(execution={"executor": "gpu_farm"})
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown execution keys"):
-            Scenario(execution={"executor": "serial", "pool": 4})
+        # local_training: the retired within-round pool; a stored spec that
+        # still carries it must fail, not load under another schedule.
+        for key, value in (
+            ("pool", 4),
+            ("local_training", {"executor": "thread", "max_workers": 2}),
+        ):
+            with pytest.raises(ValueError, match=rf"unknown execution keys \['{key}'\]"):
+                Scenario(execution={"executor": "serial", key: value})
 
     def test_bad_max_workers_rejected(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            Scenario(execution={"executor": "thread", "max_workers": 0})
+        for bad in (0, 2.7, True, "3"):
+            with pytest.raises(ValueError, match="max_workers"):
+                Scenario(execution={"executor": "thread", "max_workers": bad})
 
     def test_cli_parallel_sets_process_spec(self, capsys):
         assert main(["scenario", "--preset", "smoke", "--parallel", "2"]) == 0

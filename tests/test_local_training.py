@@ -1,26 +1,19 @@
-"""Within-round local-training pool: RNG discipline, errors, fl_pool path.
+"""Local training inside one round: RNG discipline, errors, fl_pool path.
 
 Companions to the integration battery in ``test_session.py``: these tests
-pin the trainer-level contracts of the ``local_executor`` fan-out —
+pin the trainer-level contracts of the winners' local trainings —
 
 * a winner id with no registered client raises a ``ValueError`` naming the
   id (never a bare ``KeyError``), while the hierarchical ``fl_pool``
   modulo mapping keeps resolving out-of-pool ids;
-* each winner's stochastic draws come from its own derived stream
-  (``rng_from(entropy, "local-train-{id}")``), pinned by golden hashes so
-  the derivation can never silently change;
-* the shared round stream advances exactly once per round in local mode —
-  data-loader-style draws (subset choice, shuffling, step-cap sampling)
-  happen inside the derived stream, not the round stream.
+* every winner trains on the shared round stream, one after another in
+  winner order.
 """
-
-import hashlib
 
 import numpy as np
 import pytest
 
 from repro.api.engine import _PooledClients
-from repro.api.executor import SerialExecutor, ThreadExecutor
 from repro.fl.client import FLClient
 from repro.fl.models import build_model
 from repro.fl.partition import ClientData
@@ -58,7 +51,7 @@ def make_clients(n=5, per_client=40, seed=7, batch_size=16):
     return out
 
 
-def make_trainer(clients, winner_ids, local_executor=None, seed=1):
+def make_trainer(clients, winner_ids, seed=1):
     rng = np.random.default_rng(seed)
     test_x = rng.random((30, 8, 8, 1))
     test_y = rng.integers(0, N_CLASSES, 30)
@@ -70,7 +63,6 @@ def make_trainer(clients, winner_ids, local_executor=None, seed=1):
         test_x,
         test_y,
         rng_from(seed, "train"),
-        local_executor=local_executor,
     )
 
 
@@ -78,13 +70,6 @@ class TestMissingWinnerErrors:
     def test_missing_winner_raises_value_error_naming_id(self):
         trainer = make_trainer(make_clients(3), winner_ids=[0, 99])
         with pytest.raises(ValueError, match=r"winner id 99"):
-            trainer.run_round(1)
-
-    def test_missing_winner_in_local_mode_names_id_too(self):
-        trainer = make_trainer(
-            make_clients(3), winner_ids=[1, 42], local_executor=SerialExecutor()
-        )
-        with pytest.raises(ValueError, match=r"winner id 42"):
             trainer.run_round(1)
 
     def test_error_is_not_a_bare_keyerror(self):
@@ -102,103 +87,12 @@ class TestMissingWinnerErrors:
         assert record.winner_ids == [100001, 100002]
         assert record.mean_train_loss > 0.0
 
-    def test_pooled_clients_resolve_in_local_mode(self):
-        clients = make_clients(3)
-        pooled = _PooledClients(clients)
-        trainer = make_trainer(
-            pooled, winner_ids=[100001, 100002], local_executor=ThreadExecutor(max_workers=2)
-        )
-        record = trainer.run_round(1)
-        assert record.winner_ids == [100001, 100002]
-        assert record.mean_train_loss > 0.0
-
-
-class TestConstruction:
-    def test_rejects_store_coordinated_local_executor(self):
-        class FakeStoreExecutor:
-            needs_store = True
-            in_process = True
-
-        with pytest.raises(ValueError, match="local_executor"):
-            make_trainer(make_clients(2), [0], local_executor=FakeStoreExecutor())
-
-
-GOLDEN_STREAM_HASHES = {
-    0: "3513f55dd8c864e502347ba8c1bdc6b288e56cae6e298379fbdf6727db641d15",
-    7: "affa2917dfdf72a5a59d05ffae16fbb3322636221bdaeb7b7878559513e6775c",
-    123456: "efb6dc357924a6ba151430158462d4cb8eb79bd43ae409ed549ad0238e5cdcc3",
-}
-
 
 class TestRngDiscipline:
-    def test_derived_stream_golden_hashes(self):
-        """Pin the per-winner stream derivation byte-for-byte.
-
-        A change to the stream-name template or the seed plumbing would
-        silently invalidate every stored local-training manifest; these
-        hashes make such a change an explicit, reviewed test edit.
-        """
-        for wid, expected in GOLDEN_STREAM_HASHES.items():
-            stream = rng_from(987654321, f"local-train-{wid}")
-            draws = stream.integers(2**63, size=4, dtype=np.int64)
-            assert hashlib.sha256(draws.tobytes()).hexdigest() == expected
-
-    def test_round_stream_advances_exactly_once_per_round(self):
-        """Local mode draws one entropy per round from the round stream."""
-        trainer = make_trainer(
-            make_clients(4), winner_ids=[0, 1, 2], local_executor=SerialExecutor()
-        )
-        # Snapshot after construction: building the scratch replica in
-        # __init__ legitimately consumes round-stream draws.
-        shadow = np.random.default_rng()
-        shadow.bit_generator.state = trainer.rng.bit_generator.state
-        trainer.run_round(1)
-        shadow.integers(2**63)  # the single entropy draw
-        assert trainer.rng.bit_generator.state == shadow.bit_generator.state
-
-    def test_round_stream_advance_is_independent_of_k(self):
-        t_one = make_trainer(make_clients(4), winner_ids=[0], local_executor=SerialExecutor())
-        t_three = make_trainer(
-            make_clients(4), winner_ids=[0, 1, 2], local_executor=SerialExecutor()
-        )
-        t_one.run_round(1)
-        t_three.run_round(1)
-        assert (
-            t_one.rng.bit_generator.state == t_three.rng.bit_generator.state
-        ), "round-stream position must not depend on the winner count"
-
-    def test_client_draws_come_from_derived_stream(self):
-        """The generator each client trains with IS the derived stream."""
-        seen = {}
-
-        class RecordingClient(FLClient):
-            def train(self, scratch_model, global_weights, rng, declared_samples=None):
-                seen[self.client_id] = rng.integers(2**63, size=4, dtype=np.int64)
-                return super().train(scratch_model, global_weights, rng, declared_samples)
-
-        rng = np.random.default_rng(7)
-        clients = [
-            RecordingClient(
-                ClientData(
-                    i, rng.random((40, 8, 8, 1)), rng.integers(0, N_CLASSES, 40), N_CLASSES
-                ),
-                batch_size=16,
-            )
-            for i in range(3)
-        ]
-        trainer = make_trainer(clients, winner_ids=[0, 2], local_executor=SerialExecutor())
-        shadow = np.random.default_rng()
-        shadow.bit_generator.state = trainer.rng.bit_generator.state
-        trainer.run_round(1)
-        entropy = int(shadow.integers(2**63))
-        for wid in (0, 2):
-            expected = rng_from(entropy, f"local-train-{wid}").integers(
-                2**63, size=4, dtype=np.int64
-            )
-            np.testing.assert_array_equal(seen[wid], expected)
-
     def test_legacy_mode_still_uses_shared_round_stream(self):
-        """Without local_executor the historical schedule is untouched."""
+        """Every winner trains on the round stream itself: the one
+        local-training schedule, under which every stored manifest was
+        produced."""
         seen = []
 
         class RecordingClient(FLClient):
@@ -220,17 +114,3 @@ class TestRngDiscipline:
         trainer.run_round(1)
         assert all(r is trainer.rng for r in seen)
 
-
-class TestScratchReplicas:
-    def test_replica_pool_grows_to_winner_count(self):
-        trainer = make_trainer(
-            make_clients(4), winner_ids=[0, 1, 2, 3], local_executor=ThreadExecutor(max_workers=4)
-        )
-        assert len(trainer._scratch_pool) == 1
-        trainer.run_round(1)
-        assert len(trainer._scratch_pool) == 4
-
-    def test_legacy_mode_keeps_single_replica(self):
-        trainer = make_trainer(make_clients(4), winner_ids=[0, 1, 2, 3])
-        trainer.run_round(1)
-        assert len(trainer._scratch_pool) == 1

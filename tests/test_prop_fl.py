@@ -1,11 +1,6 @@
 """Property-based tests for FL substrate invariants."""
 
-import json
-import tempfile
-from pathlib import Path
-
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.psi import PsiSelection, negative_binomial_fill_probability
@@ -90,119 +85,3 @@ def test_fill_probability_in_unit_interval(psi, n, k):
     k = min(k, n)
     p = negative_binomial_fill_probability(psi, n, k)
     assert 0.0 <= p <= 1.0
-
-
-# ----------------------------------------------------------------------
-# Within-round local-training pool: executor choice is bitwise-invisible
-# ----------------------------------------------------------------------
-
-_LOCAL_POOLS = (
-    {"executor": "serial"},
-    {"executor": "thread", "max_workers": 3},
-    {"executor": "process", "max_workers": 2},
-)
-
-
-def _local_scenario(local_training, seed):
-    from repro.api import Scenario
-
-    execution = {"executor": "serial", "max_workers": None}
-    if local_training is not None:
-        execution = {**execution, "local_training": dict(local_training)}
-    return Scenario.from_preset("smoke", "mnist_o", seeds=(seed,)).with_(
-        execution=execution
-    )
-
-
-def _run_cell(local_training, scheme, seed):
-    """Final weights + serialised records for one (scheme, seed) cell."""
-    from repro.api.engine import make_session
-
-    session = make_session(_local_scenario(local_training, seed), scheme, seed)
-    history = session.run()
-    weights = session.trainer.server.model.get_weights()
-    return weights, [r.to_dict() for r in history.records]
-
-
-@given(
-    scheme=st.sampled_from(("FMore", "RandFL", "FixFL")),
-    seed=st.integers(0, 7),
-)
-@settings(max_examples=5, deadline=None)
-def test_local_pool_type_is_bitwise_invisible(scheme, seed):
-    """Serial, thread and process local pools agree byte for byte.
-
-    Per-winner derived RNG streams make each local run independent of
-    scheduling, and updates aggregate in winner-id order — so the pool
-    type can change the wall-clock but never a single bit of the
-    weights or the round records.
-    """
-    reference_weights, reference_records = _run_cell(_LOCAL_POOLS[0], scheme, seed)
-    for pool in _LOCAL_POOLS[1:]:
-        weights, records = _run_cell(pool, scheme, seed)
-        assert records == reference_records
-        assert len(weights) == len(reference_weights)
-        for got, want in zip(weights, reference_weights):
-            assert got.tobytes() == want.tobytes()
-
-
-@given(seed=st.integers(0, 7))
-@settings(max_examples=3, deadline=None)
-def test_legacy_schedule_unchanged_without_local_training(seed):
-    """No local_training spec -> the historical sequential schedule.
-
-    Two independent runs of the legacy path must agree with each other
-    (determinism) and differ from the derived-stream local path (the
-    spec's presence is content, not plan — see scenario_hash).
-    """
-    first_weights, first_records = _run_cell(None, "FMore", seed)
-    second_weights, second_records = _run_cell(None, "FMore", seed)
-    assert first_records == second_records
-    for got, want in zip(first_weights, second_weights):
-        assert got.tobytes() == want.tobytes()
-    _, local_records = _run_cell(_LOCAL_POOLS[0], "FMore", seed)
-    assert local_records != first_records
-
-
-@pytest.mark.parametrize("pool", _LOCAL_POOLS[1:], ids=lambda p: p["executor"])
-def test_local_pool_manifests_and_resume_bitwise(pool):
-    """Store manifests match across pools, including checkpoint/resume.
-
-    An interrupted local-training run (checkpoint_every=1, stop_after=1)
-    resumed to completion writes byte-identical manifests to both an
-    uninterrupted run under the same pool and a serial-pool run — the
-    store cannot tell any of them apart.
-    """
-    from repro.api import FMoreEngine, IncompleteRunError
-
-    def manifests(local_training, interrupt):
-        scenario = _local_scenario(local_training, seed=3)
-        with tempfile.TemporaryDirectory() as root:
-            engine = FMoreEngine()
-            if interrupt:
-                with pytest.raises(IncompleteRunError):
-                    engine.run(
-                        scenario, store=root, checkpoint_every=1, stop_after=1
-                    )
-                engine.run(scenario, store=root, resume=True)
-            else:
-                engine.run(scenario, store=root)
-            # Compare the cell *history* manifests only: the store's
-            # scenario snapshot legitimately records the run plan (the
-            # executor names), which is exactly what must not leak into
-            # the results.
-            docs = {
-                p.name: json.loads(p.read_text())
-                for p in sorted(Path(root).rglob("*.json"))
-            }
-            return {
-                name: doc for name, doc in docs.items() if "history" in doc
-            }
-
-    straight = manifests(pool, interrupt=False)
-    resumed = manifests(pool, interrupt=True)
-    serial = manifests(_LOCAL_POOLS[0], interrupt=False)
-    n_cells = len(_local_scenario(None, 3).schemes)
-    assert len(straight) == n_cells
-    assert straight == resumed
-    assert straight == serial

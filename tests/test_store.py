@@ -360,6 +360,34 @@ class TestCorruptStore:
             main(["report", "--store", str(store)])
         self._assert_one_error_line(excinfo, damaged)
 
+    def test_cli_report_names_a_stored_spec_that_no_longer_validates(self, store):
+        """A spec written by a version that had the within-round training
+        pool: its ``execution.local_training`` sub-spec no longer loads."""
+        import hashlib
+        import json
+
+        (current,) = store.glob("scenarios/*.json")
+        spec = json.loads(current.read_text())["scenario"]
+        spec["execution"]["local_training"] = {"executor": "thread", "max_workers": 2}
+        # That version's scenario_hash: the plan-free fields plus a marker.
+        payload = {
+            k: v for k, v in spec.items() if k not in ("schemes", "seeds", "execution")
+        }
+        payload["local_training"] = True
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        old_hash = hashlib.sha256(canonical.encode()).hexdigest()
+        old = store / "scenarios" / f"{old_hash}.json"
+        old.write_text(
+            json.dumps({"format": 1, "scenario_hash": old_hash, "scenario": spec})
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "--store", str(store)])
+        message = excinfo.value.code
+        assert isinstance(message, str), message
+        assert message.startswith(f"error: stored scenario {old} does not validate: ")
+        assert "local_training" in message
+        assert "\n" not in message
+
 
 # ----------------------------------------------------------------------
 # Concurrent writers of one path
