@@ -100,8 +100,9 @@ __all__ = [
 
 # Format 2 job specs reference the registered ``scenarios/<hash>.json``
 # by hash instead of embedding the full scenario JSON (one copy per sweep
-# rather than one per cell); format 1 specs with an embedded ``scenario``
-# are still claimed and run unchanged.
+# rather than one per cell).  Every job is claimed through that file, so
+# a spec whose scenario the store never registered (format 1 specs
+# embedded theirs) is a foreign-store job.
 JOB_FORMAT = 2
 
 #: How long a claimed cell may go without a heartbeat before any other
@@ -206,11 +207,10 @@ class _StopFlag:
 class Job:
     """One claimed ``(scheme, seed)`` cell, as read from its job spec.
 
-    ``scenario`` is the full scenario dict — resolved at claim time from
-    the store's ``scenarios/<hash>.json`` registry for format-2 specs, or
-    taken verbatim from legacy format-1 specs that embedded it — so a
-    worker needs nothing but the shared store to run the cell; ``worker``
-    is the claiming worker's label (set by :meth:`JobQueue.claim`).
+    ``scenario`` is the full scenario dict, resolved at claim time from
+    the store's ``scenarios/<hash>.json`` registry, so a worker needs
+    nothing but the shared store to run the cell; ``worker`` is the
+    claiming worker's label (set by :meth:`JobQueue.claim`).
     """
 
     path: Path
@@ -368,45 +368,23 @@ class JobQueue:
         paths = self._job_paths()
         # str seeding is stable (unlike hash(), which is salted per run).
         random.Random(f"{label}:{self._claim_passes}").shuffle(paths)
-        known_hashes: set[str] = set()  # scenario_path.exists() memoised
         for path in paths:
             data = self._read_job(path)
             if data is None:
                 continue
             h = str(data["scenario_hash"])
             scheme, seed = str(data["scheme"]), int(data["seed"])
-            if h not in known_hashes:
-                if self.store.scenario_path(h).exists():
-                    known_hashes.add(h)
-                elif "scenario" not in data:
-                    # A format-2 spec is meaningless without its registered
-                    # scenario file — the job was copied away from the
-                    # store it was enqueued into.
-                    raise StoreMismatchError(
-                        f"job {path.name} references scenario {h[:12]}… by "
-                        f"hash but store {self.store.root} has no "
-                        f"scenarios/{h[:12]}….json; hash-referenced job "
-                        "specs only run against the store they were "
-                        "enqueued into — this worker is pointed at a "
-                        "foreign store, check --store"
-                    )
-                else:
-                    # Only now pay for loading the specs — purely to name
-                    # the stored scenarios in the error (an empty registry
-                    # means a fresh store: nothing to mismatch against).
-                    stored = self.store.scenarios()
-                    if stored:
-                        listing = ", ".join(
-                            f"{k[:12]}… ({v.get('name', '?')})"
-                            for k, v in stored.items()
-                        )
-                        raise StoreMismatchError(
-                            f"job {path.name} addresses scenario {h[:12]}…, "
-                            f"which store {self.store.root} has never "
-                            f"registered (stored: {listing}); this worker is "
-                            "pointed at a foreign store — check --store"
-                        )
-                    known_hashes.add(h)
+            if not self.store.scenario_path(h).exists():
+                # A job is meaningless without its registered scenario
+                # file: it was copied away from the store it was enqueued
+                # into.
+                raise StoreMismatchError(
+                    f"job {path.name} references scenario {h[:12]}… but "
+                    f"store {self.store.root} has no scenarios/{h[:12]}….json; "
+                    "job specs only run against the store they were enqueued "
+                    "into — this worker is pointed at a foreign store, check "
+                    "--store"
+                )
             if self.store.has_cell(h, scheme, seed):
                 # Another worker finished it but died before cleaning up.
                 self.retire(path)
@@ -415,10 +393,7 @@ class JobQueue:
             lease = float(data.get("lease_seconds", DEFAULT_LEASE_SECONDS))
             if self._acquire(lock, label, lease):
                 try:
-                    if "scenario" in data:  # legacy format-1: embedded spec
-                        spec = dict(data["scenario"])
-                    else:
-                        spec = self.store.load_scenario(h).to_dict()
+                    spec = self.store.load_scenario(h).to_dict()
                 except BaseException:
                     self._remove(lock)  # a spec that does not load keeps no claim
                     raise

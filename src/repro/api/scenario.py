@@ -78,6 +78,17 @@ _DISTRIBUTED_DEFAULTS = {
 # the lease/poll knobs and max_workers=0 (coordinate-only).
 _STORE_EXECUTORS = ("distributed", "service")
 
+# Numeric fields.  Integer ones are stored as ints, refusing a bool or a
+# fraction; real ones must be finite numbers other than a bool, and keep
+# the value given, so `lr: 1` keeps its hash.  The optional ones may be None.
+_INTEGER_FIELDS = (
+    "n_clients", "k_winners", "test_per_class", "min_classes", "max_classes",
+    "n_rounds", "local_epochs", "batch_size", "max_batches_per_round",
+    "image_size", "grid_size",
+)
+_REAL_FIELDS = ("availability_min_fraction", "theta_jitter", "lr", "model_width", "psi")
+_OPTIONAL_FIELDS = ("max_classes", "max_batches_per_round", "image_size", "psi")
+
 # Fields deserialised back into tuples (JSON only has lists).
 _TUPLE_FIELDS = ("size_range", "schemes", "seeds", "core_choices", "bandwidth_range_mbps")
 _SPEC_FIELDS = {
@@ -300,12 +311,19 @@ class Scenario:
         # overrides like `seeds=0` / `schemes=FMore`) into canonical tuples.
         schemes = (self.schemes,) if isinstance(self.schemes, str) else self.schemes
         seeds = (self.seeds,) if isinstance(self.seeds, (int, float)) else self.seeds
-        object.__setattr__(self, "size_range", tuple(int(v) for v in self.size_range))
         object.__setattr__(self, "schemes", tuple(str(s) for s in schemes))
         object.__setattr__(self, "seeds", tuple(_integer(s, "seeds entry") for s in seeds))
-        object.__setattr__(
-            self, "core_choices", tuple(int(c) for c in self.core_choices)
-        )
+        for name in ("size_range", "core_choices"):
+            entries = tuple(_integer(v, f"{name} entry") for v in getattr(self, name))
+            object.__setattr__(self, name, entries)
+        for name in _INTEGER_FIELDS + _REAL_FIELDS:
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL_FIELDS:
+                continue
+            if name in _REAL_FIELDS:
+                _finite(value, name)
+            else:
+                object.__setattr__(self, name, _integer(value, name))
         object.__setattr__(
             self,
             "bandwidth_range_mbps",
@@ -400,7 +418,7 @@ class Scenario:
             raise ValueError("max_batches_per_round must be >= 1 or None")
         for name in ("lr", "model_width"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
+            if not value > 0.0:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         lo, hi = self.size_range
         if not (0 < lo <= hi):

@@ -17,8 +17,11 @@ this module makes their results durable, resumable and queryable:
   :mod:`repro.fl.serialize`), the completed round records, the training
   and policy RNG streams' exact positions, and every
   :meth:`~repro.core.policies.RoundPolicy.state_dict`.  The store writes
-  them as ``state.json`` + ``weights.npz`` beside the manifests; a
-  finished cell's checkpoint is cleared when its manifest lands.
+  each as a ``round-<r>/`` directory whose ``state.json``, written after
+  the weights, commits it; a finished cell's checkpoint is cleared when
+  its manifest lands.  A flat pair from an older version is not read (a
+  torn one cannot be told from a whole one): its cell restarts from round
+  0, slower but never different.
 * **Fail-fast addressing** — :meth:`ExperimentStore.require_scenario`
   raises :class:`StoreMismatchError` (listing the stored scenarios'
   hashes and names) when a resume is pointed at a store populated by a
@@ -28,7 +31,8 @@ Layout under the store root::
 
     scenarios/<hash>.json                   # full scenario spec (first run's plan)
     runs/<hash>/<scheme>-seed<seed>.json    # one manifest per completed cell
-    checkpoints/<hash>/<scheme>-seed<seed>/ # state.json + weights.npz
+    checkpoints/<hash>/<scheme>-seed<seed>/round-<r>/
+                                            # weights.npz + state.json
     jobs/<hash>/<scheme>-seed<seed>.json    # distributed job queue (+ .lock
                                             # claims; see repro.api.distributed)
 
@@ -44,6 +48,7 @@ import hashlib
 import json
 import re
 import shutil
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -70,6 +75,9 @@ FORMAT_VERSION = 1
 #: federation shape, auction specs, policies, training hyper-parameters,
 #: even ``name`` (it feeds the named seed streams) — is part of the hash.
 PLAN_FIELDS = ("schemes", "seeds", "execution")
+
+#: What every reader of a ``scenarios/<hash>.json`` file needs from it.
+_SCENARIO_KEYS = ("scenario_hash", "scenario")
 
 _CELL_RE = re.compile(r"^(?P<scheme>[A-Za-z0-9_]+)-seed(?P<seed>-?\d+)$")
 
@@ -214,14 +222,11 @@ class ExperimentStore:
         """Open (or create) a store at ``root``.
 
         ``keep_last_n`` / ``keep_every_k`` set the checkpoint *retention
-        policy*: by default each cell keeps exactly one checkpoint,
-        overwritten in place (the historical flat layout — byte-compatible
-        with stores written before retention existed).  Raising
-        ``keep_last_n`` or setting ``keep_every_k`` switches the cell's
-        checkpoint directory to per-round ``round-<r>/`` subdirectories
-        and prunes to the union of the last ``keep_last_n`` rounds and
-        every round divisible by ``keep_every_k`` — the mid-run states a
-        learned bidder can later be replayed from.
+        policy*: each save prunes a cell's ``round-<r>/`` directories to
+        the union of the last ``keep_last_n`` rounds and every round
+        divisible by ``keep_every_k``.  By default a cell keeps only its
+        newest round; more are the mid-run states a learned bidder can
+        later be replayed from.
         """
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -231,11 +236,6 @@ class ExperimentStore:
             raise ValueError("keep_last_n must be >= 1")
         if self.keep_every_k is not None and self.keep_every_k < 1:
             raise ValueError("keep_every_k must be >= 1 (or None)")
-
-    @property
-    def _retains_history(self) -> bool:
-        """Whether the retention policy keeps more than the latest round."""
-        return self.keep_last_n > 1 or self.keep_every_k is not None
 
     @classmethod
     def coerce(
@@ -280,14 +280,14 @@ class ExperimentStore:
 
         The stored spec includes the registering run's plan — enough to
         rebuild a :class:`Scenario` for reports; the plan-free projection
-        is what the address hashes.  A stored file that does not parse
-        is rewritten, so the next run that saves a cell (``--force``
-        re-runs them all) repairs it.
+        is what the address hashes.  A stored file that does not parse,
+        or lacks its hash or spec, is rewritten, so the next run that
+        saves a cell (``--force`` re-runs them all) repairs it.
         """
         h = scenario_hash(scenario)
         path = self.scenario_path(h)
         try:
-            _read_json(path)
+            _read_json(path, _SCENARIO_KEYS)
         except (FileNotFoundError, StoreError):  # missing or damaged
             _write_json(
                 path,
@@ -306,7 +306,7 @@ class ExperimentStore:
         if not directory.is_dir():
             return out
         for path in sorted(directory.glob("*.json")):
-            data = _read_json(path)
+            data = _read_json(path, _SCENARIO_KEYS)
             out[str(data["scenario_hash"])] = dict(data["scenario"])
         return out
 
@@ -323,7 +323,7 @@ class ExperimentStore:
                 f"store {self.root} has no scenario {h[:12]}…; "
                 f"known: {[k[:12] for k in self.scenarios()]}"
             )
-        spec = _read_json(path)["scenario"]
+        spec = _read_json(path, _SCENARIO_KEYS)["scenario"]
         try:
             return Scenario.from_dict(spec)
         except (TypeError, ValueError) as exc:
@@ -440,68 +440,43 @@ class ExperimentStore:
     # Checkpoints
     # ------------------------------------------------------------------
     def save_checkpoint(self, checkpoint: Checkpoint) -> Path:
-        """Persist a mid-run snapshot (weights first, then the state JSON).
+        """Persist a mid-run snapshot as the cell's ``round-<r>/`` directory.
 
-        The state file is the commit point: written last and atomically,
-        so a partially-written checkpoint is never loadable.  Under the
-        default retention policy the snapshot overwrites the cell's flat
-        checkpoint in place; with ``keep_last_n > 1`` or ``keep_every_k``
-        it lands in a per-round ``round-<r>/`` subdirectory and older
-        rounds outside the retention set are pruned.
+        The weights land first and ``state.json`` last: the state file is
+        the commit point, so a write cut short is never loaded and the
+        previous round stays loadable.  Then the cell's rounds are pruned
+        to the retention set.  Returns the round directory.
         """
-        directory = self.checkpoint_dir(
-            checkpoint.scenario_hash, checkpoint.scheme, checkpoint.seed
-        )
-        if self._retains_history:
-            target = directory / f"round-{int(checkpoint.round_index)}"
-        else:
-            target = directory
+        cell = (checkpoint.scenario_hash, checkpoint.scheme, checkpoint.seed)
+        directory = self.checkpoint_dir(*cell)
+        target = directory / f"round-{int(checkpoint.round_index)}"
         target.mkdir(parents=True, exist_ok=True)
         save_weights(target / "weights.npz", checkpoint.weights)
         _write_json(target / "state.json", checkpoint.to_state_dict())
-        if self._retains_history:
-            self._prune_checkpoints(directory)
-        return target
-
-    def _prune_checkpoints(self, directory: Path) -> None:
-        """Drop round checkpoints outside the retention set."""
-        rounds = sorted(self._round_dirs(directory))
+        rounds = self.checkpoint_rounds(*cell)
         keep = set(rounds[-self.keep_last_n :])
         if self.keep_every_k is not None:
             keep.update(r for r in rounds if r % self.keep_every_k == 0)
         for r in rounds:
             if r not in keep:
-                shutil.rmtree(directory / f"round-{r}")
-
-    @staticmethod
-    def _round_dirs(directory: Path) -> list[int]:
-        """Round indices with a committed per-round checkpoint."""
-        if not directory.is_dir():
-            return []
-        out = []
-        for child in directory.iterdir():
-            if (
-                child.is_dir()
-                and child.name.startswith("round-")
-                and child.name[6:].isdigit()
-                and (child / "state.json").exists()
-            ):
-                out.append(int(child.name[6:]))
-        return out
+                _drop_round(directory / f"round-{r}")
+        return target
 
     def checkpoint_rounds(
         self, scenario: Scenario | str, scheme: str, seed: int
     ) -> list[int]:
-        """Rounds with a retained checkpoint for one cell, ascending.
-
-        Flat (legacy / default-policy) checkpoints report their stored
-        ``round_index``, so the result is layout-independent.
-        """
+        """Rounds with a committed checkpoint for one cell, ascending: the
+        ``r`` of each ``round-<r>/`` directory whose ``state.json`` exists."""
         directory = self.checkpoint_dir(scenario, scheme, seed)
-        rounds = sorted(self._round_dirs(directory))
-        if not rounds and (directory / "state.json").exists():
-            rounds = [int(_read_json(directory / "state.json")["round_index"])]
-        return rounds
+        if not directory.is_dir():
+            return []
+        return sorted(
+            int(child.name[6:])
+            for child in directory.iterdir()
+            if child.name.startswith("round-")
+            and child.name[6:].isdigit()
+            and (child / "state.json").is_file()
+        )
 
     def load_checkpoint(
         self,
@@ -510,33 +485,32 @@ class ExperimentStore:
         seed: int,
         round_index: int | None = None,
     ) -> Checkpoint | None:
-        """A cell's checkpoint, or ``None`` when none exists.
+        """A cell's checkpoint, or ``None`` when it has no committed round.
 
-        Defaults to the latest retained round; ``round_index`` picks a
+        Defaults to the newest committed round; ``round_index`` picks a
         specific retained one (:meth:`checkpoint_rounds` lists them) and
-        raises when that round was pruned or never written.  Both layouts
-        load: per-round subdirectories when retention kept them, else the
-        flat ``state.json`` legacy stores (and the default policy) write.
+        raises when that round was pruned or never written.  A flat pair
+        from an older version is not a committed round.  A round whose
+        files cannot be read raises a :class:`StoreError` naming the file.
         """
-        directory = self.checkpoint_dir(scenario, scheme, seed)
-        rounds = self._round_dirs(directory)
-        if round_index is not None:
-            if round_index not in rounds:
-                raise StoreError(
-                    f"no retained checkpoint at round {round_index} for cell "
-                    f"({scheme}, seed {seed}); retained: {sorted(rounds)}"
-                )
-            target = directory / f"round-{int(round_index)}"
-        elif rounds:
-            target = directory / f"round-{max(rounds)}"
-        else:
-            target = directory
-        state_path = target / "state.json"
-        if not state_path.exists():
-            return None
-        data = _read_json(state_path)
-        weights = load_weights(target / "weights.npz")
-        checkpoint = Checkpoint.from_state_dict(data, weights)
+        rounds = self.checkpoint_rounds(scenario, scheme, seed)
+        if round_index is None:
+            if not rounds:
+                return None
+            round_index = rounds[-1]
+        elif round_index not in rounds:
+            raise StoreError(
+                f"no retained checkpoint at round {round_index} for cell "
+                f"({scheme}, seed {seed}); retained: {rounds}"
+            )
+        target = self.checkpoint_dir(scenario, scheme, seed) / f"round-{int(round_index)}"
+        state = target / "state.json"
+        data = _read_json(state)
+        weights = _read_weights(target / "weights.npz")
+        try:
+            checkpoint = Checkpoint.from_state_dict(data, weights)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StoreError(f"corrupt store file {state}: {exc!r}") from exc
         expected = self._hash_of(scenario)
         if checkpoint.scenario_hash != expected:
             raise StoreError(
@@ -545,24 +519,14 @@ class ExperimentStore:
             )
         return checkpoint
 
-    def latest_checkpoint(
-        self, scenario: Scenario | str, scheme: str, seed: int
-    ) -> Checkpoint | None:
-        """The newest retained checkpoint of a cell, or ``None``.
-
-        A documented convenience for resume loops (the bid-learner
-        trainer, CLI ``--resume``): equivalent to
-        :meth:`load_checkpoint` with ``round_index=None`` — newest
-        per-round directory under retention policies, flat-layout
-        fallback otherwise.
-        """
-        return self.load_checkpoint(scenario, scheme, seed, round_index=None)
-
     def clear_checkpoint(
         self, scenario: Scenario | str, scheme: str, seed: int
     ) -> None:
-        """Drop a cell's checkpoint (called once its manifest is durable)."""
+        """Drop a cell's checkpoint (called once its manifest is durable),
+        a flat pair from an older version included."""
         directory = self.checkpoint_dir(scenario, scheme, seed)
+        for r in self.checkpoint_rounds(scenario, scheme, seed):
+            _drop_round(directory / f"round-{r}")
         if directory.is_dir():
             shutil.rmtree(directory)
 
@@ -571,7 +535,7 @@ class ExperimentStore:
 
 
 # ----------------------------------------------------------------------
-# Atomic JSON IO (shared by manifests, checkpoints, the scenario registry)
+# Store file IO (shared by manifests, checkpoints, the scenario registry)
 # ----------------------------------------------------------------------
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -579,11 +543,33 @@ def _write_json(path: Path, payload: dict) -> None:
     atomic_write(path, text.encode())
 
 
-def _read_json(path: Path) -> dict:
+def _read_json(path: Path, keys: Sequence[str] = ()) -> dict:
+    """A store file's JSON object, which must hold ``keys``."""
     try:
         data = json.loads(path.read_text())
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise StoreError(f"corrupt store file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise StoreError(f"corrupt store file {path}: not a JSON object")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise StoreError(f"corrupt store file {path}: no {missing}")
     return data
+
+
+def _read_weights(path: Path) -> list[np.ndarray]:
+    """A checkpoint's weight archive; one it cannot read is a corrupt
+    store file."""
+    if not zipfile.is_zipfile(path):  # numpy would try other bytes as a pickle
+        raise StoreError(f"corrupt store file {path}: not an .npz archive")
+    try:
+        return load_weights(path)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise StoreError(f"corrupt store file {path}: {exc}") from exc
+
+
+def _drop_round(directory: Path) -> None:
+    """Remove a ``round-<r>/`` directory state file first, so that a
+    removal cut short is never listed as a round."""
+    (directory / "state.json").unlink(missing_ok=True)
+    shutil.rmtree(directory)

@@ -22,9 +22,9 @@ symmetric) learner tie-breaks to the truthful ask.
 ``(scenario, scheme, env_seed)`` plus the learner's state and the
 training stream's position, so training is deterministic end to end and
 checkpoints written through :class:`~repro.api.store.ExperimentStore`
-(one pseudo-cell ``learn_<name>-seed<train_seed>`` per learner, riding
-the retained ``round-<episode>/`` directories) resume bitwise-identically
-from any retained episode.
+(one pseudo-cell ``learn_<name>-seed<train_seed>`` per learner, one
+``round-<episode>/`` directory per checkpoint, pruned by the store's
+retention policy) resume bitwise-identically from any retained episode.
 
 A trained learner deploys through the ``learned`` entry of
 ``BID_POLICIES``: :func:`save_policy_artifact` writes a self-contained
@@ -643,14 +643,14 @@ class BidLearnerTrainer:
         When a store is given, training state is checkpointed under the
         pseudo-cell ``learn_<name>-seed<train_seed>`` every
         ``checkpoint_every`` episodes (plus once at the end), with
-        episodes as the round index so the store's retention policy
-        (``keep_last_n`` / ``keep_every_k``) applies unchanged.
+        episodes as the round index, so each is a ``round-<episode>/``
+        directory pruned by the store's ``keep_last_n`` / ``keep_every_k``.
 
     Each episode resets the env (a fresh federation — episodes are
     *identical* replays apart from the learner's own bids), so training
     is a pure function of the arguments above: two trainers with equal
     arguments produce bitwise-equal learners, and :meth:`train` with
-    ``resume=True`` continues from the newest retained checkpoint
+    ``resume=True`` continues from the newest committed checkpoint
     bitwise-identically to a never-interrupted run.
     """
 
@@ -743,7 +743,7 @@ class BidLearnerTrainer:
         """Run up to ``episodes`` total episodes; returns the full curve.
 
         With ``resume=True`` and a store, the trainer first restores the
-        newest retained checkpoint of its pseudo-cell (no-op when none
+        newest committed checkpoint of its pseudo-cell (no-op when none
         exists) and only plays the remaining episodes.
         """
         if episodes < 0:
@@ -853,10 +853,10 @@ class BidLearnerTrainer:
         return self.episodes_done
 
     def resume(self) -> int:
-        """Restore the newest retained store checkpoint, if any."""
+        """Restore the newest committed store checkpoint, if any."""
         if self.store is None:
             return self.episodes_done
-        checkpoint = self.store.latest_checkpoint(
+        checkpoint = self.store.load_checkpoint(
             self.scenario, self.cell_scheme, self.train_seed
         )
         if checkpoint is None:

@@ -7,20 +7,33 @@ actions) equals the uninterrupted session's *exactly*.  Both the paper
 preset's simulation game (with a churn + audit + psi-schedule pipeline)
 and the Section V-C cluster testbed (with closed-loop guidance) are
 pinned, under the serial and the process executor.
+
+A process killed inside a store write resumes the same way: a forked run
+(or queue worker) is killed right after each of its file replaces and
+unlinks in turn, and the recovered store lands the uninterrupted
+manifests byte for byte.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import shutil
+import signal
+import time
+import traceback
 
 import pytest
 
+from repro.__main__ import main
 from repro.api import (
     ExperimentStore,
     FMoreEngine,
     IncompleteRunError,
+    JobQueue,
     Scenario,
     StoreError,
+    run_worker,
 )
 
 PAPER_POLICIES = {
@@ -268,3 +281,132 @@ class TestRestoreValidation:
         scenario, _ = paper_reference
         with pytest.raises(ValueError, match="store"):
             FMoreEngine().run(scenario, stop_after=1)
+
+
+# ----------------------------------------------------------------------
+# Process kills inside store writes
+# ----------------------------------------------------------------------
+_KILLED = 75  # exit status of a child stopped at its kill point
+
+
+def _killed_at(n: int, leg) -> bool:
+    """Run ``leg()`` in a forked child whose ``n``-th ``os.replace`` or
+    ``os.unlink`` completes and then ends the process, as a kill would.
+
+    Every durable store write lands through ``os.replace``
+    (``atomic_write``) and every removal through ``os.unlink``, so the
+    kill points are the store's file transitions.  Returns ``True`` when
+    the child was killed, ``False`` when ``leg`` finished first.  The
+    child is forked, not spawned, so that it starts warm: a fresh
+    interpreter per kill point would cost a second of imports each.
+    """
+    pid = os.fork()
+    if pid == 0:  # the child never returns into pytest
+        status = 1
+        try:
+            calls = itertools.count(1)
+
+            def killing(real):
+                def call(*args, **kwargs):
+                    result = real(*args, **kwargs)
+                    if next(calls) == n:
+                        os._exit(_KILLED)
+                    return result
+
+                return call
+
+            os.replace = killing(os.replace)
+            os.unlink = killing(os.unlink)
+            leg()
+            status = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60.0
+    while not (waited := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail(f"child hung at kill point {n}")
+        time.sleep(0.005)
+    code = os.waitstatus_to_exitcode(waited[1])
+    assert code in (0, _KILLED), f"child failed at kill point {n} (exit {code})"
+    return code == _KILLED
+
+
+def _manifests(root) -> dict:
+    runs = root / "runs"
+    return {p.relative_to(runs): p.read_bytes() for p in sorted(runs.rglob("*.json"))}
+
+
+class TestProcessKills:
+    """A process killed at any store transition, then recovered from the
+    store, lands the uninterrupted run's manifests byte for byte, and the
+    store still reports.
+
+    Each leg runs the paper scenario's FMore cell with a checkpoint after
+    every round, in a forked child killed right after its ``n``-th file
+    replace or unlink, for every ``n`` until the child finishes.
+    """
+
+    @staticmethod
+    def _wrong_kill_points(tmp_path, reference, prepare, leg, recover):
+        expected = _manifests(reference)
+        wrong = []
+        for n in itertools.count(1):
+            root = tmp_path / f"kill-{n}"
+            prepare(root)
+            if not _killed_at(n, lambda: leg(root)):
+                break
+            recover(root)
+            if _manifests(root) != expected or main(["report", "--store", str(root)]):
+                wrong.append(n)
+        return wrong, n - 1
+
+    @pytest.fixture(scope="class")
+    def fmore_reference(self, tmp_path_factory, paper_reference):
+        scenario, reference = paper_reference
+        root = tmp_path_factory.mktemp("kill-reference")
+        ExperimentStore(root).save_history(
+            scenario, "FMore", 0, reference.history("FMore")
+        )
+        return scenario.with_(schemes=("FMore",)), root
+
+    def test_in_process_run(self, tmp_path, fmore_reference):
+        scenario, reference = fmore_reference
+        engine = FMoreEngine()
+        wrong, points = self._wrong_kill_points(
+            tmp_path,
+            reference,
+            prepare=lambda root: None,
+            leg=lambda root: engine.run(scenario, store=root, checkpoint_every=1),
+            recover=lambda root: engine.run(scenario, store=root, resume=True),
+        )
+        # At least the scenario file, 3 checkpoints of 2 files and the
+        # manifest were kill points.
+        assert points >= 8
+        assert wrong == [], f"wrong manifests at kill points {wrong} of {points}"
+
+    def test_worker_drain(self, tmp_path, fmore_reference):
+        scenario, reference = fmore_reference
+
+        def prepare(root):
+            JobQueue(ExperimentStore(root)).enqueue(
+                scenario,
+                [("FMore", 0)],
+                resume=True,
+                checkpoint_every=1,
+                lease_seconds=0.0,
+            )
+
+        wrong, points = self._wrong_kill_points(
+            tmp_path,
+            reference,
+            prepare=prepare,
+            leg=lambda root: run_worker(root, exit_when_idle=True),
+            recover=lambda root: run_worker(root, exit_when_idle=True),
+        )
+        # At least 4 heartbeats, 3 checkpoints of 2 files and the manifest.
+        assert points >= 11
+        assert wrong == [], f"wrong manifests at kill points {wrong} of {points}"

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import re
 import shutil
 import threading
 import time
@@ -516,17 +517,32 @@ class TestWorker:
         _assert_manifests_bitwise(ref_root, tmp_path)
         assert not list((store.root / "checkpoints").rglob("state.json"))
 
-    def test_setup_failure_releases_the_claim(self, tmp_path, paper_reference):
-        """A cell that fails before its first round hands its claim back
-        at once, instead of holding it until the lease expires."""
+    @pytest.mark.parametrize(
+        "name, damaged",
+        [
+            ("state.json", lambda data: b"{not json"),
+            ("state.json", lambda data: b'{"format": 1}'),
+            ("weights.npz", lambda data: data[:100]),
+            ("weights.npz", lambda data: b"garbage"),
+        ],
+        ids=["state-not-json", "state-no-keys", "weights-cut", "weights-garbage"],
+    )
+    def test_setup_failure_releases_the_claim(
+        self, tmp_path, paper_reference, name, damaged
+    ):
+        """A cell that fails before its first round (here on a damaged
+        checkpoint file) hands its claim back at once, instead of holding
+        it until the lease expires."""
         scenario, _, _ = paper_reference
         store = ExperimentStore(tmp_path)
         queue = JobQueue(store)
         queue.enqueue(scenario, [("FMore", 0)], resume=True)
-        state = store.checkpoint_dir(scenario, "FMore", 0) / "state.json"
-        state.parent.mkdir(parents=True)
-        state.write_text("{not json")
-        with pytest.raises(StoreError, match="corrupt store file"):
+        session = FMoreEngine().session(scenario, "FMore", 0)
+        next(session)
+        path = store.save_checkpoint(session.snapshot()) / name
+        assert path.parent.name == "round-1"
+        path.write_bytes(damaged(path.read_bytes()))
+        with pytest.raises(StoreError, match=re.escape(f"corrupt store file {path}: ")):
             run_worker(store, exit_when_idle=True)
         assert not list((store.root / "jobs").rglob("*.lock"))
         assert queue.unclaimed() == [

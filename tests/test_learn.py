@@ -333,7 +333,7 @@ class TestTrainer:
             scenario, "q_table", store=store, engine=shared_engine
         )
         trainer.train(1)
-        checkpoint = store.latest_checkpoint(scenario, "learn_q_table", 0)
+        checkpoint = store.load_checkpoint(scenario, "learn_q_table", 0)
         assert checkpoint is not None
         with pytest.raises(StoreError, match="cell scheme"):
             BidLearnerTrainer(
@@ -348,15 +348,15 @@ class TestTrainer:
                 scenario, "q_table", train_seed=9, engine=shared_engine
             ).restore(checkpoint)
 
-    def test_latest_checkpoint_flat_and_retained(self, tmp_path, shared_engine):
+    def test_newest_checkpoint_default_and_retained(self, tmp_path, shared_engine):
         scenario = _scenario()
-        flat = ExperimentStore(tmp_path / "flat")  # default: one, overwritten
-        assert flat.latest_checkpoint(scenario, "learn_q_table", 0) is None
+        default = ExperimentStore(tmp_path / "default")  # keeps the newest
+        assert default.load_checkpoint(scenario, "learn_q_table", 0) is None
         trainer = BidLearnerTrainer(
-            scenario, "q_table", store=flat, engine=shared_engine
+            scenario, "q_table", store=default, engine=shared_engine
         )
         trainer.train(2)
-        checkpoint = flat.latest_checkpoint(scenario, "learn_q_table", 0)
+        checkpoint = default.load_checkpoint(scenario, "learn_q_table", 0)
         assert checkpoint.round_index == 2
         retained = ExperimentStore(tmp_path / "kept", keep_last_n=2)
         trainer2 = BidLearnerTrainer(
@@ -364,7 +364,7 @@ class TestTrainer:
             engine=shared_engine,
         )
         trainer2.train(3)
-        newest = retained.latest_checkpoint(scenario, "learn_q_table", 0)
+        newest = retained.load_checkpoint(scenario, "learn_q_table", 0)
         assert newest.round_index == 3
 
     def test_evaluate_replays_identically(self, shared_engine):

@@ -59,6 +59,17 @@ class TestConfig:
             ("batch_size", 0),
             ("local_epochs", 0),
             ("max_batches_per_round", 0),
+            # A bool is no number (True would hash apart from 1), and an
+            # integer field takes no fraction (2.5 batches would run).
+            ("lr", True),
+            ("model_width", True),
+            ("local_epochs", True),
+            ("batch_size", True),
+            ("n_rounds", True),
+            ("max_batches_per_round", True),
+            ("max_batches_per_round", 2.5),
+            ("batch_size", 16.5),
+            ("n_rounds", 2.5),
         ]:
             with pytest.raises(ValueError, match=field_name):
                 Scenario(**{field_name: bad})
@@ -87,9 +98,33 @@ class TestConfig:
             ("seeds", {"seeds": (1.5,)}),
             ("seeds", {"seeds": 1.5}),
             ("seeds", {"seeds": (0, True)}),
+            # Nor is it any other number: a bool, or a fraction in an
+            # integer field, fails here and not in the run.
+            ("n_clients", {"n_clients": 10.5}),
+            ("k_winners", {"k_winners": True}),
+            ("k_winners", {"k_winners": 2.5}),
+            ("test_per_class", {"test_per_class": True}),
+            ("test_per_class", {"test_per_class": 5.5}),
+            ("min_classes", {"min_classes": True}),
+            ("max_classes", {"max_classes": 2.5}),
+            ("image_size", {"image_size": 14.5}),
+            ("grid_size", {"grid_size": 33.5}),
+            ("size_range", {"size_range": (60.5, 300)}),
+            ("core_choices", {"core_choices": (1, True)}),
+            ("theta_jitter", {"theta_jitter": True}),
+            ("theta_jitter", {"theta_jitter": float("nan")}),
+            ("availability_min_fraction", {"availability_min_fraction": True}),
+            ("psi", {"psi": True}),
         ]:
             with pytest.raises(ValueError, match=field_name):
                 Scenario(**kwargs)
+        # An integral float in an integer field is that integer, at one
+        # address; a real field keeps the number it was given.
+        assert (
+            Scenario(k_winners=2.0, test_per_class=5.0).to_json()
+            == Scenario(k_winners=2, test_per_class=5).to_json()
+        )
+        assert type(Scenario(lr=1).lr) is int
         # The smallest size is accepted, and its model builds.
         for dataset, channels in (("mnist_o", 1), ("cifar10", 3)):
             scenario = Scenario(dataset=dataset, image_size=6)

@@ -297,6 +297,9 @@ class TestCorruptStore:
     The CLI turns the error into one ``error:`` line and exit status 1.
     """
 
+    #: A scenario file that parses but holds neither hash nor spec.
+    NO_KEYS = b'{"format": 1}'
+
     @pytest.fixture
     def store(self, tmp_path, capsys):
         root = tmp_path / "store"
@@ -336,9 +339,12 @@ class TestCorruptStore:
 
     def test_cli_force_restores_the_scenario_file(self, store, capsys):
         (spec,) = store.glob("scenarios/*.json")
-        original = self._cut(spec)
-        assert main(["run", *TestCLI.ARGS, "--store", str(store), "--force"]) == 0
-        assert spec.read_bytes() == original
+        original = spec.read_bytes()
+        # Cut short, or parsing but without its hash and spec.
+        for damaged in (original[:100], self.NO_KEYS):
+            spec.write_bytes(damaged)
+            assert main(["run", *TestCLI.ARGS, "--store", str(store), "--force"]) == 0
+            assert spec.read_bytes() == original
         assert main(["report", "--store", str(store)]) == 0
         assert main(["run", *TestCLI.ARGS, "--store", str(store), "--resume"]) == 0
         capsys.readouterr()
@@ -351,11 +357,19 @@ class TestCorruptStore:
             ExperimentStore(store).load_history(manifest.parent.name, "FMore", 0)
 
     @pytest.mark.parametrize(
-        "pattern", ["runs/*/FMore-seed0.json", "scenarios/*.json"]
+        "pattern, damage",
+        [
+            pytest.param("runs/*/FMore-seed0.json", None, id="runs/*/FMore-seed0.json"),
+            pytest.param("scenarios/*.json", None, id="scenarios/*.json"),
+            pytest.param("scenarios/*.json", NO_KEYS, id="scenarios/*.json-no-keys"),
+        ],
     )
-    def test_cli_report_fails_with_one_line(self, store, pattern):
+    def test_cli_report_fails_with_one_line(self, store, pattern, damage):
         (damaged,) = store.glob(pattern)
-        self._cut(damaged)
+        if damage is None:
+            self._cut(damaged)
+        else:
+            damaged.write_bytes(damage)
         with pytest.raises(SystemExit) as excinfo:
             main(["report", "--store", str(store)])
         self._assert_one_error_line(excinfo, damaged)

@@ -11,7 +11,8 @@ The contracts under test:
   bitwise-identically including per-node policy state (regret matching
   mid-learning).
 * **Store retention** — ``keep_last_n``/``keep_every_k`` keep a pruned
-  trajectory of round checkpoints; the default layout stays flat.
+  trajectory of ``round-<r>/`` checkpoints, by default only the newest;
+  a flat checkpoint pair of an older version is not read.
 * **The gym** — ``AuctionEnv`` steps one controlled bidder through a
   session, rewards realized payoff, and snapshots/restores.
 """
@@ -25,6 +26,7 @@ import pytest
 
 from repro.api import ExperimentStore, FMoreEngine, Scenario, StoreError, scenario_hash
 from repro.api.distributed import JobQueue
+from repro.fl.serialize import save_weights
 from repro.strategic import (
     AuctionEnv,
     BID_POLICIES,
@@ -441,15 +443,15 @@ class TestStoreRetention:
             next(session)
             store.save_checkpoint(session.snapshot())
 
-    def test_default_layout_stays_flat(self, tmp_path, base_reference):
+    def test_default_layout_keeps_one_round_dir(self, tmp_path, base_reference):
         scenario, _ = base_reference
         store = ExperimentStore(tmp_path)
         self._checkpoints(store, scenario, rounds=2)
         cell = (
             tmp_path / "checkpoints" / scenario_hash(scenario) / "FMore-seed0"
         )
-        assert (cell / "state.json").exists()
-        assert not any(p.name.startswith("round-") for p in cell.iterdir())
+        files = sorted(str(p.relative_to(cell)) for p in cell.rglob("*"))
+        assert files == ["round-2", "round-2/state.json", "round-2/weights.npz"]
         assert store.load_checkpoint(scenario, "FMore", 0).round_index == 2
 
     def test_retention_keeps_last_n_and_every_k(self, tmp_path, base_reference):
@@ -478,15 +480,32 @@ class TestStoreRetention:
         early = store.load_checkpoint(scenario, "FMore", 0, round_index=1)
         assert FMoreEngine().resume(early).run() == reference.history("FMore")
 
-    def test_flat_checkpoint_readable_by_retaining_store(
+    def test_flat_checkpoint_of_an_older_version_is_not_read(
         self, tmp_path, base_reference
     ):
-        scenario, _ = base_reference
-        ExperimentStore(tmp_path)  # flat writer
-        self._checkpoints(ExperimentStore(tmp_path), scenario, rounds=1)
-        retaining = ExperimentStore(tmp_path, keep_last_n=4)
-        assert retaining.checkpoint_rounds(scenario, "FMore", 0) == [1]
-        assert retaining.load_checkpoint(scenario, "FMore", 0).round_index == 1
+        """Older versions replaced ``weights.npz`` and then ``state.json``
+        in place, so a kill between the two left round 1's state beside
+        round 2's weights.  No such pair is read: its cell restarts from
+        round 0 and lands the uninterrupted manifest."""
+        scenario, reference = base_reference
+        session = FMoreEngine().session(scenario, "FMore", 0)
+        next(session)
+        state = session.snapshot().to_state_dict()
+        next(session)
+        store = ExperimentStore(tmp_path / "store")
+        cell = store.checkpoint_dir(scenario, "FMore", 0)
+        cell.mkdir(parents=True)
+        save_weights(cell / "weights.npz", session.snapshot().weights)
+        (cell / "state.json").write_text(json.dumps(state))
+        assert store.load_checkpoint(scenario, "FMore", 0) is None
+        assert store.checkpoint_rounds(scenario, "FMore", 0) == []
+        FMoreEngine().run(scenario, store=store, resume=True)
+        pristine = reference.save(ExperimentStore(tmp_path / "pristine"))
+        assert (
+            store.manifest_path(scenario, "FMore", 0).read_bytes()
+            == pristine.manifest_path(scenario, "FMore", 0).read_bytes()
+        )
+        assert not cell.exists()
 
     def test_clear_checkpoint_removes_round_dirs(self, tmp_path, base_reference):
         scenario, _ = base_reference
