@@ -21,7 +21,7 @@ informational):
   with solver-backed agents.  Pure NumPy — the steadiest end-to-end
   protocol timing we can gate.
 * **sweep** — one tiny multi-seed scenario run through each registered
-  executor (serial/thread/process/distributed — the latter against a
+  executor (serial/process/distributed/service — the last two against a
   throwaway store, timing the full coordinator + spawned-worker path),
   recording wall-clock seconds and verifying the histories agree.
 
@@ -293,7 +293,7 @@ def test_grid_build_batch_5x_and_bitwise():
 
 def test_sweep_executors_agree():
     sweep = time_sweeps(quick=True)
-    assert set(sweep) >= {"serial", "thread", "process", "distributed"}
+    assert set(sweep) >= {"serial", "process", "distributed", "service"}
     for name, row in sweep.items():
         assert row["matches_serial"], f"{name} diverged from serial"
 

@@ -72,8 +72,8 @@ The ``run`` command consumes :class:`repro.api.Scenario` JSON files (see
 façade; ``--set key=value`` overrides any scenario field.  Multi-seed
 sweeps fan their ``(scheme, seed)`` cells out through the scenario's
 ``execution`` spec: ``--parallel N`` runs them on an N-worker process pool
-and ``--executor serial|thread|process`` picks the pool type (results are
-bitwise-identical either way).  The pytest benches in
+and ``--executor serial|process|distributed|service`` picks the executor
+(results are bitwise-identical either way).  The pytest benches in
 ``benchmarks/`` remain the canonical reproduction (they record
 paper-vs-measured blocks); this CLI is the quick interactive path.
 """
@@ -823,7 +823,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--executor",
         default=None,
-        choices=("serial", "thread", "process", "distributed", "service"),
+        choices=("serial", "process", "distributed", "service"),
         help="executor family for `run` (default: the scenario's execution "
         "spec); `distributed` coordinates cells through --store and needs "
         "workers (spawned via --parallel N, or external `repro worker`s); "

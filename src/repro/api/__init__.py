@@ -86,7 +86,6 @@ from .executor import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
 )
 from .metrics import MetricsFrame, build_metrics_frame
 from .scenario import SCHEME_NAMES, VARIANT_NAMES, Scenario
@@ -117,7 +116,6 @@ __all__ = [
     "EXECUTORS",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "DistributedExecutor",
     "ServiceExecutor",

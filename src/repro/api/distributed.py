@@ -507,13 +507,14 @@ class JobQueue:
             self._remove(job.lock_path)
 
     def complete(self, job: Job) -> None:
-        """Retire a finished cell: drop its job spec, then its lock."""
+        """Retire a finished cell: drop its lock, then its job spec."""
         self.retire(job.path)
 
     def retire(self, path: Path) -> None:
-        """Drop the job spec at ``path``, then its lock."""
-        self._remove(path)
+        """Drop the lock of the job spec at ``path``, then the spec (a
+        spec a kill leaves unlocked is retired by the next claim)."""
         self._remove(self.lock_path_for(path))
+        self._remove(path)
 
     def reclaim_stale(self) -> list[Path]:
         """Re-queue every lease-expired claim; returns the reclaimed locks.
@@ -587,9 +588,7 @@ def run_worker(
     max_cells: int | None = None,
     exit_when_idle: bool = False,
     worker_id: str | None = None,
-    crash_after_claim: bool = False,
     stop_event: threading.Event | None = None,
-    stop_after_rounds: int | None = None,
 ) -> int:
     """Claim and run queued cells; returns the number of cells completed.
 
@@ -639,17 +638,9 @@ def run_worker(
         coordinator-spawned workers and one-shot scripts).
     worker_id:
         Stable label for locks and registration; default host-pid-nonce.
-    crash_after_claim:
-        Testing/chaos hook: claim one cell, then return *without running
-        or releasing it* — exactly what a worker killed mid-cell leaves
-        behind (a claimed job whose lock will outlive its lease).
     stop_event:
         External stop flag (tests, embedding callers); SIGTERM/SIGINT
         set the same event when running in a main thread.
-    stop_after_rounds:
-        Testing/chaos hook: trip the stop flag after this many rounds of
-        the first claimed cell — deterministically exercises the
-        graceful mid-cell shutdown path (checkpoint + release).
     """
     from .engine import FMoreEngine
     from .store import ExperimentStore
@@ -692,17 +683,7 @@ def run_worker(
                     stop.wait(idle_backoff(idle_passes, poll_interval, backoff_rng))
                 continue
             idle_passes = 0
-            if crash_after_claim:
-                return completed
-            if _run_job(
-                engine,
-                store,
-                queue,
-                job,
-                link=link,
-                stop=stop,
-                stop_after_rounds=stop_after_rounds,
-            ):
+            if _run_job(engine, store, queue, job, link=link, stop=stop):
                 completed += 1
         return completed
     finally:
@@ -739,7 +720,6 @@ def _run_job(
     *,
     link=None,
     stop: _StopFlag,
-    stop_after_rounds: int | None = None,
 ) -> bool:
     """Run one claimed cell to completion; ``True`` when its manifest landed.
 
@@ -771,8 +751,6 @@ def _run_job(
         return False
 
     def after_round(session, advanced: int) -> bool:
-        if stop_after_rounds is not None and advanced >= stop_after_rounds:
-            stop.event.set()
         alive = link.heartbeat(job, advanced) if linked else queue.heartbeat(job)
         if not alive:
             return True  # stolen: the thief owns the cell now

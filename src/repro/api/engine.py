@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import threading
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -57,7 +55,7 @@ from ..fl.selection import (
     SelectionStrategy,
 )
 from ..fl.server import FedAvgServer
-from ..fl.trainer import FederatedTrainer, RoundRecord, RoundTimer, TrainingHistory
+from ..fl.trainer import FederatedTrainer, RoundRecord, TrainingHistory
 from ..mec.cluster import (
     ClusterNodeSpec,
     SimulatedCluster,
@@ -106,9 +104,8 @@ class Federation:
 
     For ``variant="cluster"`` scenarios the federation additionally owns
     the simulated testbed hardware: per-node machine specs and the
-    :class:`~repro.mec.cluster.SimulatedCluster` wall-clock model (used as
-    the run's :class:`~repro.fl.trainer.RoundTimer` unless a caller
-    supplies one).
+    :class:`~repro.mec.cluster.SimulatedCluster` wall-clock model, which
+    times every session built on it.
 
     For ``variant="hierarchical"`` scenarios ``clients_data`` is the
     bounded FL client *pool* (``clusters["fl_pool"]`` entries, not
@@ -740,21 +737,18 @@ def make_session(
     scheme: str,
     seed: int,
     federation: Federation | None = None,
-    timer: RoundTimer | None = None,
     solver: EquilibriumSolver | None = None,
 ) -> Session:
     """Assemble one ``(scheme, seed)`` cell as a streaming :class:`Session`.
 
     All schemes for a given ``(scenario, seed)`` share the federation and
     the initial global weights; only training randomness differs per
-    scheme.  Cluster federations bring their own wall-clock model: when no
-    ``timer`` is supplied, the federation's
-    :class:`~repro.mec.cluster.SimulatedCluster` times the rounds.
+    scheme.  Cluster federations bring their own wall-clock model: the
+    federation's :class:`~repro.mec.cluster.SimulatedCluster` times the
+    rounds.
     """
     if federation is None:
         federation = build_federation(scenario, seed)
-    if timer is None and federation.cluster is not None:
-        timer = federation.cluster
     global_model = _build_global_model(scenario, federation, seed)
     if federation.initial_weights:
         global_model.set_weights(federation.initial_weights)
@@ -780,7 +774,7 @@ def make_session(
         federation.test_x,
         federation.test_y,
         rng_from(seed, _stream_names(scenario)["train"].format(scheme=scheme)),
-        timer=timer,
+        timer=federation.cluster,
     )
     return Session(scenario, scheme, seed, trainer)
 
@@ -790,7 +784,6 @@ def run_scheme(
     scheme: str,
     seed: int,
     federation: Federation | None = None,
-    timer: RoundTimer | None = None,
     solver: EquilibriumSolver | None = None,
 ) -> TrainingHistory:
     """Run one scheme for ``scenario.n_rounds`` rounds; returns its history.
@@ -800,7 +793,7 @@ def run_scheme(
     construction.
     """
     return make_session(
-        scenario, scheme, seed, federation=federation, timer=timer, solver=solver
+        scenario, scheme, seed, federation=federation, solver=solver
     ).run()
 
 
@@ -944,19 +937,9 @@ class FMoreEngine:
     >>> result = engine.run(Scenario.from_preset("smoke", "mnist_o"))  # doctest: +SKIP
     >>> result.history("FMore").final_accuracy                  # doctest: +SKIP
     0.62
-
-    Parameters
-    ----------
-    timer:
-        Optional :class:`~repro.fl.trainer.RoundTimer` forwarded to every
-        trainer (the MEC cluster's wall-clock model).  Must be picklable
-        for the ``process`` executor; the ``distributed`` executor
-        rejects it (remote workers cannot share a live object — cluster
-        scenarios time themselves through their federation instead).
     """
 
-    def __init__(self, timer: RoundTimer | None = None):
-        self.timer = timer
+    def __init__(self):
         self._solvers: dict[tuple, EquilibriumSolver] = {}
         self.cache_hits = 0
         self.cache_misses = 0
@@ -1010,30 +993,15 @@ class FMoreEngine:
         payments, accuracy, policy actions), so long runs can be observed,
         checkpointed and early-stopped.  Draining it (``session.run()``)
         returns the exact :class:`~repro.fl.trainer.TrainingHistory` that
-        :meth:`run_scheme` produces — the batch path is a consumer of this
-        one.
+        :meth:`run` produces for the cell — the batch path is a consumer of
+        this one.
         """
         solver = (
             self.solver_for(scenario) if scheme in _AUCTION_SCHEMES else None
         )
         return make_session(
-            scenario,
-            scheme,
-            seed,
-            federation=federation,
-            timer=self.timer,
-            solver=solver,
+            scenario, scheme, seed, federation=federation, solver=solver
         )
-
-    def run_scheme(
-        self,
-        scenario: Scenario,
-        scheme: str,
-        seed: int,
-        federation: Federation | None = None,
-    ) -> TrainingHistory:
-        """One ``(scheme, seed)`` cell, using the cached solver."""
-        return self.session(scenario, scheme, seed, federation=federation).run()
 
     def run(
         self,
@@ -1052,14 +1020,13 @@ class FMoreEngine:
         its randomness from named per-cell seed streams, so all executors
         return bitwise-identical histories:
 
-        * in-process executors (``serial``, ``thread``) share this
-          engine's solver cache and one federation per seed (dropped as
-          soon as its last scheme finishes, to keep the serial memory
-          profile);
+        * the in-process ``serial`` executor runs the cells seed by seed on
+          this engine's solver cache, with one federation per seed, built
+          when the seed's first cell starts and dropped before the next
+          seed's is built;
         * the ``process`` executor ships ``(scenario, scheme, seed)`` to
           worker processes, each of which rebuilds federations from the
-          same streams and keeps a per-process solver cache (the engine's
-          ``timer``, if any, must then be picklable);
+          same streams and keeps a per-process solver cache;
         * the ``distributed`` executor turns the store into a job bus:
           pending cells are enqueued as job specs under
           ``<store>/jobs/``, ``python -m repro worker`` processes — local
@@ -1111,8 +1078,8 @@ class FMoreEngine:
         if executor.needs_store:
             # Store-coordinated executors (repro.api.distributed) schedule
             # whole plans across machines; the store is their job and
-            # results bus, so it is mandatory, and per-process round
-            # budgets / live timers cannot cross the machine boundary.
+            # results bus, so it is mandatory, and a per-process round
+            # budget cannot cross the machine boundary.
             if store is None:
                 raise ValueError(
                     f"the {scenario.execution['executor']!r} executor "
@@ -1124,12 +1091,6 @@ class FMoreEngine:
                     "stop_after bounds rounds run *in this process* and is "
                     "not supported by store-coordinated executors; bound "
                     "worker lifetimes with `repro worker --max-cells` instead"
-                )
-            if self.timer is not None:
-                raise ValueError(
-                    "a store-coordinated run cannot ship the engine's timer "
-                    "to remote workers; cluster scenarios time themselves "
-                    "through their federation's SimulatedCluster"
                 )
         cells = [
             (scheme, seed) for seed in scenario.seeds for scheme in scenario.schemes
@@ -1165,13 +1126,10 @@ class FMoreEngine:
                 ),
             )
             if executor.in_process:
-                results = executor.map(
-                    self._cell_runner(scenario, pending, drive), pending
-                )
+                results = executor.map(self._cell_runner(scenario, drive), pending)
             else:
                 results = executor.map(
-                    functools.partial(_run_cell, scenario, self.timer, drive),
-                    pending,
+                    functools.partial(_run_cell, scenario, drive), pending
                 )
         incomplete = [
             cell for cell, history in zip(pending, results) if history is None
@@ -1212,38 +1170,26 @@ class FMoreEngine:
     def _cell_runner(
         self,
         scenario: Scenario,
-        cells: list[tuple[str, int]],
         drive: Callable[[Session], TrainingHistory | None],
     ) -> Callable[[tuple[str, int]], TrainingHistory | None]:
-        """The in-process cell function: one pooled federation per seed.
+        """The in-process cell function: one federation per seed.
 
-        Federations are built lazily under a lock — once per seed however
-        many threads run its cells — and evicted when the seed's last
-        scheme completes (``cells`` is the pending set, so store-cached
-        cells never pin a federation).  Each session is built through
-        :meth:`session` under the same lock, so the seed's first cell fills
-        the federation's scheme-independent initial weights before any
-        other cell reads them.
+        Cells arrive seed by seed, one at a time, so the runner keeps the
+        current seed's federation and drops it before it builds the
+        next's: one federation in memory at a time, and store-cached cells
+        build none.  The seed's first session fills the federation's
+        scheme-independent initial weights, which its later cells read.
         """
-        lock = threading.Lock()
-        pooled: dict[int, Federation] = {}
-        remaining = Counter(seed for _, seed in cells)
+        current: dict[int, Federation] = {}
 
         def run_cell(cell: tuple[str, int]) -> TrainingHistory | None:
             scheme, seed = cell
-            try:
-                with lock:
-                    if seed not in pooled:
-                        pooled[seed] = build_federation(scenario, seed)
-                    session = self.session(
-                        scenario, scheme, seed, federation=pooled[seed]
-                    )
-                return drive(session)
-            finally:
-                with lock:
-                    remaining[seed] -= 1
-                    if remaining[seed] == 0:
-                        pooled.pop(seed, None)
+            if seed not in current:
+                current.clear()
+                current[seed] = build_federation(scenario, seed)
+            return drive(
+                self.session(scenario, scheme, seed, federation=current[seed])
+            )
 
         return run_cell
 
@@ -1276,8 +1222,10 @@ def _drive_session(
     this call ran); when it returns ``True`` the cell stops there and
     this returns ``None`` without writing anything more.  Otherwise a
     still-running cell checkpoints every ``checkpoint_every`` rounds, and
-    a finished cell writes its manifest and drops its checkpoint — the
-    manifest is the cell's durable, content-addressed result.
+    a finished cell drops its checkpoint and then writes its manifest —
+    the cell's durable, content-addressed result.  A kill between the two
+    re-runs the cell (slower, never different) and leaves no checkpoint
+    behind a landed manifest.
     """
     scenario, scheme, seed = session.scenario, session.scheme, session.seed
     if store is not None and resume:
@@ -1298,8 +1246,8 @@ def _drive_session(
         ):
             store.save_checkpoint(session.snapshot())
     if store is not None:
-        store.save_history(scenario, scheme, seed, session.history)
         store.clear_checkpoint(scenario, scheme, seed)
+        store.save_history(scenario, scheme, seed, session.history)
     return session.history
 
 
@@ -1325,7 +1273,6 @@ _WORKER_ENGINE: FMoreEngine | None = None
 
 def _run_cell(
     scenario: Scenario,
-    timer: RoundTimer | None,
     drive: Callable[[Session], TrainingHistory | None],
     cell: tuple[str, int],
 ) -> TrainingHistory | None:
@@ -1340,5 +1287,4 @@ def _run_cell(
     global _WORKER_ENGINE
     if _WORKER_ENGINE is None:
         _WORKER_ENGINE = FMoreEngine()
-    _WORKER_ENGINE.timer = timer
     return drive(_WORKER_ENGINE.session(scenario, *cell))

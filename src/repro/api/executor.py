@@ -6,11 +6,9 @@ per-cell seed streams (:func:`repro.sim.rng.rng_from`), so the histories a
 cell produces do not depend on *where* or *in which order* it runs.  This
 module turns that property into a registry-registered ``Executor`` family:
 
-* ``serial``  — the plain in-order loop (the default; zero overhead).
-* ``thread``  — a :class:`~concurrent.futures.ThreadPoolExecutor`.  The
-  numerical kernels hold the GIL, so this mainly helps scenarios whose
-  cost is dominated by NumPy calls that release it; it shares the engine's
-  solver cache and federations.
+* ``serial``  — the plain in-order loop (the default; zero overhead).  It
+  is the one in-process path: cells share the engine's solver cache and
+  each seed's federation.
 * ``process`` — a :class:`~concurrent.futures.ProcessPoolExecutor`.  Each
   worker process rebuilds its cells' federations from the same seed
   streams and keeps its own per-process solver cache, so results are
@@ -22,6 +20,8 @@ module turns that property into a registry-registered ``Executor`` family:
   claimed by work-stealing workers; see :mod:`repro.api.distributed`).
   It sets :attr:`Executor.needs_store` and is driven through
   ``execute_plan`` rather than :meth:`Executor.map`.
+* ``service`` — the same store queue, with cells pushed to warm workers
+  by the event-driven coordinator (see :mod:`repro.api.coordinator`).
 
 A scenario chooses its executor declaratively via the ``execution`` spec
 (``{"executor": "process", "max_workers": 4}``), which the CLI exposes as
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, Sequence
 
 from ..core.registry import EXECUTORS
@@ -51,7 +51,6 @@ __all__ = [
     "EXECUTORS",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
 ]
 
@@ -67,10 +66,10 @@ class Executor(ABC):
     Attributes
     ----------
     in_process:
-        ``True`` when cells run inside the calling process and may share
-        in-memory state (solver caches, federations).  ``False`` for the
-        process pool, whose work function must be picklable and rebuilds
-        shared state per worker.
+        ``True`` when cells run one after another inside the calling
+        process and share its in-memory state (solver cache, each seed's
+        federation).  ``False`` for the process pool, whose work function
+        must be picklable and rebuilds shared state per worker.
     needs_store:
         ``True`` for executors that coordinate whole plans through a
         shared :class:`~repro.api.store.ExperimentStore` instead of
@@ -113,18 +112,6 @@ class SerialExecutor(Executor):
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
         return [fn(item) for item in items]
-
-
-@EXECUTORS.register("thread")
-class ThreadExecutor(Executor):
-    """Cells on a thread pool, sharing the caller's solver cache."""
-
-    def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
-        work: Sequence[Any] = list(items)
-        if len(work) <= 1:
-            return [fn(item) for item in work]
-        with ThreadPoolExecutor(max_workers=self.worker_count(len(work))) as pool:
-            return list(pool.map(fn, work))
 
 
 @EXECUTORS.register("process")

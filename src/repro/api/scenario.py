@@ -467,6 +467,8 @@ class Scenario:
             raise ValueError("seeds must be non-empty")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be >= 0, got {self.seeds}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be unique, got {self.seeds}")
         for spec_name, registry in _SPEC_FIELDS.items():
             spec = getattr(self, spec_name)
             if not isinstance(spec, Mapping):

@@ -281,14 +281,16 @@ class ExperimentStore:
         The stored spec includes the registering run's plan — enough to
         rebuild a :class:`Scenario` for reports; the plan-free projection
         is what the address hashes.  A stored file that does not parse,
-        or lacks its hash or spec, is rewritten, so the next run that
-        saves a cell (``--force`` re-runs them all) repairs it.
+        lacks its hash or spec, or holds a spec this version no longer
+        validates (one naming a retired executor, say) is rewritten, so
+        the next run that saves a cell (``--force`` re-runs them all)
+        repairs it.
         """
         h = scenario_hash(scenario)
         path = self.scenario_path(h)
         try:
-            _read_json(path, _SCENARIO_KEYS)
-        except (FileNotFoundError, StoreError):  # missing or damaged
+            Scenario.from_dict(_read_json(path, _SCENARIO_KEYS)["scenario"])
+        except (FileNotFoundError, TypeError, ValueError):  # StoreError is one
             _write_json(
                 path,
                 {

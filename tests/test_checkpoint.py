@@ -11,7 +11,7 @@ pinned, under the serial and the process executor.
 A process killed inside a store write resumes the same way: a forked run
 (or queue worker) is killed right after each of its file replaces and
 unlinks in turn, and the recovered store lands the uninterrupted
-manifests byte for byte.
+manifests byte for byte and keeps no checkpoint or job file.
 """
 
 from __future__ import annotations
@@ -340,10 +340,21 @@ def _manifests(root) -> dict:
     return {p.relative_to(runs): p.read_bytes() for p in sorted(runs.rglob("*.json"))}
 
 
+def _leftovers(root) -> list[str]:
+    """Files a finished store still holds under ``checkpoints/`` or
+    ``jobs/``: once every manifest landed, there should be none."""
+    return sorted(
+        str(p.relative_to(root))
+        for area in ("checkpoints", "jobs")
+        for p in (root / area).rglob("*")
+        if p.is_file()
+    )
+
+
 class TestProcessKills:
     """A process killed at any store transition, then recovered from the
-    store, lands the uninterrupted run's manifests byte for byte, and the
-    store still reports.
+    store, lands the uninterrupted run's manifests byte for byte, leaves
+    no checkpoint or job file behind, and the store still reports.
 
     Each leg runs the paper scenario's FMore cell with a checkpoint after
     every round, in a forked child killed right after its ``n``-th file
@@ -360,8 +371,10 @@ class TestProcessKills:
             if not _killed_at(n, lambda: leg(root)):
                 break
             recover(root)
-            if _manifests(root) != expected or main(["report", "--store", str(root)]):
-                wrong.append(n)
+            left = _leftovers(root)
+            reports = main(["report", "--store", str(root)]) == 0
+            if _manifests(root) != expected or left or not reports:
+                wrong.append((n, left))
         return wrong, n - 1
 
     @pytest.fixture(scope="class")
@@ -386,7 +399,7 @@ class TestProcessKills:
         # At least the scenario file, 3 checkpoints of 2 files and the
         # manifest were kill points.
         assert points >= 8
-        assert wrong == [], f"wrong manifests at kill points {wrong} of {points}"
+        assert wrong == [], f"wrong stores at kill points {wrong} of {points}"
 
     def test_worker_drain(self, tmp_path, fmore_reference):
         scenario, reference = fmore_reference
@@ -409,4 +422,4 @@ class TestProcessKills:
         )
         # At least 4 heartbeats, 3 checkpoints of 2 files and the manifest.
         assert points >= 11
-        assert wrong == [], f"wrong manifests at kill points {wrong} of {points}"
+        assert wrong == [], f"wrong stores at kill points {wrong} of {points}"

@@ -37,11 +37,10 @@ def _env() -> dict:
     return env
 
 
-def _run(args: list[str], cwd: Path | None = None) -> subprocess.CompletedProcess:
+def _run(args: list[str]) -> subprocess.CompletedProcess:
     proc = subprocess.run(
         [sys.executable, *args],
         env=_env(),
-        cwd=cwd,
         capture_output=True,
         text=True,
         timeout=300,
@@ -50,8 +49,8 @@ def _run(args: list[str], cwd: Path | None = None) -> subprocess.CompletedProces
     return proc
 
 
-def _scipy_modules(code: str, cwd: Path | None = None) -> list[str]:
-    proc = _run(["-c", code + _REPORT], cwd=cwd)
+def _scipy_modules(code: str) -> list[str]:
+    proc = _run(["-c", code + _REPORT])
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -99,30 +98,3 @@ def test_image_run_loads_only_the_blur():
         m for m in loaded
         if m.startswith(("scipy.stats", "scipy.optimize"))
     ]
-
-
-def test_thread_sweep_importing_the_blur_matches_serial(tmp_path):
-    """The first ``scipy.ndimage`` import may run on a worker thread.
-
-    In a fresh interpreter a thread sweep builds its federations, and so
-    imports the blur, on the pool's threads (one at a time, under the cell
-    runner's lock); its manifests must equal a serial sweep's.
-    """
-    code = (
-        "import sys\n"
-        "from repro.api import FMoreEngine, Scenario\n"
-        f"s = Scenario.from_preset('smoke', 'mnist_o', {_SMALL},\n"
-        "                          schemes=('FMore',), seeds=(0, 1))\n"
-        "assert 'scipy.ndimage' not in sys.modules\n"
-        "FMoreEngine().run(\n"
-        "    s.with_(execution={'executor': 'thread', 'max_workers': 2}),\n"
-        "    store='threaded')\n"
-        "FMoreEngine().run(s, store='serial')\n"
-    )
-    assert "scipy.ndimage" in _scipy_modules(code, cwd=tmp_path)
-    threaded = sorted((tmp_path / "threaded" / "runs").rglob("*.json"))
-    serial = sorted((tmp_path / "serial" / "runs").rglob("*.json"))
-    assert len(threaded) == len(serial) == 2
-    for a, b in zip(threaded, serial):
-        assert a.relative_to(tmp_path / "threaded") == b.relative_to(tmp_path / "serial")
-        assert a.read_bytes() == b.read_bytes()

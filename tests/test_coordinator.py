@@ -29,6 +29,7 @@ The contracts under test (ISSUE 8 acceptance):
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
@@ -613,6 +614,23 @@ class TestServiceEngine:
 # ----------------------------------------------------------------------
 # Graceful shutdown (satellite: SIGTERM releases or checkpoints)
 # ----------------------------------------------------------------------
+def _stop_at_renewal(monkeypatch, n: int) -> threading.Event:
+    """A stop event the worker's ``n``-th lease renewal sets: a SIGTERM
+    landing mid-cell, after round ``n``.  The filesystem and the service
+    claim paths both renew through :meth:`JobQueue.heartbeat`."""
+    stop = threading.Event()
+    renew = JobQueue.heartbeat
+    renewals = itertools.count(1)
+
+    def heartbeat(self, job):
+        if next(renewals) == n:
+            stop.set()
+        return renew(self, job)
+
+    monkeypatch.setattr(JobQueue, "heartbeat", heartbeat)
+    return stop
+
+
 class TestGracefulShutdown:
     def test_preset_stop_event_exits_before_claiming(self, tmp_path, paper_reference):
         scenario, _, _ = paper_reference
@@ -623,7 +641,9 @@ class TestGracefulShutdown:
         assert run_worker(tmp_path, stop_event=stop, worker_id="halted") == 0
         assert len(queue.pending()) == 2  # nothing claimed, nothing lost
 
-    def test_midcell_stop_checkpoints_then_releases(self, tmp_path, paper_reference):
+    def test_midcell_stop_checkpoints_then_releases(
+        self, tmp_path, paper_reference, monkeypatch
+    ):
         """SIGTERM mid-cell on a checkpointing job: progress persists."""
         scenario, _, ref_root = paper_reference
         store = ExperimentStore(tmp_path)
@@ -636,7 +656,7 @@ class TestGracefulShutdown:
             store,
             exit_when_idle=True,
             worker_id="leaver",
-            stop_after_rounds=1,  # chaos hook: SIGTERM after round 1
+            stop_event=_stop_at_renewal(monkeypatch, 1),
         )
         assert completed == 0
         # The claim was released (no lock) and round 1 was checkpointed.
@@ -652,7 +672,7 @@ class TestGracefulShutdown:
         assert store.load_checkpoint(h, scheme, seed) is None
 
     def test_midcell_stop_without_checkpointing_just_releases(
-        self, tmp_path, paper_reference
+        self, tmp_path, paper_reference, monkeypatch
     ):
         scenario, _, ref_root = paper_reference
         store = ExperimentStore(tmp_path)
@@ -663,7 +683,10 @@ class TestGracefulShutdown:
         scheme, seed = cell[0]
         assert (
             run_worker(
-                store, exit_when_idle=True, worker_id="leaver", stop_after_rounds=2
+                store,
+                exit_when_idle=True,
+                worker_id="leaver",
+                stop_event=_stop_at_renewal(monkeypatch, 2),
             )
             == 0
         )
@@ -677,7 +700,7 @@ class TestGracefulShutdown:
         assert mine.read_bytes() == ref.read_bytes()
 
     def test_midcell_stop_releases_through_the_coordinator(
-        self, coordinator, paper_reference
+        self, coordinator, paper_reference, monkeypatch
     ):
         """The service path: a stopping push worker hands its claim back."""
         scenario, _, ref_root = paper_reference
@@ -697,7 +720,7 @@ class TestGracefulShutdown:
             poll_interval=0.05,
             exit_when_idle=True,
             worker_id="svc-leaver",
-            stop_after_rounds=1,
+            stop_event=_stop_at_renewal(monkeypatch, 1),
         )
         assert completed == 0
         health = WorkerClient(handle.url, "probe").health()

@@ -190,7 +190,7 @@ class TestDistributedExecutionSpec:
         )
         assert scenario.execution["max_workers"] == 0
         with pytest.raises(ValueError, match="max_workers"):
-            Scenario(execution={"executor": "thread", "max_workers": 0})
+            Scenario(execution={"executor": "process", "max_workers": 0})
 
     def test_bad_lease_and_poll_rejected(self):
         # A NaN or inf lease never expires, so a crashed claimant would
@@ -250,7 +250,7 @@ class TestJobQueue:
         assert queue.enqueue(scenario, _cells(scenario)) == []
         assert len(queue.pending()) == 2
         # A landed manifest retires the cell from future enqueues.
-        history = FMoreEngine().run_scheme(scenario, "FMore", 0)
+        history = FMoreEngine().session(scenario, "FMore", 0).run()
         store.save_history(scenario, "FMore", 0, history)
         for path in written:
             path.unlink()
@@ -480,12 +480,7 @@ class TestWorker:
         queue.enqueue(scenario, _cells(scenario), lease_seconds=0.0)
         # The victim claims a cell and "dies" — lock left behind, no
         # manifest, exactly what kill -9 mid-cell leaves on disk.
-        assert (
-            run_worker(
-                store, exit_when_idle=True, worker_id="victim", crash_after_claim=True
-            )
-            == 0
-        )
+        assert queue.claim("victim") is not None
         locks = list((store.root / "jobs").rglob("*.lock"))
         assert len(locks) == 1
         assert not list((store.root / "runs").rglob("*.json"))
@@ -622,15 +617,6 @@ class TestDistributedEngine:
         scenario = _distributed(_paper_scenario())
         with pytest.raises(ValueError, match="stop_after"):
             FMoreEngine().run(scenario, store=tmp_path, stop_after=1)
-
-    def test_rejects_a_live_timer(self, tmp_path):
-        class Timer:
-            def round_seconds(self, *a, **k):  # pragma: no cover - stub
-                return 0.0
-
-        scenario = _distributed(_paper_scenario())
-        with pytest.raises(ValueError, match="timer"):
-            FMoreEngine(timer=Timer()).run(scenario, store=tmp_path)
 
     def test_coordinate_only_run_with_external_worker_bitwise(
         self, tmp_path, paper_reference

@@ -1,15 +1,19 @@
 """Tests for the executor subsystem and the engine's cell fan-out.
 
-The contract the sweep layer rests on: every executor — serial, thread,
-process — returns bitwise-identical ``RunResult`` histories for the same
-scenario, because each ``(scheme, seed)`` cell derives its randomness from
-named per-cell seed streams and nothing else.
+The contract the sweep layer rests on: every executor — serial and
+process here — returns bitwise-identical ``RunResult`` histories for the
+same scenario, because each ``(scheme, seed)`` cell derives its
+randomness from named per-cell seed streams and nothing else.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.__main__ import main
+from repro.api import engine as engine_module
 from repro.api import (
     EXECUTORS,
     Executor,
@@ -17,13 +21,12 @@ from repro.api import (
     ProcessExecutor,
     Scenario,
     SerialExecutor,
-    ThreadExecutor,
 )
 
 
 class TestExecutorRegistry:
     def test_registered_names(self):
-        assert {"serial", "thread", "process"} <= set(EXECUTORS.names())
+        assert EXECUTORS.names() == ("distributed", "process", "serial", "service")
 
     def test_create_from_spec(self):
         executor = EXECUTORS.create({"name": "process", "max_workers": 3})
@@ -32,16 +35,16 @@ class TestExecutorRegistry:
         assert not executor.in_process
 
     def test_worker_count_bounded_by_items(self):
-        assert ThreadExecutor(max_workers=8).worker_count(2) == 2
-        assert ThreadExecutor(max_workers=2).worker_count(8) == 2
+        assert ProcessExecutor(max_workers=8).worker_count(2) == 2
+        assert ProcessExecutor(max_workers=2).worker_count(8) == 2
         assert SerialExecutor().worker_count(0) == 1
 
     def test_invalid_max_workers(self):
         with pytest.raises(ValueError, match="max_workers"):
-            ThreadExecutor(max_workers=0)
+            ProcessExecutor(max_workers=0)
 
     def test_map_preserves_order(self):
-        for executor in (SerialExecutor(), ThreadExecutor(2), ProcessExecutor(2)):
+        for executor in (SerialExecutor(), ProcessExecutor(2)):
             assert executor.map(abs, [-3, -1, -2]) == [3, 1, 2]
 
     def test_is_abstract(self):
@@ -64,8 +67,10 @@ class TestExecutionSpec:
         assert type(integral.execution["max_workers"]) is int
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            Scenario(execution={"executor": "gpu_farm"})
+        # thread: the retired in-process pool.
+        for name in ("gpu_farm", "thread"):
+            with pytest.raises(ValueError, match=f"unknown executor '{name}'"):
+                Scenario(execution={"executor": name})
 
     def test_unknown_key_rejected(self):
         # local_training: the retired within-round pool; a stored spec that
@@ -80,7 +85,7 @@ class TestExecutionSpec:
     def test_bad_max_workers_rejected(self):
         for bad in (0, 2.7, True, "3"):
             with pytest.raises(ValueError, match="max_workers"):
-                Scenario(execution={"executor": "thread", "max_workers": bad})
+                Scenario(execution={"executor": "process", "max_workers": bad})
 
     def test_cli_parallel_sets_process_spec(self, capsys):
         assert main(["scenario", "--preset", "smoke", "--parallel", "2"]) == 0
@@ -91,11 +96,11 @@ class TestExecutionSpec:
         assert spec["execution"] == {"executor": "process", "max_workers": 2}
 
     def test_cli_executor_flag(self, capsys):
-        assert main(["scenario", "--preset", "smoke", "--executor", "thread"]) == 0
+        assert main(["scenario", "--preset", "smoke", "--executor", "process"]) == 0
         import json
 
         spec = json.loads(capsys.readouterr().out)
-        assert spec["execution"]["executor"] == "thread"
+        assert spec["execution"]["executor"] == "process"
 
 
 @pytest.fixture(scope="module")
@@ -115,9 +120,9 @@ def serial_result(plan):
 
 
 class TestExecutorDeterminism:
-    """Acceptance: process/thread histories == serial, bitwise."""
+    """Acceptance: process histories == serial, bitwise."""
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_identical_to_serial(self, plan, serial_result, executor):
         scenario = plan.with_(
             execution={"executor": executor, "max_workers": 2}
@@ -169,15 +174,43 @@ class TestExecutorDeterminism:
 
 
 class TestEngineCacheWithExecutors:
-    def test_thread_executor_still_one_grid_build(self, plan):
+    def test_serial_run_still_one_grid_build(self, plan):
         engine = FMoreEngine()
-        engine.run(
-            plan.with_(
-                schemes=("FMore",),
-                seeds=(0, 1, 2),
-                n_rounds=1,
-                execution={"executor": "thread", "max_workers": 2},
-            )
-        )
+        engine.run(plan.with_(schemes=("FMore",), seeds=(0, 1, 2), n_rounds=1))
         assert engine.cache_misses == 1
         assert engine.cache_hits == 2
+
+
+class TestSerialFederationReuse:
+    """The serial run builds each seed's federation once, in seed order,
+    and holds one at a time."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """``(seed, earlier seeds still alive)`` per federation build."""
+        built: list[tuple[int, list[int]]] = []
+        refs: list[tuple[int, weakref.ref]] = []
+        original = engine_module.build_federation
+
+        def counting(scenario, seed):
+            gc.collect()
+            built.append((seed, [s for s, ref in refs if ref() is not None]))
+            federation = original(scenario, seed)
+            refs.append((seed, weakref.ref(federation)))
+            return federation
+
+        monkeypatch.setattr(engine_module, "build_federation", counting)
+        return built
+
+    def test_two_seeds_build_two_federations_one_at_a_time(self, plan, builds):
+        # 2 seeds x 3 schemes: seed 0's federation is unreachable by the
+        # time seed 1's is built.
+        FMoreEngine().run(plan.with_(n_rounds=1))
+        assert builds == [(0, []), (1, [])]
+
+    def test_stored_seed_builds_no_federation(self, plan, builds, tmp_path):
+        scenario = plan.with_(n_rounds=1)
+        FMoreEngine().run(scenario.with_(seeds=(0,)), store=tmp_path)
+        builds.clear()
+        FMoreEngine().run(scenario, store=tmp_path)
+        assert [seed for seed, _ in builds] == [1]

@@ -18,6 +18,7 @@ from repro.api import (
     RoundEvent,
     Scenario,
     build_federation,
+    run_scheme,
 )
 from repro.fl.trainer import TrainingHistory
 
@@ -113,8 +114,7 @@ class TestSessionEquivalence:
         assert cluster_replay == batch.histories
 
     def test_run_scheme_is_a_drained_session(self, paper_replay):
-        engine = FMoreEngine()
-        direct = engine.run_scheme(_paper_default_scenario(), "FMore", 0)
+        direct = run_scheme(_paper_default_scenario(), "FMore", 0)
         assert [direct] == paper_replay["FMore"]
 
 
@@ -122,7 +122,7 @@ class TestSessionSurface:
     def test_early_stop_yields_valid_prefix(self):
         scenario = _paper_default_scenario()
         engine = FMoreEngine()
-        full = engine.run_scheme(scenario, "FMore", 0)
+        full = engine.session(scenario, "FMore", 0).run()
         session = engine.session(scenario, "FMore", 0)
         events = [next(session), next(session)]
         assert session.rounds_run == 2

@@ -75,7 +75,8 @@ class TestConfig:
                 Scenario(**{field_name: bad})
         # Data fields fail here too, not in build_federation or the model
         # build: an unknown dataset, an image too small for the CNN, class
-        # bounds outside the dataset's classes, negative or non-integer seeds.
+        # bounds outside the dataset's classes, negative, non-integer or
+        # repeated seeds.
         for field_name, kwargs in [
             ("dataset", {"dataset": "mnist"}),
             ("image_size", {"image_size": 0}),
@@ -98,6 +99,10 @@ class TestConfig:
             ("seeds", {"seeds": (1.5,)}),
             ("seeds", {"seeds": 1.5}),
             ("seeds", {"seeds": (0, True)}),
+            # A repeated seed would run its cells twice and weigh double
+            # in every seed average.
+            ("seeds", {"seeds": (0, 1, 0)}),
+            ("seeds", {"seeds": (2, 2.0)}),
             # Nor is it any other number: a bool, or a fraction in an
             # integer field, fails here and not in the run.
             ("n_clients", {"n_clients": 10.5}),

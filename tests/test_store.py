@@ -338,10 +338,16 @@ class TestCorruptStore:
         assert manifest.read_bytes() == original
 
     def test_cli_force_restores_the_scenario_file(self, store, capsys):
+        import json
+
         (spec,) = store.glob("scenarios/*.json")
         original = spec.read_bytes()
-        # Cut short, or parsing but without its hash and spec.
-        for damaged in (original[:100], self.NO_KEYS):
+        # A spec naming the retired thread executor no longer validates.
+        retired = json.loads(original)
+        retired["scenario"]["execution"]["executor"] = "thread"
+        # Cut short, parsing but without its hash and spec, or whole but
+        # no longer valid.
+        for damaged in (original[:100], self.NO_KEYS, json.dumps(retired).encode()):
             spec.write_bytes(damaged)
             assert main(["run", *TestCLI.ARGS, "--store", str(store), "--force"]) == 0
             assert spec.read_bytes() == original
