@@ -1,38 +1,47 @@
-"""Coordination-tier benchmark: serial vs distributed vs service sweeps.
+"""Coordination-tier benchmark: serial vs store-queued vs coordinator sweeps.
 
 One 4-cell reference sweep (smoke preset, ``FMore``/``RandFL`` x seeds
-0,1) is timed through the three coordination tiers:
+0,1, 3 rounds in ``--quick`` mode and 6 otherwise) is timed through the
+coordination tiers:
 
 * **serial** — the in-process reference (and the byte-identity anchor).
   Timed twice: a cold first run and a warm ``force=True`` re-run on the
   same engine, so the gated number excludes one-time solver-table
   builds, symmetrically with the warm service tier.
-* **distributed** — the filesystem-polling executor with 2 spawned
-  workers against a throwaway store (cold by construction: the polling
-  tier has no warm fleet to reuse).
-* **service** — the event-driven coordinator
-  (:mod:`repro.api.coordinator`): a cold pass that pays for the embedded
-  coordinator thread plus 2 worker spawns, then a warm ``force=True``
-  re-sweep pushed to the *same* fleet — the number the service tier
-  exists to optimise, and the gated one.
+* **service** — the store-queued ``service`` executor with 2 spawned
+  workers (``--exit-when-idle``) against a throwaway store, cold by
+  construction: its workers leave once the queue drains.
+* **service_cold / service_warm** — the warm fleet a user runs: a
+  coordinator (:func:`repro.api.start_coordinator`) plus two
+  ``python -m repro worker --coordinator URL --store DIR`` processes
+  that this bench starts itself, fed by a coordinate-only ``service``
+  sweep (``max_workers=0``, ``coordinator_url``).  The first sweep pays
+  for the workers' start-up; the ``force=True`` re-sweep is pushed to
+  the same, warm fleet — the number the coordinator tier exists to
+  optimise, and the gated one.
 
 The gate (asserted here and by ``bench_compare.py``'s ``coord:*``
 checks): the warm service sweep stays under ``2x`` the warm serial
-sweep, and both non-serial tiers land byte-identical manifests.
+sweep, and every non-serial tier lands byte-identical manifests.  Run it
+with ``OPENBLAS_NUM_THREADS=1`` (CI does): with a multi-threaded BLAS in
+each of the serial process and the two workers, the ratio measures core
+oversubscription rather than the coordinator.
 
 Run standalone (writes ``BENCH_coordinator.json`` for the CI artifact)::
 
-    PYTHONPATH=src python benchmarks/bench_coordinator.py --quick
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python benchmarks/bench_coordinator.py --quick
 
 or through pytest::
 
-    PYTHONPATH=src python -m pytest benchmarks/bench_coordinator.py -q
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest benchmarks/bench_coordinator.py -q
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -59,12 +68,22 @@ def _scenario(quick: bool):
         "mnist_o",
         schemes=("FMore", "RandFL"),
         seeds=(0, 1),
-        n_rounds=1 if quick else 3,
+        n_rounds=3 if quick else 6,
     )
 
 
-def _cells(scenario) -> list[tuple[str, int]]:
-    return [(s, d) for d in scenario.seeds for s in scenario.schemes]
+def _start_worker(url: str, store: Path) -> subprocess.Popen:
+    """One ``repro worker`` attached to the coordinator at ``url``."""
+    src_dir = str(REPO_ROOT / "src")
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = os.pathsep.join([src_dir, existing]) if existing else src_dir
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "worker", "--coordinator", url,
+         "--store", str(store), "--poll-interval", "0.1"],
+        env=env,
+        stdout=subprocess.DEVNULL,
+    )
 
 
 def _manifest_bytes(root: Path) -> dict[str, bytes]:
@@ -77,10 +96,9 @@ def _manifest_bytes(root: Path) -> dict[str, bytes]:
 
 def time_coordination_tiers(quick: bool = True) -> dict:
     """Wall-clock of the reference sweep per tier (+ overhead vs serial)."""
-    from repro.api import ExperimentStore, FMoreEngine, ServiceExecutor
+    from repro.api import FMoreEngine, start_coordinator
 
     scenario = _scenario(quick)
-    cells = _cells(scenario)
     out: dict[str, dict] = {}
     with tempfile.TemporaryDirectory(prefix="bench-coord-") as tmp:
         tmp = Path(tmp)
@@ -95,36 +113,45 @@ def time_coordination_tiers(quick: bool = True) -> dict:
         reference = _manifest_bytes(tmp / "serial")
         out["serial"] = {"seconds": serial_s, "cold_seconds": serial_cold}
 
-        # -- distributed: filesystem polling, 2 spawned workers, cold.
+        # -- service, store-queued: 2 spawned workers, cold.
         plan = scenario.with_(
-            execution={
-                "executor": "distributed",
-                "max_workers": 2,
-                "poll_interval": 0.1,
-            }
+            execution={"executor": "service", "max_workers": 2, "poll_interval": 0.1}
         )
         t0 = time.perf_counter()
-        FMoreEngine().run(plan, store=tmp / "distributed")
-        dist_s = time.perf_counter() - t0
-        out["distributed"] = {
-            "seconds": dist_s,
-            "overhead": dist_s / serial_s,
-            "matches_serial": _manifest_bytes(tmp / "distributed") == reference,
+        FMoreEngine().run(plan, store=tmp / "service")
+        queued_s = time.perf_counter() - t0
+        out["service"] = {
+            "seconds": queued_s,
+            "overhead": queued_s / serial_s,
+            "matches_serial": _manifest_bytes(tmp / "service") == reference,
         }
 
-        # -- service: embedded coordinator + 2 warm workers on one
-        # executor instance; the warm force re-sweep reuses the fleet.
-        store = ExperimentStore(tmp / "service")
-        executor = ServiceExecutor(max_workers=2, poll_interval=0.1)
+        # -- service through a running coordinator and its 2 attached
+        # workers; the warm force re-sweep reuses the fleet.
+        store = tmp / "coordinator"
+        coordinator = start_coordinator(store, poll_interval=0.1)
+        workers = [_start_worker(coordinator.url, store) for _ in range(2)]
+        plan = scenario.with_(
+            execution={
+                "executor": "service",
+                "max_workers": 0,
+                "poll_interval": 0.1,
+                "coordinator_url": coordinator.url,
+            }
+        )
         try:
             t0 = time.perf_counter()
-            executor.execute_plan(scenario, cells, store)
+            FMoreEngine().run(plan, store=store)
             service_cold = time.perf_counter() - t0
             t0 = time.perf_counter()
-            executor.execute_plan(scenario, cells, store, force=True)
+            FMoreEngine().run(plan, store=store, force=True)
             service_warm = time.perf_counter() - t0
         finally:
-            executor.close()
+            for proc in workers:
+                proc.terminate()
+            for proc in workers:
+                proc.wait(timeout=30)
+            coordinator.stop()
         out["service_cold"] = {
             "seconds": service_cold,
             "overhead": service_cold / serial_s,
@@ -132,7 +159,7 @@ def time_coordination_tiers(quick: bool = True) -> dict:
         out["service_warm"] = {
             "seconds": service_warm,
             "overhead": service_warm / serial_s,
-            "matches_serial": _manifest_bytes(tmp / "service") == reference,
+            "matches_serial": _manifest_bytes(store) == reference,
         }
     return out
 
@@ -140,7 +167,7 @@ def time_coordination_tiers(quick: bool = True) -> dict:
 def gate_failures(coordinator: dict) -> list[str]:
     """The ``coord:*`` gate verdicts over one artifact's tier timings."""
     failures: list[str] = []
-    for name in ("distributed", "service_warm"):
+    for name in ("service", "service_warm"):
         row = coordinator.get(name, {})
         if row.get("matches_serial") is False:
             failures.append(f"coord:{name}: manifests diverged from serial")
@@ -178,7 +205,7 @@ def test_service_tier_under_2x_serial_and_bitwise():
     """Acceptance: warm service sweep <2x warm serial, byte-identical."""
     coordinator = time_coordination_tiers(quick=True)
     assert coordinator["service_warm"]["matches_serial"]
-    assert coordinator["distributed"]["matches_serial"]
+    assert coordinator["service"]["matches_serial"]
     failures = gate_failures(coordinator)
     assert not failures, failures
 

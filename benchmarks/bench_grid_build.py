@@ -21,9 +21,9 @@ informational):
   with solver-backed agents.  Pure NumPy — the steadiest end-to-end
   protocol timing we can gate.
 * **sweep** — one tiny multi-seed scenario run through each registered
-  executor (serial/process/distributed/service — the last two against a
-  throwaway store, timing the full coordinator + spawned-worker path),
-  recording wall-clock seconds and verifying the histories agree.
+  executor (serial/process/service — the last queued in a throwaway
+  store, timing the full enqueue + spawned-worker path), recording
+  wall-clock seconds and verifying the histories agree.
 
 Run standalone (writes ``BENCH_grid_build.json`` for the CI artifact)::
 
@@ -226,11 +226,10 @@ def time_sweeps(quick: bool = True) -> dict:
         execution: dict = {"executor": name, "max_workers": 2}
         run_kwargs: dict = {}
         tmp_store = None
-        if name in ("distributed", "service"):
-            # The store-coordinated executors schedule through a store;
-            # give each a throwaway one so the timing covers the whole
-            # enqueue -> spawn workers -> manifests path (for "service"
-            # that includes starting the embedded coordinator).
+        if name == "service":
+            # The store-coordinated executor schedules through a store;
+            # give it a throwaway one so the timing covers the whole
+            # enqueue -> spawn workers -> manifests path.
             execution["poll_interval"] = 0.1
             tmp_store = tempfile.TemporaryDirectory(prefix=f"bench-{name}-store-")
             run_kwargs["store"] = tmp_store.name
@@ -293,7 +292,7 @@ def test_grid_build_batch_5x_and_bitwise():
 
 def test_sweep_executors_agree():
     sweep = time_sweeps(quick=True)
-    assert set(sweep) >= {"serial", "process", "distributed", "service"}
+    assert set(sweep) >= {"serial", "process", "service"}
     for name, row in sweep.items():
         assert row["matches_serial"], f"{name} diverged from serial"
 

@@ -45,7 +45,7 @@ Usage::
 
     # Distributed sweeps: cells fan out over a shared store (docs/deployment.md).
     python -m repro run --preset bench --set seeds=0,1,2,3 \
-        --executor distributed --parallel 4 --store runs/   # spawn 4 local workers
+        --executor service --parallel 4 --store runs/   # spawn 4 local workers
     python -m repro worker --store runs/             # worker on any machine
     python -m repro scenario --preset bench --emit-jobs jobs/  # SLURM-style scripts
 
@@ -53,7 +53,7 @@ Usage::
     python -m repro coordinator --store runs/ --port 7464    # the service
     python -m repro worker --coordinator http://HOST:7464    # warm worker
     python -m repro run --preset bench --set seeds=0,1,2,3 --store runs/ \
-        --executor service --coordinator http://HOST:7464    # submit a sweep
+        --coordinator http://HOST:7464                       # submit a sweep
 
     # Registry reference: every scenario-addressable component spec.
     python -m repro registry                         # plain summary
@@ -72,7 +72,7 @@ The ``run`` command consumes :class:`repro.api.Scenario` JSON files (see
 façade; ``--set key=value`` overrides any scenario field.  Multi-seed
 sweeps fan their ``(scheme, seed)`` cells out through the scenario's
 ``execution`` spec: ``--parallel N`` runs them on an N-worker process pool
-and ``--executor serial|process|distributed|service`` picks the executor
+and ``--executor serial|process|service`` picks the executor
 (results are bitwise-identical either way).  The pytest benches in
 ``benchmarks/`` remain the canonical reproduction (they record
 paper-vs-measured blocks); this CLI is the quick interactive path.
@@ -217,7 +217,6 @@ def _load_scenario(args) -> "object":
             scenario = scenario.with_overrides(args.overrides)
         if args.policies:
             scenario = scenario.with_overrides(_policy_overrides(args.policies))
-        store_executors = ("distributed", "service")
         if (
             args.executor is not None
             or args.parallel is not None
@@ -237,19 +236,14 @@ def _load_scenario(args) -> "object":
                 execution["coordinator_url"] = args.coordinator
             if args.parallel is not None:
                 execution["max_workers"] = args.parallel
-                if (
-                    args.executor is None
-                    and execution["executor"] not in store_executors
-                ):
+                if args.executor is None and execution["executor"] != "service":
                     execution["executor"] = "process"
-            if execution["executor"] not in store_executors:
+            if execution["executor"] != "service":
                 # The store-coordination knobs (filled in by
                 # canonicalisation) must not survive a switch to a pool
                 # executor — Scenario validation rejects them there.
-                execution.pop("lease_seconds", None)
-                execution.pop("poll_interval", None)
-            if execution["executor"] != "service":
-                execution.pop("coordinator_url", None)
+                for key in ("lease_seconds", "poll_interval", "coordinator_url"):
+                    execution.pop(key, None)
             scenario = scenario.with_(execution=execution)
     except (ValueError, TypeError, json.JSONDecodeError, OSError) as exc:
         raise SystemExit(f"error: {exc}")
@@ -417,7 +411,7 @@ def _cmd_run(args) -> int:
     print(ascii_table(["scheme", "final acc", "payment"], rows))
     executor = scenario.execution["executor"]
     workers = scenario.execution["max_workers"]
-    if executor in ("process", "distributed", "service"):
+    if executor in ("process", "service"):
         # Solver builds happen inside the worker processes (one cache
         # each); the parent engine's counters would misleadingly read 0.
         print(
@@ -425,11 +419,9 @@ def _cmd_run(args) -> int:
             + (f", {workers} workers]" if workers else "]")
         )
     else:
-        note = "" if executor == "serial" else f" [{executor} executor]"
         print(
             f"\nsolver cache: {engine.cache_misses} build(s), "
             f"{engine.cache_hits} reuse(s) across {len(scenario.seeds)} seed(s)"
-            + note
         )
     if args.store is not None:
         from .api import scenario_hash
@@ -823,12 +815,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--executor",
         default=None,
-        choices=("serial", "process", "distributed", "service"),
+        choices=("serial", "process", "service"),
         help="executor family for `run` (default: the scenario's execution "
-        "spec); `distributed` coordinates cells through --store and needs "
-        "workers (spawned via --parallel N, or external `repro worker`s); "
-        "`service` pushes cells through the event-driven coordinator "
-        "(--coordinator URL, or an embedded one when omitted)",
+        "spec); `service` coordinates cells through --store and needs "
+        "workers (spawned via --parallel N, or external `repro worker`s), "
+        "and with --coordinator URL pushes them through that running "
+        "coordinator",
     )
     parser.add_argument(
         "--coordinator",

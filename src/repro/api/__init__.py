@@ -30,17 +30,17 @@ checkpoint (``session.snapshot()``) and resume
 training and policy trajectories (see :mod:`repro.api.store` and
 :mod:`repro.api.metrics`).
 
-Sweeps also scale past one machine: the ``"distributed"`` executor
-(:mod:`repro.api.distributed`) turns the store into a shared job bus —
-the coordinator enqueues per-cell job specs, ``python -m repro worker``
-processes on any machine sharing the filesystem claim them with
-lease-guarded lock files (work-stealing, crash re-queue), and the
-assembled ``RunResult`` is bitwise-identical to a serial run.  The
-``"service"`` executor (:mod:`repro.api.coordinator`) layers an
-event-driven tier on the same queue: an asyncio coordinator service
-claims from the store's job queue on its workers' behalf and *pushes*
-cells to warm workers over long-poll instead of every worker polling
-the filesystem, so push and polling fleets drain one queue.  For batch
+Sweeps also scale past one machine: the ``"service"`` executor turns the
+store into a shared job bus (:mod:`repro.api.distributed`) — it enqueues
+per-cell job specs, ``python -m repro worker`` processes on any machine
+sharing the filesystem claim them with lease-guarded lock files
+(work-stealing, crash re-queue), and the assembled ``RunResult`` is
+bitwise-identical to a serial run.  Given a ``coordinator_url`` it
+submits through the event-driven tier on the same queue
+(:mod:`repro.api.coordinator`): an asyncio coordinator service claims
+from the store's job queue on its workers' behalf and *pushes* cells to
+warm workers over long-poll instead of every worker polling the
+filesystem, so push and polling fleets drain one queue.  For batch
 clusters without a resident coordinator, ``emit_job_scripts`` (CLI:
 ``python -m repro scenario --emit-jobs DIR``) writes SLURM-style
 per-cell scripts speaking the same store protocol.
@@ -74,7 +74,6 @@ from .coordinator import (
     start_coordinator,
 )
 from .distributed import (
-    DistributedExecutor,
     Job,
     JobQueue,
     emit_job_scripts,
@@ -117,7 +116,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ProcessExecutor",
-    "DistributedExecutor",
     "ServiceExecutor",
     "CoordinatorService",
     "CoordinatorHandle",

@@ -1,10 +1,11 @@
 """Event-driven coordination service: push-based sweeps over the store.
 
 The filesystem queue of :mod:`repro.api.distributed` coordinates by
-*polling* — workers re-scan ``jobs/`` and the coordinator re-stats
-manifests every ``poll_interval`` — which is robust but slow: startup
-and poll latency dominate small sweeps, exactly the regime FMore's MEC
-aggregator lives in (one auction round per network beat, PAPER.md §III).
+*polling* — workers re-scan ``jobs/`` and the submitting executor
+re-stats manifests every ``poll_interval`` — which is robust but slow:
+startup and poll latency dominate small sweeps, exactly the regime
+FMore's MEC aggregator lives in (one auction round per network beat,
+PAPER.md §III).
 This module adds the event-driven tier on top of the *same* queue:
 
 * :class:`CoordinatorService` — an asyncio TCP server speaking a minimal
@@ -18,8 +19,8 @@ This module adds the event-driven tier on top of the *same* queue:
   files.  The cell's lock is the only lease.  A janitor reclaims
   lease-expired locks, retires cells whose manifests landed, and wakes
   waiting claimers whenever claimable work sits in the store — so push
-  workers, plain filesystem workers, ``distributed`` sweeps and a
-  restarted coordinator all drain one queue.
+  workers, plain filesystem workers, store-queued sweeps and a restarted
+  coordinator all drain one queue.
 * :class:`WorkerClient` / :class:`ServiceLink` — the worker side:
   register (learning the store location), long-poll for pushed cells,
   stream one round-completion event per round through ``/heartbeat``,
@@ -28,14 +29,14 @@ This module adds the event-driven tier on top of the *same* queue:
   claims from the store's queue itself, re-attaching when the
   coordinator returns.
 * :class:`ServiceExecutor` — the registry-registered ``"service"``
-  executor: the ``distributed`` executor's wait loop, submitting through
-  ``/sweep`` and pacing on the ``/status`` long-poll.
+  executor, the one that submits store-coordinated sweeps.  Without a
+  ``coordinator_url`` it enqueues the cells straight into the store and
+  sleeps ``poll_interval`` between looks; with
   ``execution={"executor": "service", "coordinator_url":
-  "http://host:port"}`` submits the sweep to a running coordinator;
-  with ``coordinator_url=None`` it embeds a coordinator thread on an
-  ephemeral port and keeps its spawned workers *warm* across
-  ``execute_plan`` calls (the coordinator hands them the next sweep's
-  cells without a process restart).
+  "http://host:port"}`` it submits the sweep to that running coordinator
+  through ``/sweep`` and paces on the ``/status`` long-poll.  The
+  executor never starts a coordinator itself: run one with ``python -m
+  repro coordinator`` or :func:`start_coordinator`.
 
 Determinism contract: the service tier schedules the *same* engine
 session path as every other executor, so a service-executed sweep's
@@ -58,6 +59,9 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import urllib.parse
@@ -68,10 +72,10 @@ from ..core.registry import EXECUTORS
 from .distributed import (
     DEFAULT_LEASE_SECONDS,
     DEFAULT_POLL_INTERVAL,
-    DistributedExecutor,
     Job,
     JobQueue,
 )
+from .executor import Executor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .scenario import Scenario
@@ -98,6 +102,13 @@ _UNREACHABLE = (OSError, http.client.HTTPException, json.JSONDecodeError)
 
 class CoordinatorError(RuntimeError):
     """The coordinator answered with an application-level error."""
+
+
+def _long_poll_hold(poll_interval: float) -> float:
+    """How long a client holds a ``/claim`` or ``/status`` long-poll: long
+    enough to amortise connections, short enough that SIGTERM (which
+    interrupts between requests) stays responsive."""
+    return max(0.2, min(5.0, poll_interval * 4.0))
 
 
 # ----------------------------------------------------------------------
@@ -504,7 +515,7 @@ class CoordinatorService:
 
     def _lock_owner(self, payload: dict) -> str | None:
         """The worker label holding the lock of the cell ``payload`` names."""
-        lock = self.queue._read_lock(self._lock_path(payload))
+        lock = self.queue._peek(self._lock_path(payload))
         return None if lock is None else lock.get("worker")
 
     def _retire(self, h: str, scheme: str, seed: int) -> None:
@@ -544,9 +555,6 @@ class CoordinatorHandle:
     @property
     def url(self) -> str:
         return self.service.url
-
-    def alive(self) -> bool:
-        return self.thread.is_alive()
 
     def stop(self, timeout: float = 10.0) -> None:
         self.service.request_stop()
@@ -694,10 +702,7 @@ class ServiceLink:
         self.queue: JobQueue | None = None
         self._owned: set[tuple[str, str, int]] = set()
         self._last_attach_attempt = float("-inf")
-        # Long-poll hold: long enough to amortise connections, short
-        # enough that SIGTERM (which interrupts between requests) stays
-        # responsive.
-        self.claim_hold = max(0.2, min(5.0, self.poll_interval * 4.0))
+        self.claim_hold = _long_poll_hold(self.poll_interval)
 
     # -- attachment -----------------------------------------------------
     def attach(self, *, required: bool = False) -> str | None:
@@ -832,34 +837,44 @@ class ServiceLink:
 # The "service" executor
 # ----------------------------------------------------------------------
 @EXECUTORS.register("service")
-class ServiceExecutor(DistributedExecutor):
-    """Drive a sweep through the event-driven coordinator service.
+class ServiceExecutor(Executor):
+    """Coordinate cells through a shared store instead of running them.
 
-    With ``coordinator_url`` the sweep is submitted to a running
-    coordinator (whose warm worker fleet executes it); with
-    ``coordinator_url=None`` an embedded coordinator thread is started on
-    an ephemeral port and ``max_workers`` local worker processes are
-    spawned against it — and both are kept *warm* on this executor
-    instance until :meth:`close`, so back-to-back ``execute_plan`` calls
-    reuse the fleet without process restarts.  ``max_workers=0`` spawns
-    nothing (external workers do the running).
+    Unlike the pool executors this one never calls the work function: it
+    puts one job spec per cell on the store's queue, optionally spawns
+    ``max_workers`` local worker processes, and waits until every cell's
+    manifest exists — re-queueing lease-expired claims and respawning
+    crashed local workers along the way.  ``max_workers=0`` spawns
+    nothing: *external* workers (other machines on the shared filesystem,
+    a SLURM array, a coordinator's fleet) do the running.
 
-    The wait loop is the ``distributed`` executor's: only submission
-    (``/sweep``) and pacing (the ``/status`` long-poll instead of a
-    sleep) differ.  The coordinator's queue is the store's, so when the
-    coordinator is unreachable this executor enqueues and waits on the
-    store itself, and service workers claim from it directly — the sweep
-    still completes, byte-identically.
+    * Without ``coordinator_url`` the cells are enqueued straight into the
+      store, the wait sleeps ``poll_interval`` between looks, and the
+      local workers run ``python -m repro worker --store DIR
+      --exit-when-idle``, so each one leaves once the queue is empty.
+    * With ``coordinator_url`` the plan is submitted to that running
+      coordinator (``/sweep``), the wait long-polls its ``/status``, and
+      the local workers attach to it (``--coordinator URL --store DIR``)
+      until :meth:`close`.  The coordinator's queue is the store's, so
+      when the coordinator is unreachable this executor enqueues and
+      waits on the store itself, and the workers claim from it directly —
+      the sweep still completes, byte-identically.
+
+    Spawned workers outlive :meth:`execute_plan`; :meth:`close` stops
+    them (``FMoreEngine.run`` calls it before it returns or raises).
 
     Scenario spec::
 
         {"executor": "service", "max_workers": 2,
-         "coordinator_url": "http://127.0.0.1:7464",   # null = embedded
+         "coordinator_url": null,   # or "http://127.0.0.1:7464"
          "lease_seconds": 300.0, "poll_interval": 1.0}
     """
 
-    warm_workers = True
-    _name = "service"
+    in_process = False
+    #: Engine capability flag: this executor schedules whole plans through
+    #: an ExperimentStore (``execute_plan``) rather than mapping a
+    #: function over cells.
+    needs_store = True
 
     def __init__(
         self,
@@ -868,54 +883,140 @@ class ServiceExecutor(DistributedExecutor):
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
     ):
-        super().__init__(max_workers, lease_seconds, poll_interval)
+        if max_workers is not None and int(max_workers) == 0:
+            # Coordinate-only: rely entirely on external workers.
+            self.max_workers = 0
+        else:
+            super().__init__(max_workers)
+        lease_seconds = float(lease_seconds)
+        poll_interval = float(poll_interval)
+        if lease_seconds < 0.0:
+            raise ValueError("lease_seconds must be >= 0")
+        if poll_interval <= 0.0:
+            raise ValueError("poll_interval must be > 0")
         self.coordinator_url = (
             str(coordinator_url).rstrip("/") if coordinator_url else None
         )
-        self._embedded: CoordinatorHandle | None = None
-        self._url: str | None = None  # the current plan's coordinator
-        self._long_poll = False  # pace on /status until drained or unreachable
+        self.lease_seconds = lease_seconds
+        self.poll_interval = poll_interval
+        self._workers: list[subprocess.Popen] = []
 
-    # -- warm-pool lifecycle --------------------------------------------
+    # The Executor ABC's map contract cannot express a coordinator (the
+    # work function never crosses the process/machine boundary).
+    def map(self, fn, items):
+        raise RuntimeError(
+            "the service executor does not map functions over cells; "
+            "run it through FMoreEngine.run(scenario, store=...) so it "
+            "can schedule whole plans via execute_plan"
+        )
+
     def close(self) -> None:
-        """Tear down the warm pool: workers first, then the coordinator."""
-        super().close()
-        if self._embedded is not None:
-            self._embedded.stop()
-            self._embedded = None
+        """Stop the spawned local workers (SIGTERM, then SIGKILL after 10 s)."""
+        workers, self._workers = self._workers, []
+        for proc in workers:
+            proc.terminate()
+        for proc in workers:
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:  # pragma: no cover - safety
+                proc.kill()
 
-    def __del__(self):  # pragma: no cover - interpreter-shutdown timing
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def _service_url(self, store: "ExperimentStore") -> str:
-        """The coordinator to talk to, starting the embedded one if needed."""
-        if self.coordinator_url is not None:
-            return self.coordinator_url
-        if self._embedded is not None and (
-            not self._embedded.alive()
-            or self._embedded.service.store.root != store.root
-        ):
-            self.close()
-        if self._embedded is None:
-            self._embedded = start_coordinator(
-                store, poll_interval=self.poll_interval
-            )
-        return self._embedded.url
-
-    # -- the distributed loop's hooks -----------------------------------
-    def _submit(
+    def execute_plan(
         self,
-        queue: JobQueue,
         scenario: "Scenario",
         cells: Sequence[tuple[str, int]],
-        **plan,
-    ) -> None:
-        """POST the plan to ``/sweep``; enqueue it on the store directly
-        when the coordinator is unreachable."""
-        self._url = self._service_url(queue.store)
+        store: "ExperimentStore",
+        *,
+        resume: bool = False,
+        checkpoint_every: int | None = None,
+        force: bool = False,
+    ):
+        """Queue ``cells``, wait for their manifests, load the histories.
+
+        Returns histories aligned with ``cells`` (the engine's positional
+        contract).  With ``force`` the cells' existing manifests are
+        dropped first, so "manifest exists" is again synonymous with
+        "recomputed".  Raises ``RuntimeError`` when spawned local workers
+        keep dying (beyond ``max(3, 2 * workers)`` non-zero exits since
+        the last cell landed).
+        """
+        from .store import ExperimentStore
+
+        store = ExperimentStore.coerce(store)
+        queue = JobQueue(store)
+        # Hash once: the store API accepts the hash string everywhere, and
+        # re-deriving it (a full canonical-JSON dump + SHA-256) per cell
+        # per poll would dominate an idle wait loop.
+        h = store.register_scenario(scenario)
+        plan = {"resume": resume, "checkpoint_every": checkpoint_every, "force": force}
+        # Pace on the coordinator's /status long-poll until it reports the
+        # sweep drained (the loop then finds every manifest) or stops
+        # answering; sleep between looks otherwise.
+        long_poll = self.coordinator_url is not None and self._post_sweep(
+            scenario, cells, plan
+        )
+        if not long_poll:
+            queue.enqueue(scenario, cells, lease_seconds=self.lease_seconds, **plan)
+        n_local = 0 if self.max_workers == 0 else self.worker_count(len(cells))
+        self._workers = [p for p in self._workers if p.poll() is None]
+        while len(self._workers) < n_local:
+            self._workers.append(self._spawn_worker(store))
+        failures = 0
+        max_failures = max(3, 2 * n_local)
+        landed = len(cells) - len(store.missing_cells(h, cells))
+        started = time.monotonic()
+        hinted = False
+        while True:
+            done = len(cells) - len(store.missing_cells(h, cells))
+            if done == len(cells):
+                break
+            if done > landed:
+                # Cells are still landing: worker deaths so far were
+                # absorbed by the lease/re-queue machinery.  Reset the
+                # failure budget so a long sweep on flaky nodes is not
+                # aborted by a lifetime body count while progressing.
+                landed, failures = done, 0
+            queue.reclaim_stale()
+            if n_local:
+                alive = []
+                for proc in self._workers:
+                    code = proc.poll()
+                    if code is None:
+                        alive.append(proc)
+                    elif code != 0:
+                        failures += 1
+                        if failures > max_failures:
+                            raise RuntimeError(
+                                f"service workers keep failing (last exit "
+                                f"code {code}, {failures} failures); see the "
+                                "worker stderr above"
+                            )
+                self._workers = alive
+                # Respawn only when claimable work is actually waiting
+                # (idle exits while one worker finishes the tail cell
+                # are normal and should not trigger churn).
+                if len(self._workers) < n_local and queue.unclaimed():
+                    self._workers.append(self._spawn_worker(store))
+            elif not hinted and time.monotonic() - started > 30.0:
+                hinted = True
+                print(
+                    f"[service] waiting for external workers on {store.root} "
+                    f"— start some with: python -m repro worker --store "
+                    f"{store.root}",
+                    file=sys.stderr,
+                )
+            if long_poll:
+                long_poll = self._await_status(h)
+            else:
+                time.sleep(self.poll_interval)
+        return [store.load_history(h, s, d) for s, d in cells]
+
+    # -- the coordinator's side of a plan --------------------------------
+    def _post_sweep(
+        self, scenario: "Scenario", cells: Sequence[tuple[str, int]], plan: dict
+    ) -> bool:
+        """POST the plan to ``/sweep``; ``False`` when the coordinator is
+        unreachable (the caller then enqueues on the store directly)."""
         payload = {
             "scenario": scenario.to_dict(),
             "cells": [[s, int(d)] for s, d in cells],
@@ -923,34 +1024,55 @@ class ServiceExecutor(DistributedExecutor):
             **plan,
         }
         try:
-            _request(self._url, "POST", "/sweep", payload, timeout=30.0)
-            self._long_poll = True
+            _request(self.coordinator_url, "POST", "/sweep", payload, timeout=30.0)
         except _UNREACHABLE:
-            self._long_poll = False
-            super()._submit(queue, scenario, cells, **plan)
+            return False
+        return True
 
-    def _pace(self, scenario_hash: str) -> None:
-        """Long-poll ``/status`` instead of sleeping.
-
-        Once the coordinator reports the sweep drained (the loop then
-        finds every manifest) or stops answering, later passes of this
-        plan sleep like the ``distributed`` executor's.
-        """
-        if not self._long_poll:
-            return super()._pace(scenario_hash)
-        hold = max(0.2, min(5.0, self.poll_interval * 4.0))
+    def _await_status(self, scenario_hash: str) -> bool:
+        """One ``/status`` long-poll; ``True`` while it is worth another."""
+        hold = _long_poll_hold(self.poll_interval)
         try:
             status = _request(
-                self._url,
+                self.coordinator_url,
                 "GET",
                 f"/status?hash={scenario_hash}&timeout={hold}",
                 timeout=hold + 10.0,
             )
-            self._long_poll = not status.get("done")
         except _UNREACHABLE:
-            self._long_poll = False
+            return False
+        return not status.get("done")
 
-    def _worker_args(self, store: "ExperimentStore") -> list[str]:
-        # The store is passed too, not just learned from /register, so the
-        # worker can claim from it directly the moment the coordinator dies.
-        return ["--coordinator", self._url, "--store", str(store.root.resolve())]
+    def _spawn_worker(self, store: "ExperimentStore") -> subprocess.Popen:
+        """Start one local worker subprocess for this executor's queue.
+
+        The repo's ``src`` directory is prepended to the child's
+        ``PYTHONPATH`` so spawning works from a source checkout without an
+        installed package.
+        """
+        if self.coordinator_url is None:
+            target = ["--store", str(store.root), "--exit-when-idle"]
+        else:
+            # The store is passed too, not just learned from /register, so
+            # the worker can claim from it directly the moment the
+            # coordinator dies.
+            target = [
+                "--coordinator", self.coordinator_url,
+                "--store", str(store.root.resolve()),
+            ]
+        src_dir = str(Path(__file__).resolve().parents[2])
+        env = dict(os.environ)
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = (
+            src_dir if not existing else os.pathsep.join([src_dir, existing])
+        )
+        cmd = [
+            sys.executable,
+            "-m",
+            "repro",
+            "worker",
+            *target,
+            "--poll-interval",
+            str(self.poll_interval),
+        ]
+        return subprocess.Popen(cmd, env=env)

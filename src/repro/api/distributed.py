@@ -8,11 +8,11 @@ one content-addressed manifest in an
 results bus: this module adds the matching *job* bus, so a sweep can fan
 out across processes and machines that share nothing but a filesystem.
 
-Three cooperating roles, all socket-free:
+Three cooperating roles, socket-free unless a coordinator is named:
 
-* **Coordinator** — the registry-registered ``"distributed"``
-  :class:`~repro.api.executor.Executor`.  ``FMoreEngine.run`` hands it the
-  pending cells; it registers the scenario once under
+* **Submitter** — the registry-registered ``"service"`` executor
+  (:class:`repro.api.coordinator.ServiceExecutor`).  ``FMoreEngine.run``
+  hands it the pending cells; it registers the scenario once under
   ``<store>/scenarios/<hash>.json`` and enqueues one *job spec* per cell
   (the cell address plus the scenario hash — specs reference the
   registered scenario rather than embedding it) under
@@ -20,10 +20,10 @@ Three cooperating roles, all socket-free:
   optionally spawns local worker processes, and then just polls the store
   until every cell's manifest exists.  Worker death is handled by *lease
   timeouts*: a claimed job whose lock stops heartbeating is re-queued
-  (its lock reclaimed) so surviving workers steal the cell.  The
-  ``"service"`` executor (:mod:`repro.api.coordinator`) is this same loop,
-  submitting through the event-driven coordinator, which claims from
-  this same queue on its workers' behalf.
+  (its lock reclaimed) so surviving workers steal the cell.  Given a
+  ``coordinator_url`` it submits through the event-driven coordinator
+  (:mod:`repro.api.coordinator`) instead, which claims from this same
+  queue on its workers' behalf.
 * **Workers** — ``python -m repro worker --store DIR`` (or
   :func:`run_worker`).  Each worker scans the job directory, claims cells
   with atomic ``O_CREAT | O_EXCL`` lock files (work-stealing: whoever
@@ -70,25 +70,20 @@ import random
 import signal
 import socket
 import stat
-import subprocess
-import sys
 import threading
 import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from ..core.registry import EXECUTORS
 from ..fl.serialize import atomic_write
-from .executor import Executor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> scenario)
     from .scenario import Scenario
     from .store import ExperimentStore
 
 __all__ = [
-    "DistributedExecutor",
     "JobQueue",
     "Job",
     "run_worker",
@@ -111,8 +106,8 @@ JOB_FORMAT = 2
 #: round — see docs/deployment.md for sizing guidance.
 DEFAULT_LEASE_SECONDS = 300.0
 
-#: How often idle workers re-scan the queue and the coordinator re-polls
-#: the store for finished manifests.
+#: How often idle workers re-scan the queue and a store-queued ``service``
+#: sweep re-polls the store for finished manifests.
 DEFAULT_POLL_INTERVAL = 1.0
 
 
@@ -326,7 +321,7 @@ class JobQueue:
         """Queued ``(hash, scheme, seed)`` cells (claimed or not)."""
         out = []
         for path in self._job_paths():
-            data = self._read_job(path)
+            data = self._peek(path)
             if data is not None:
                 out.append(
                     (str(data["scenario_hash"]), str(data["scheme"]), int(data["seed"]))
@@ -369,7 +364,7 @@ class JobQueue:
         # str seeding is stable (unlike hash(), which is salted per run).
         random.Random(f"{label}:{self._claim_passes}").shuffle(paths)
         for path in paths:
-            data = self._read_job(path)
+            data = self._peek(path)
             if data is None:
                 continue
             h = str(data["scenario_hash"])
@@ -469,7 +464,7 @@ class JobQueue:
         )
 
     def _is_stale(self, lock: Path) -> bool:
-        data = self._read_lock(lock)
+        data = self._peek(lock)
         if data is None:
             # Unreadable: either a racing heartbeat replace (momentary)
             # or a worker killed between creating the lock and writing
@@ -493,7 +488,7 @@ class JobQueue:
         atomic, deterministic manifest writes make the duplicate rounds
         already run harmless.
         """
-        current = self._read_lock(job.lock_path)
+        current = self._peek(job.lock_path)
         if current is None or current.get("worker") != job.worker:
             return False
         current["heartbeat"] = _now()
@@ -502,7 +497,7 @@ class JobQueue:
 
     def release(self, job: Job) -> None:
         """Give the cell back (job spec stays queued for other workers)."""
-        current = self._read_lock(job.lock_path)
+        current = self._peek(job.lock_path)
         if current is not None and current.get("worker") == job.worker:
             self._remove(job.lock_path)
 
@@ -519,8 +514,8 @@ class JobQueue:
     def reclaim_stale(self) -> list[Path]:
         """Re-queue every lease-expired claim; returns the reclaimed locks.
 
-        Workers steal lazily (at claim time); the coordinator calls this
-        each poll so that a dead worker's cells become claimable even
+        Workers steal lazily (at claim time); the ``service`` executor
+        calls this each poll so that a dead worker's cells become claimable even
         when every surviving worker is busy elsewhere.  Locks whose cell
         already has a manifest are retired outright.
         """
@@ -543,14 +538,9 @@ class JobQueue:
 
     # -- small helpers --------------------------------------------------
     @staticmethod
-    def _read_job(path: Path) -> dict | None:
-        try:
-            return json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None  # removed or mid-write by a racing worker
-
-    @staticmethod
-    def _read_lock(path: Path) -> dict | None:
+    def _peek(path: Path) -> dict | None:
+        """A job spec or lock, or ``None`` when a racing worker removed it
+        or is mid-write."""
         try:
             return json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
@@ -634,8 +624,9 @@ def run_worker(
         Stop after completing this many cells (``None`` = unbounded) —
         the batch-cluster-friendly lifetime bound.
     exit_when_idle:
-        Return instead of waiting when nothing is claimable (used by
-        coordinator-spawned workers and one-shot scripts).
+        Return instead of waiting when nothing is claimable (used by the
+        workers a store-queued ``service`` sweep spawns, and by one-shot
+        scripts).
     worker_id:
         Stable label for locks and registration; default host-pid-nonce.
     stop_event:
@@ -777,208 +768,6 @@ def _run_job(
     if history is not None:
         complete(job)
     return history is not None
-
-
-# ----------------------------------------------------------------------
-# The coordinator: a registry-registered executor
-# ----------------------------------------------------------------------
-@EXECUTORS.register("distributed")
-class DistributedExecutor(Executor):
-    """Coordinate cells through a shared store instead of running them.
-
-    Unlike the pool executors this one never calls the work function:
-    it enqueues job specs, optionally spawns ``max_workers`` local worker
-    processes (``python -m repro worker --store DIR --exit-when-idle``),
-    and polls the store until every cell's manifest exists — re-queueing
-    lease-expired claims and respawning crashed local workers along the
-    way.  ``max_workers=0`` spawns nothing: the coordinator only queues
-    and waits, and *external* workers (other machines on the shared
-    filesystem, a SLURM array) do the running.
-
-    Scenario spec::
-
-        {"executor": "distributed", "max_workers": 4,
-         "lease_seconds": 300.0, "poll_interval": 1.0}
-    """
-
-    in_process = False
-    #: Engine capability flag: this executor schedules whole plans through
-    #: an ExperimentStore (``execute_plan``) rather than mapping a
-    #: function over cells.
-    needs_store = True
-    #: Whether spawned workers outlive ``execute_plan`` (until :meth:`close`).
-    warm_workers = False
-    _name = "distributed"  # the registry name, for messages
-
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        lease_seconds: float = DEFAULT_LEASE_SECONDS,
-        poll_interval: float = DEFAULT_POLL_INTERVAL,
-    ):
-        if max_workers is not None and int(max_workers) == 0:
-            # Coordinate-only: rely entirely on external workers.
-            self.max_workers = 0
-        else:
-            super().__init__(max_workers)
-        lease_seconds = float(lease_seconds)
-        poll_interval = float(poll_interval)
-        if lease_seconds < 0.0:
-            raise ValueError("lease_seconds must be >= 0")
-        if poll_interval <= 0.0:
-            raise ValueError("poll_interval must be > 0")
-        self.lease_seconds = lease_seconds
-        self.poll_interval = poll_interval
-        self._workers: list[subprocess.Popen] = []
-
-    # The Executor ABC's map contract cannot express a coordinator (the
-    # work function never crosses the process/machine boundary).
-    def map(self, fn, items):
-        raise RuntimeError(
-            f"the {self._name} executor does not map functions over cells; "
-            "run it through FMoreEngine.run(scenario, store=...) so the "
-            "coordinator can schedule whole plans via execute_plan"
-        )
-
-    def close(self) -> None:
-        """Stop the spawned local workers (SIGTERM, then SIGKILL after 10 s)."""
-        workers, self._workers = self._workers, []
-        for proc in workers:
-            proc.terminate()
-        for proc in workers:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover - safety
-                proc.kill()
-
-    # -- the coordinator loop -------------------------------------------
-    def execute_plan(
-        self,
-        scenario: "Scenario",
-        cells: Sequence[tuple[str, int]],
-        store: "ExperimentStore",
-        *,
-        resume: bool = False,
-        checkpoint_every: int | None = None,
-        force: bool = False,
-    ):
-        """Queue ``cells``, wait for their manifests, load the histories.
-
-        Returns histories aligned with ``cells`` (the engine's positional
-        contract).  With ``force`` the cells' existing manifests are
-        dropped first, so "manifest exists" is again synonymous with
-        "recomputed".  Raises ``RuntimeError`` when spawned local workers
-        keep dying (beyond ``max(3, 2 * workers)`` non-zero exits since
-        the last cell landed).
-        """
-        from .store import ExperimentStore
-
-        store = ExperimentStore.coerce(store)
-        queue = JobQueue(store)
-        # Hash once: the store API accepts the hash string everywhere, and
-        # re-deriving it (a full canonical-JSON dump + SHA-256) per cell
-        # per poll would dominate an idle coordinator's loop.
-        h = store.register_scenario(scenario)
-        self._submit(
-            queue, scenario, cells,
-            resume=resume, checkpoint_every=checkpoint_every, force=force,
-        )
-        n_local = 0 if self.max_workers == 0 else self.worker_count(len(cells))
-        self._workers = [p for p in self._workers if p.poll() is None]
-        while len(self._workers) < n_local:
-            self._workers.append(self._spawn_worker(store))
-        failures = 0
-        max_failures = max(3, 2 * n_local)
-        landed = len(cells) - len(store.missing_cells(h, cells))
-        started = time.monotonic()
-        hinted = False
-        try:
-            while True:
-                done = len(cells) - len(store.missing_cells(h, cells))
-                if done == len(cells):
-                    break
-                if done > landed:
-                    # Cells are still landing: worker deaths so far were
-                    # absorbed by the lease/re-queue machinery.  Reset the
-                    # failure budget so a long sweep on flaky nodes is not
-                    # aborted by a lifetime body count while progressing.
-                    landed, failures = done, 0
-                queue.reclaim_stale()
-                if n_local:
-                    alive = []
-                    for proc in self._workers:
-                        code = proc.poll()
-                        if code is None:
-                            alive.append(proc)
-                        elif code != 0:
-                            failures += 1
-                            if failures > max_failures:
-                                raise RuntimeError(
-                                    f"{self._name} workers keep failing (last "
-                                    f"exit code {code}, {failures} failures); "
-                                    "see the worker stderr above"
-                                )
-                    self._workers = alive
-                    # Respawn only when claimable work is actually waiting
-                    # (idle exits while one worker finishes the tail cell
-                    # are normal and should not trigger churn).
-                    if len(self._workers) < n_local and queue.unclaimed():
-                        self._workers.append(self._spawn_worker(store))
-                elif not hinted and time.monotonic() - started > 30.0:
-                    hinted = True
-                    print(
-                        f"[{self._name}] waiting for external workers on "
-                        f"{store.root} — start some with: python -m repro "
-                        f"worker --store {store.root}",
-                        file=sys.stderr,
-                    )
-                self._pace(h)
-        finally:
-            if not self.warm_workers:
-                self.close()
-        return [store.load_history(h, s, d) for s, d in cells]
-
-    # -- what the service executor overrides ----------------------------
-    def _submit(
-        self,
-        queue: JobQueue,
-        scenario: "Scenario",
-        cells: Sequence[tuple[str, int]],
-        **plan,
-    ) -> None:
-        """Put the cells on the queue (``plan``: resume, checkpoint_every, force)."""
-        queue.enqueue(scenario, cells, lease_seconds=self.lease_seconds, **plan)
-
-    def _pace(self, scenario_hash: str) -> None:
-        """Wait between two looks at the store."""
-        time.sleep(self.poll_interval)
-
-    def _worker_args(self, store: "ExperimentStore") -> list[str]:
-        return ["--store", str(store.root), "--exit-when-idle"]
-
-    def _spawn_worker(self, store: "ExperimentStore") -> subprocess.Popen:
-        """Start one local worker subprocess pointed at the store.
-
-        The repo's ``src`` directory is prepended to the child's
-        ``PYTHONPATH`` so spawning works from a source checkout without an
-        installed package.
-        """
-        src_dir = str(Path(__file__).resolve().parents[2])
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            src_dir if not existing else os.pathsep.join([src_dir, existing])
-        )
-        cmd = [
-            sys.executable,
-            "-m",
-            "repro",
-            "worker",
-            *self._worker_args(store),
-            "--poll-interval",
-            str(self.poll_interval),
-        ]
-        return subprocess.Popen(cmd, env=env)
 
 
 # ----------------------------------------------------------------------

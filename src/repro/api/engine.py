@@ -1027,24 +1027,21 @@ class FMoreEngine:
         * the ``process`` executor ships ``(scenario, scheme, seed)`` to
           worker processes, each of which rebuilds federations from the
           same streams and keeps a per-process solver cache;
-        * the ``distributed`` executor turns the store into a job bus:
+        * the ``service`` executor turns the store into a job bus:
           pending cells are enqueued as job specs under
           ``<store>/jobs/``, ``python -m repro worker`` processes — local
           (spawned when ``max_workers`` > 0) or on any machine sharing
           the store's filesystem — claim them with lease-guarded lock
           files, and this call polls until every manifest lands (see
           :mod:`repro.api.distributed`; a ``store`` is then mandatory
-          and ``stop_after`` is unsupported);
-        * the ``service`` executor submits the plan to the event-driven
-          coordinator service (:mod:`repro.api.coordinator`) — a running
-          one named by the spec's ``coordinator_url``, or an embedded
-          coordinator thread on an ephemeral port — which *pushes* cells
-          from the same ``<store>/jobs/`` queue to warm workers over
-          long-poll (the ``distributed`` executor's store rules apply,
-          and the two fleets drain one queue).
+          and ``stop_after`` is unsupported).  Given the spec's
+          ``coordinator_url`` it submits the plan to that running
+          coordinator (:mod:`repro.api.coordinator`) instead, which
+          *pushes* cells from the same queue to warm workers over
+          long-poll, so push and polling fleets drain one queue.
 
-        A store-coordinated executor is closed before this call returns
-        or raises, so the workers it spawned never outlive the run.
+        The ``service`` executor is closed before this call returns or
+        raises, so the workers it spawned never outlive the run.
 
         With a ``store`` (an :class:`~repro.api.store.ExperimentStore` or
         its root path) the run becomes durable and incremental: cells
@@ -1076,9 +1073,9 @@ class FMoreEngine:
         exec_spec = dict(scenario.execution)
         executor: Executor = EXECUTORS.create(exec_spec.pop("executor"), **exec_spec)
         if executor.needs_store:
-            # Store-coordinated executors (repro.api.distributed) schedule
-            # whole plans across machines; the store is their job and
-            # results bus, so it is mandatory, and a per-process round
+            # The store-coordinated executor (repro.api.coordinator)
+            # schedules whole plans across machines; the store is its job
+            # and results bus, so it is mandatory, and a per-process round
             # budget cannot cross the machine boundary.
             if store is None:
                 raise ValueError(

@@ -15,13 +15,13 @@ module turns that property into a registry-registered ``Executor`` family:
   bitwise-identical to ``serial`` while multi-seed sweeps scale across
   cores.  Work submitted to it must be picklable (the engine submits a
   module-level function plus the frozen scenario).
-* ``distributed`` — a coordinator that schedules cells across *machines*
-  through a shared :class:`~repro.api.store.ExperimentStore` (job specs
-  claimed by work-stealing workers; see :mod:`repro.api.distributed`).
-  It sets :attr:`Executor.needs_store` and is driven through
-  ``execute_plan`` rather than :meth:`Executor.map`.
-* ``service`` — the same store queue, with cells pushed to warm workers
-  by the event-driven coordinator (see :mod:`repro.api.coordinator`).
+* ``service`` — schedules cells across *machines* through a shared
+  :class:`~repro.api.store.ExperimentStore`: job specs claimed by
+  work-stealing workers (see :mod:`repro.api.distributed`), or, given a
+  ``coordinator_url``, pushed to warm workers by a running event-driven
+  coordinator (see :mod:`repro.api.coordinator`).  It sets
+  :attr:`Executor.needs_store` and is driven through ``execute_plan``
+  rather than :meth:`Executor.map`.
 
 A scenario chooses its executor declaratively via the ``execution`` spec
 (``{"executor": "process", "max_workers": 4}``), which the CLI exposes as
@@ -76,7 +76,7 @@ class Executor(ABC):
         mapping a function over cells.  The engine then requires a store
         and calls ``execute_plan(scenario, cells, store, ...)`` instead
         of :meth:`map`, then ``close()`` (see
-        :class:`repro.api.distributed.DistributedExecutor`).
+        :class:`repro.api.coordinator.ServiceExecutor`).
     """
 
     in_process = True

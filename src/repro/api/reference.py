@@ -10,7 +10,7 @@ registering a component *is* documenting it.
 
 The registries are populated on import: :mod:`repro.core` registers the
 auction families in their defining modules, and importing
-:mod:`repro.api` registers the executors (including ``distributed``) and
+:mod:`repro.api` registers the executors (including ``service``) and
 round policies.
 """
 
@@ -38,7 +38,6 @@ from ..core.registry import (
 from ..strategic import learn as _learn  # noqa: F401 - registers bid learners
 from ..strategic import policies as _strategic  # noqa: F401 - registers bid policies
 from . import coordinator as _coordinator  # noqa: F401 - registers "service"
-from . import distributed as _distributed  # noqa: F401 - registers "distributed"
 from . import executor as _executor  # noqa: F401 - registers the pool executors
 
 __all__ = [
@@ -123,11 +122,11 @@ FAMILIES: tuple[tuple[Registry, str, str], ...] = (
         EXECUTORS,
         "Executors",
         "Scenario field `execution` — `{\"executor\": \"<name>\", "
-        "\"max_workers\": N}`; the store-coordinated executors "
-        "(`distributed`, `service`) additionally take `lease_seconds` / "
-        "`poll_interval` and allow `max_workers=0` (coordinate-only), "
-        "and `service` takes `coordinator_url` (null = an embedded "
-        "coordinator). See docs/deployment.md.",
+        "\"max_workers\": N}`; the store-coordinated `service` executor "
+        "additionally takes `lease_seconds` / `poll_interval` and "
+        "`coordinator_url` (null = queue in the store; a URL = submit to "
+        "that running coordinator) and allows `max_workers=0` "
+        "(coordinate-only). See docs/deployment.md.",
     ),
 )
 

@@ -44,7 +44,7 @@ from ..fl.datasets import DATASET_NAMES, IMAGE_PRESETS, TEXT_PRESETS
 from ..fl.models import smallest_image_size
 from ..strategic import policies as _strategic  # noqa: F401 - registers bid policies
 from . import coordinator as _coordinator  # noqa: F401 - registers "service"
-from . import distributed as _distributed  # noqa: F401 - registers "distributed"
+from .distributed import DEFAULT_LEASE_SECONDS, DEFAULT_POLL_INTERVAL
 from .executor import EXECUTORS  # noqa: F401 - import registers the executors
 
 __all__ = ["Scenario", "SCHEME_NAMES", "VARIANT_NAMES", "PRESET_NAMES"]
@@ -65,18 +65,6 @@ _EXECUTION_KEYS = (
     "poll_interval",
     "coordinator_url",
 )
-
-# Defaults filled into a "distributed" / "service" execution spec at
-# canonicalisation (kept in repro.api.distributed so the executors and
-# the spec agree).
-_DISTRIBUTED_DEFAULTS = {
-    "lease_seconds": _distributed.DEFAULT_LEASE_SECONDS,
-    "poll_interval": _distributed.DEFAULT_POLL_INTERVAL,
-}
-
-# Executors coordinating whole plans through a shared store; they accept
-# the lease/poll knobs and max_workers=0 (coordinate-only).
-_STORE_EXECUTORS = ("distributed", "service")
 
 # Numeric fields.  Integer ones are stored as ints, refusing a bool or a
 # fraction; real ones must be finite numbers other than a bool, and keep
@@ -219,7 +207,7 @@ class Scenario:
       every registered name);
     * **run plan** — ``schemes``, ``seeds``, and ``execution`` (which
       executor fans the ``(scheme, seed)`` cells out, including the
-      store-coordinated ``"distributed"`` backend);
+      store-coordinated ``"service"`` backend);
     * **round policies** — the ``policies`` pipeline spec with optional
       ``per_scheme`` overrides.
 
@@ -273,10 +261,11 @@ class Scenario:
     seeds: tuple[int, ...] = (0,)
     # How the (scheme, seed) cells execute: a registry spec naming an
     # executor from repro.api.executor plus its worker bound.  The
-    # "distributed" executor (repro.api.distributed) additionally takes
-    # lease_seconds/poll_interval and allows max_workers=0
-    # (coordinate-only: external `python -m repro worker` processes run
-    # the cells through a shared experiment store).
+    # "service" executor (repro.api.coordinator) additionally takes
+    # lease_seconds/poll_interval and coordinator_url (null: queue in the
+    # store; a URL: submit to that running coordinator) and allows
+    # max_workers=0 (coordinate-only: external `python -m repro worker`
+    # processes run the cells through a shared experiment store).
     execution: dict = field(default_factory=_default_execution)
     # Round-policy pipeline spec: {stage: params} over the registered
     # stages (selection/guidance/audit_blacklist/churn, see
@@ -356,50 +345,41 @@ class Scenario:
         max_workers = execution.get("max_workers")
         if max_workers is not None:
             max_workers = _integer(max_workers, "execution max_workers")
-            if max_workers < 1 and not (
-                max_workers == 0 and executor in _STORE_EXECUTORS
-            ):
+            if max_workers < 1 and not (max_workers == 0 and executor == "service"):
                 raise ValueError(
                     "execution max_workers must be >= 1 (0 is allowed only "
-                    "for the 'distributed'/'service' executors, meaning "
-                    "coordinate-only: external workers do the running)"
+                    "for the 'service' executor, meaning coordinate-only: "
+                    "external workers do the running)"
                 )
         canonical_execution = {"executor": executor, "max_workers": max_workers}
         lease = execution.get("lease_seconds")
         poll = execution.get("poll_interval")
         coordinator_url = execution.get("coordinator_url")
-        if executor in _STORE_EXECUTORS:
+        if executor == "service":
             # Store-coordination knobs, defaulted at canonicalisation so
             # the spec round-trips explicitly through JSON.
-            lease = _DISTRIBUTED_DEFAULTS["lease_seconds"] if lease is None else lease
-            poll = _DISTRIBUTED_DEFAULTS["poll_interval"] if poll is None else poll
+            lease = DEFAULT_LEASE_SECONDS if lease is None else lease
+            poll = DEFAULT_POLL_INTERVAL if poll is None else poll
             lease = _finite(lease, "execution lease_seconds")
             poll = _finite(poll, "execution poll_interval")
             if lease < 0.0:
                 raise ValueError("execution lease_seconds must be >= 0")
             if poll <= 0.0:
                 raise ValueError("execution poll_interval must be > 0")
-            canonical_execution["lease_seconds"] = lease
-            canonical_execution["poll_interval"] = poll
-        elif lease is not None or poll is not None:
-            raise ValueError(
-                "execution keys lease_seconds/poll_interval only apply to "
-                "the 'distributed'/'service' executors"
-            )
-        if executor == "service":
-            # The event-driven coordinator's address; None means an
-            # embedded coordinator on an ephemeral port for this run.
+            # A running coordinator's address; None queues in the store.
             if coordinator_url is not None:
                 coordinator_url = str(coordinator_url)
                 if not coordinator_url.startswith(("http://", "https://")):
                     raise ValueError(
                         "execution coordinator_url must be an http(s):// URL"
                     )
+            canonical_execution["lease_seconds"] = lease
+            canonical_execution["poll_interval"] = poll
             canonical_execution["coordinator_url"] = coordinator_url
-        elif coordinator_url is not None:
+        elif lease is not None or poll is not None or coordinator_url is not None:
             raise ValueError(
-                "execution key coordinator_url only applies to the "
-                "'service' executor"
+                "execution keys lease_seconds/poll_interval/coordinator_url "
+                "only apply to the 'service' executor"
             )
         object.__setattr__(self, "execution", canonical_execution)
         if self.n_clients < 2:

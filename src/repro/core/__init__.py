@@ -59,7 +59,7 @@ from .policies import (
     SelectionPolicy,
     build_policy_pipeline,
 )
-from .odesolvers import MARGIN_BACKENDS, euler_margin, quadrature_margin, rk4_margin
+from .odesolvers import euler_margin, quadrature_margin, rk4_margin
 from .properties import (
     ICViolation,
     check_incentive_compatibility,
@@ -142,7 +142,6 @@ __all__ = [
     "optimize_quality",
     "optimize_quality_batch",
     "win_kernel",
-    "MARGIN_BACKENDS",
     "euler_margin",
     "rk4_margin",
     "quadrature_margin",

@@ -38,8 +38,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import odesolvers as _odesolvers  # noqa: F401 - registers the margin methods
 from .costs import CostModel, LinearCost, PowerCost, QuadraticCost
-from .odesolvers import MARGIN_BACKENDS
+from .registry import MARGIN_METHODS
 from .scoring import AdditiveScore, MultiplicativeScore, ScoringRule
 from .valuation import PrivateValueModel
 
@@ -309,10 +310,10 @@ class EquilibriumSolver:
             raise ValueError("scoring rule and cost model disagree on m")
         if win_model not in _WIN_MODELS:
             raise ValueError(f"unknown win model {win_model!r}")
-        if payment_method not in MARGIN_BACKENDS:
+        if payment_method not in MARGIN_METHODS:
             raise ValueError(
                 f"unknown payment method {payment_method!r}; "
-                f"choose from {sorted(MARGIN_BACKENDS)}"
+                f"choose from {list(MARGIN_METHODS.names())}"
             )
         if grid_size < 16:
             raise ValueError("grid_size must be at least 16")
@@ -373,7 +374,7 @@ class EquilibriumSolver:
                 g = win_kernel(
                     self.h_grid, self.model.n_nodes, self.model.k_winners, model
                 )
-            self._margin_cache[key] = MARGIN_BACKENDS[method](self.u_incr, g)
+            self._margin_cache[key] = MARGIN_METHODS.get(method)(self.u_incr, g)
         return self._margin_cache[key]
 
     # ------------------------------------------------------------------

@@ -41,7 +41,6 @@ __all__ = [
     "quadrature_margin",
     "euler_margin",
     "rk4_margin",
-    "MARGIN_BACKENDS",
 ]
 
 
@@ -59,6 +58,7 @@ def _validate(u_grid: np.ndarray, g_values: np.ndarray) -> tuple[np.ndarray, np.
     return u, np.maximum(g, 0.0)
 
 
+@MARGIN_METHODS.register("quadrature")
 def quadrature_margin(u_grid: np.ndarray, g_values: np.ndarray) -> np.ndarray:
     """Margin via cumulative trapezoidal quadrature of ``Int g / g(u)``."""
     u, g = _validate(u_grid, g_values)
@@ -71,6 +71,7 @@ def quadrature_margin(u_grid: np.ndarray, g_values: np.ndarray) -> np.ndarray:
     return margin
 
 
+@MARGIN_METHODS.register("euler")
 def euler_margin(u_grid: np.ndarray, g_values: np.ndarray) -> np.ndarray:
     """Margin via forward Euler on ``m' = 1 - m * g'/g`` (paper's method).
 
@@ -96,6 +97,7 @@ def euler_margin(u_grid: np.ndarray, g_values: np.ndarray) -> np.ndarray:
     return np.asarray(margin)
 
 
+@MARGIN_METHODS.register("rk4")
 def rk4_margin(u_grid: np.ndarray, g_values: np.ndarray) -> np.ndarray:
     """Margin via classic RK4 on ``m' = 1 - m * phi(u)``.
 
@@ -133,15 +135,3 @@ def rk4_margin(u_grid: np.ndarray, g_values: np.ndarray) -> np.ndarray:
         if margin[i] < 0.0:
             margin[i] = 0.0
     return margin
-
-
-MARGIN_BACKENDS = {
-    "quadrature": quadrature_margin,
-    "euler": euler_margin,
-    "rk4": rk4_margin,
-}
-
-# Same three backends under the registry surface used by repro.api specs.
-for _name, _fn in MARGIN_BACKENDS.items():
-    MARGIN_METHODS.register(_name, _fn)
-del _name, _fn

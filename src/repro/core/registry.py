@@ -151,7 +151,8 @@ THETA_DISTRIBUTIONS = Registry("theta distribution")
 WINNER_SELECTIONS = Registry("winner selection")
 PAYMENT_RULES = Registry("payment rule")
 MARGIN_METHODS = Registry("margin backend")
-# Sweep executors (members live in repro.api.executor: serial/thread/process).
+# Sweep executors (members live in repro.api.executor: serial/process, and
+# repro.api.coordinator: service).
 EXECUTORS = Registry("executor")
 # Per-round protocol policies (members live in repro.core.policies:
 # selection/guidance/audit_blacklist/churn), driven as a pipeline of stage

@@ -3,9 +3,9 @@
 The contracts under test (ISSUE 8 acceptance):
 
 * the ``service`` executor produces **byte-identical** manifests versus
-  the serial executor — through the embedded coordinator with warm
-  local workers, through an external coordinator with push-attached
-  workers, and through every degraded mode below;
+  the serial executor — through an external coordinator with
+  push-attached workers, and through every degraded mode below (its
+  store-queued path is pinned in ``tests/test_distributed.py``);
 * the coordinator keeps no queue of its own: every ``/claim`` is a
   :meth:`JobQueue.claim` under the worker's label, so it serves cells
   that anyone queued in its store, and the cell's lock is the only
@@ -182,10 +182,7 @@ class TestServiceExecutionSpec:
     def test_coordinator_url_only_for_service(self):
         with pytest.raises(ValueError, match="coordinator_url"):
             Scenario(
-                execution={
-                    "executor": "distributed",
-                    "coordinator_url": "http://x:1",
-                }
+                execution={"executor": "process", "coordinator_url": "http://x:1"}
             )
         with pytest.raises(ValueError, match="coordinator_url"):
             Scenario(
@@ -448,8 +445,9 @@ class TestCoordinatorProtocol:
             second.stop()
 
     def test_running_coordinator_serves_jobs_it_did_not_submit(self, coordinator):
-        """A cell queued straight into the store — by a ``distributed``
-        sweep or a SLURM-style submitter — is claimable over ``/claim``."""
+        """A cell queued straight into the store — by a store-queued
+        ``service`` sweep or a SLURM-style submitter — is claimable over
+        ``/claim``."""
         handle, store = coordinator
         scenario = _paper_scenario()
         JobQueue(store).enqueue(scenario, _cells(scenario)[:1])
@@ -487,23 +485,6 @@ class TestCoordinatorProtocol:
 # End-to-end sweeps — always byte-identical to serial
 # ----------------------------------------------------------------------
 class TestServiceEngine:
-    def test_embedded_coordinator_with_warm_workers_bitwise(
-        self, tmp_path, paper_reference
-    ):
-        """The full default path: embedded coordinator + spawned workers."""
-        scenario, reference, ref_root = paper_reference
-        plan = _service(scenario, max_workers=2)
-        result = FMoreEngine().run(plan, store=tmp_path)
-        for scheme in scenario.schemes:
-            assert (
-                result.histories[scheme][0].records
-                == reference.histories[scheme][0].records
-            )
-        _assert_manifests_bitwise(ref_root, tmp_path)
-        # The sweep retired every mirror file on completion.
-        assert JobQueue(tmp_path).pending() == []
-        assert not list((Path(tmp_path) / "jobs").rglob("*.lock"))
-
     def test_external_coordinator_with_attached_worker_bitwise(
         self, coordinator, paper_reference
     ):

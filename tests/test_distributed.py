@@ -2,7 +2,8 @@
 
 The contracts under test (ISSUE 5 acceptance):
 
-* the ``distributed`` executor produces **bitwise-identical**
+* the ``service`` executor, queueing in the store without a
+  coordinator, produces **bitwise-identical**
   ``RunResult``s — histories, payments, and byte-for-byte manifests —
   versus the serial executor, on the paper-preset simulation game (with
   a policy pipeline) and the Section V-C cluster testbed;
@@ -35,12 +36,12 @@ import pytest
 from repro.__main__ import main
 from repro.api import (
     EXECUTORS,
-    DistributedExecutor,
     ExperimentStore,
     FMoreEngine,
     JobQueue,
     RunResult,
     Scenario,
+    ServiceExecutor,
     StoreError,
     StoreMismatchError,
     emit_job_scripts,
@@ -100,9 +101,10 @@ def _cells(scenario: Scenario) -> list[tuple[str, int]]:
     return [(s, d) for d in scenario.seeds for s in scenario.schemes]
 
 
-def _distributed(scenario: Scenario, **execution) -> Scenario:
+def _store_queued(scenario: Scenario, **execution) -> Scenario:
+    """``scenario`` as a ``service`` sweep queued in the store."""
     spec = {
-        "executor": "distributed",
+        "executor": "service",
         "max_workers": 0,
         "lease_seconds": 30.0,
         "poll_interval": 0.05,
@@ -158,22 +160,34 @@ def cluster_reference(tmp_path_factory):
 # Scenario spec surface
 # ----------------------------------------------------------------------
 class TestDistributedExecutionSpec:
+    """The ``service`` spec without a ``coordinator_url``: a sweep queued
+    in the store (its ``coordinator_url`` keys are covered in
+    ``tests/test_coordinator.py``)."""
+
     def test_registered(self):
-        assert "distributed" in EXECUTORS
+        assert "distributed" not in EXECUTORS
         executor = EXECUTORS.create(
-            {"name": "distributed", "max_workers": 2, "lease_seconds": 5}
+            {"name": "service", "max_workers": 2, "lease_seconds": 5}
         )
-        assert isinstance(executor, DistributedExecutor)
+        assert isinstance(executor, ServiceExecutor)
+        assert executor.coordinator_url is None
         assert executor.needs_store
         assert not executor.in_process
 
     def test_spec_canonicalised_with_defaults_and_round_trips(self):
-        scenario = Scenario(execution={"executor": "distributed"})
+        scenario = Scenario(
+            execution={
+                "executor": "service",
+                "lease_seconds": 30,
+                "poll_interval": 0.5,
+            }
+        )
         assert scenario.execution == {
-            "executor": "distributed",
+            "executor": "service",
             "max_workers": None,
-            "lease_seconds": 300.0,
-            "poll_interval": 1.0,
+            "lease_seconds": 30.0,
+            "poll_interval": 0.5,
+            "coordinator_url": None,
         }
         again = Scenario.from_json(scenario.to_json())
         assert again.execution == scenario.execution
@@ -185,10 +199,9 @@ class TestDistributedExecutionSpec:
             Scenario(execution={"executor": "process", "poll_interval": 1})
 
     def test_zero_workers_means_coordinate_only(self):
-        scenario = Scenario(
-            execution={"executor": "distributed", "max_workers": 0}
-        )
+        scenario = _store_queued(_paper_scenario())
         assert scenario.execution["max_workers"] == 0
+        assert scenario.execution["coordinator_url"] is None
         with pytest.raises(ValueError, match="max_workers"):
             Scenario(execution={"executor": "process", "max_workers": 0})
 
@@ -206,22 +219,25 @@ class TestDistributedExecutionSpec:
             ("poll_interval", True),
         ):
             with pytest.raises(ValueError, match=key):
-                Scenario(execution={"executor": "distributed", key: bad})
+                Scenario(execution={"executor": "service", key: bad})
 
     def test_execution_spec_still_outside_the_content_address(self):
         scenario = _paper_scenario()
-        assert scenario_hash(scenario) == scenario_hash(_distributed(scenario))
+        assert scenario_hash(scenario) == scenario_hash(_store_queued(scenario))
 
     def test_map_is_not_the_interface(self):
+        executor = ServiceExecutor(
+            max_workers=2, lease_seconds=30.0, poll_interval=0.2
+        )
         with pytest.raises(RuntimeError, match="execute_plan"):
-            DistributedExecutor(max_workers=0).map(abs, [1])
+            executor.map(abs, [1])
 
     def test_cli_executor_flag_switches_off_distributed(self, tmp_path, capsys):
-        """--executor serial on a distributed scenario must drop the
-        distributed-only keys instead of tripping validation."""
+        """--executor serial on a store-queued scenario must drop the
+        store-only keys instead of tripping validation."""
         spec_path = tmp_path / "dist.json"
         spec_path.write_text(
-            Scenario(execution={"executor": "distributed"}).to_json()
+            Scenario(execution={"executor": "service"}).to_json()
         )
         assert (
             main(["scenario", "--scenario", str(spec_path), "--executor", "serial"])
@@ -229,10 +245,10 @@ class TestDistributedExecutionSpec:
         )
         out = json.loads(capsys.readouterr().out)
         assert out["execution"] == {"executor": "serial", "max_workers": None}
-        # --parallel alone keeps the distributed executor (N local workers).
+        # --parallel alone keeps the service executor (N local workers).
         assert main(["scenario", "--scenario", str(spec_path), "--parallel", "3"]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["execution"]["executor"] == "distributed"
+        assert out["execution"]["executor"] == "service"
         assert out["execution"]["max_workers"] == 3
 
 
@@ -609,12 +625,12 @@ class TestWorker:
 # ----------------------------------------------------------------------
 class TestDistributedEngine:
     def test_needs_a_store(self):
-        scenario = _distributed(_paper_scenario())
+        scenario = _store_queued(_paper_scenario())
         with pytest.raises(ValueError, match="store"):
             FMoreEngine().run(scenario)
 
     def test_rejects_stop_after(self, tmp_path):
-        scenario = _distributed(_paper_scenario())
+        scenario = _store_queued(_paper_scenario())
         with pytest.raises(ValueError, match="stop_after"):
             FMoreEngine().run(scenario, store=tmp_path, stop_after=1)
 
@@ -622,7 +638,7 @@ class TestDistributedEngine:
         self, tmp_path, paper_reference
     ):
         scenario, reference, ref_root = paper_reference
-        plan = _distributed(scenario)
+        plan = _store_queued(scenario)
         thread = _drain_in_thread(tmp_path, n_cells=2, worker_id="external")
         result = FMoreEngine().run(plan, store=tmp_path)
         thread.join(timeout=120)
@@ -643,7 +659,7 @@ class TestDistributedEngine:
         reference.save(store)
         # Every cell has a manifest: no workers exist, yet the run returns
         # immediately with the stored histories.
-        result = FMoreEngine().run(_distributed(scenario), store=store)
+        result = FMoreEngine().run(_store_queued(scenario), store=store)
         for scheme in scenario.schemes:
             assert (
                 result.histories[scheme][0].records
@@ -658,7 +674,7 @@ class TestDistributedEngine:
         store = ExperimentStore(tmp_path)
         reference.save(store)
         thread = _drain_in_thread(tmp_path, n_cells=2, worker_id="forcer")
-        result = FMoreEngine().run(_distributed(scenario), store=store, force=True)
+        result = FMoreEngine().run(_store_queued(scenario), store=store, force=True)
         thread.join(timeout=120)
         assert not thread.is_alive()
         for scheme in scenario.schemes:
@@ -669,9 +685,9 @@ class TestDistributedEngine:
         _assert_manifests_bitwise(ref_root, tmp_path)
 
     def test_spawned_local_workers_bitwise(self, tmp_path, paper_reference):
-        """The full subprocess path: coordinator spawns 2 real workers."""
+        """The full subprocess path: the executor spawns 2 real workers."""
         scenario, reference, ref_root = paper_reference
-        plan = _distributed(scenario, max_workers=2, poll_interval=0.2)
+        plan = _store_queued(scenario, max_workers=2, poll_interval=0.2)
         result = FMoreEngine().run(plan, store=tmp_path)
         for scheme in scenario.schemes:
             assert (
@@ -679,7 +695,64 @@ class TestDistributedEngine:
                 == reference.histories[scheme][0].records
             )
         _assert_manifests_bitwise(ref_root, tmp_path)
+        # The sweep retired every job spec and lock on completion.
         assert JobQueue(tmp_path).pending() == []
+        assert not list((Path(tmp_path) / "jobs").rglob("*.lock"))
+
+    def test_spawned_workers_leave_when_the_queue_drains(
+        self, tmp_path, paper_reference, monkeypatch
+    ):
+        """Without a coordinator the spawned workers scan the store and
+        exit by themselves once it is drained; close() only stops
+        stragglers."""
+        scenario, _, ref_root = paper_reference
+        spawned = []
+        spawn = ServiceExecutor._spawn_worker
+
+        def record(self, store):
+            spawned.append(spawn(self, store))
+            return spawned[-1]
+
+        monkeypatch.setattr(ServiceExecutor, "_spawn_worker", record)
+        executor = ServiceExecutor(max_workers=2, lease_seconds=30.0, poll_interval=0.2)
+        try:
+            executor.execute_plan(scenario, _cells(scenario), ExperimentStore(tmp_path))
+            assert len(spawned) == 2
+            for proc in spawned:
+                assert "--store" in proc.args and "--exit-when-idle" in proc.args
+                assert "--coordinator" not in proc.args
+                assert proc.wait(timeout=5) == 0
+        finally:
+            executor.close()
+        _assert_manifests_bitwise(ref_root, tmp_path)
+
+    def test_store_naming_the_retired_executor_fails_until_resubmitted(
+        self, tmp_path, paper_reference
+    ):
+        """A scenario file whose plan names the retired ``distributed``
+        executor no longer loads: a worker fails on it naming the file and
+        keeps no claim, and the next submission rewrites the file."""
+        scenario, _, ref_root = paper_reference
+        store = ExperimentStore(tmp_path)
+        queue = JobQueue(store)
+        plan = _store_queued(scenario, max_workers=1, poll_interval=0.2)
+        queue.enqueue(plan, _cells(scenario))
+        path = store.scenario_path(scenario)
+        registered = json.loads(path.read_text())
+        # The spec the retired executor wrote: the service one without
+        # coordinator_url.
+        execution = registered["scenario"]["execution"]
+        del execution["coordinator_url"]
+        execution["executor"] = "distributed"
+        path.write_text(json.dumps(registered))
+        with pytest.raises(StoreError, match=re.escape(f"stored scenario {path}")):
+            run_worker(store, exit_when_idle=True)
+        assert not list((store.root / "jobs").rglob("*.lock"))
+        assert len(queue.unclaimed()) == 2
+        FMoreEngine().run(plan, store=store)
+        _assert_manifests_bitwise(ref_root, tmp_path)
+        assert store.load_scenario(scenario_hash(scenario)).execution == plan.execution
+        assert queue.pending() == []
 
 
 # ----------------------------------------------------------------------

@@ -51,9 +51,11 @@ class TestScenarioReference:
                 assert f"`{name}`" in page, f"{title} entry {name!r} missing"
 
     def test_distributed_executor_is_documented(self):
+        """The store-coordinated executor, which distributes cells."""
         entries = {(e.family, e.name): e for e in iter_entries()}
-        entry = entries[("Executors", "distributed")]
+        entry = entries[("Executors", "service")]
         assert "lease_seconds" in entry.parameters
+        assert "coordinator_url" in entry.parameters
         assert entry.summary != "—"
 
     def test_cli_markdown_matches_page(self, capsys):
@@ -65,7 +67,7 @@ class TestScenarioReference:
         out = capsys.readouterr().out
         for _, title, _ in FAMILIES:
             assert title in out
-        assert "distributed" in out
+        assert "service" in out
         assert registry_summary() in out
 
 

@@ -26,7 +26,7 @@ from repro.api import (
 
 class TestExecutorRegistry:
     def test_registered_names(self):
-        assert EXECUTORS.names() == ("distributed", "process", "serial", "service")
+        assert EXECUTORS.names() == ("process", "serial", "service")
 
     def test_create_from_spec(self):
         executor = EXECUTORS.create({"name": "process", "max_workers": 3})
@@ -67,8 +67,9 @@ class TestExecutionSpec:
         assert type(integral.execution["max_workers"]) is int
 
     def test_unknown_executor_rejected(self):
-        # thread: the retired in-process pool.
-        for name in ("gpu_farm", "thread"):
+        # thread: the retired in-process pool; distributed: the store
+        # queue the service executor absorbed.
+        for name in ("gpu_farm", "thread", "distributed"):
             with pytest.raises(ValueError, match=f"unknown executor '{name}'"):
                 Scenario(execution={"executor": name})
 

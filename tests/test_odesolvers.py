@@ -6,12 +6,12 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.odesolvers import (
-    MARGIN_BACKENDS,
     _validate,
     euler_margin,
     quadrature_margin,
     rk4_margin,
 )
+from repro.core.registry import MARGIN_METHODS
 
 
 def _power_kernel(u, exponent):
@@ -75,12 +75,15 @@ class TestValidation:
             rk4_margin(np.array([0.0, 1.0]), np.array([1.0, -0.5]))
 
     def test_registry_contains_all(self):
-        assert set(MARGIN_BACKENDS) == {"quadrature", "euler", "rk4"}
+        assert MARGIN_METHODS.names() == ("euler", "quadrature", "rk4")
+        assert MARGIN_METHODS.get("quadrature") is quadrature_margin
+        assert MARGIN_METHODS.get("euler") is euler_margin
+        assert MARGIN_METHODS.get("rk4") is rk4_margin
 
     def test_margins_nonnegative(self):
         u = np.linspace(0.0, 1.0, 101)
         g = _power_kernel(u, 2)
-        for backend in MARGIN_BACKENDS.values():
+        for backend in map(MARGIN_METHODS.get, MARGIN_METHODS):
             assert np.all(backend(u, g) >= 0.0)
 
 

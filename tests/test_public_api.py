@@ -96,6 +96,31 @@ class TestPackageSurface:
         assert len(core.PAYMENT_RULES) == 2
         assert "first_score" in core.PAYMENT_RULES
 
+    def test_core_margin_methods_is_the_registry(self):
+        """One margin table: the solver checks and dispatches through the
+        registry Scenario checks against."""
+        core = importlib.import_module("repro.core")
+        registry = importlib.import_module("repro.core.registry")
+        assert core.MARGIN_METHODS is registry.MARGIN_METHODS
+        assert not hasattr(core, "MARGIN_BACKENDS")
+        assert tuple(core.MARGIN_METHODS) == ("euler", "quadrature", "rk4")
+
+    def test_a_registered_margin_method_builds_a_solver(self, monkeypatch):
+        from repro.api import Scenario, build_solver
+        from repro.core import MARGIN_METHODS, EquilibriumSolver, quadrature_margin
+
+        monkeypatch.setitem(MARGIN_METHODS._factories, "trapz", quadrature_margin)
+        scenario = Scenario.from_preset("smoke", "mnist_o", payment_method="trapz")
+        solver = build_solver(scenario)
+        reference = build_solver(scenario.with_(payment_method="quadrature"))
+        theta = float(solver.theta_grid[len(solver.theta_grid) // 2])
+        assert solver.payment(theta) == reference.payment(theta)
+        with pytest.raises(ValueError, match="unknown payment method 'nope'"):
+            EquilibriumSolver(
+                solver.quality_rule, solver.cost, solver.model,
+                solver.quality_bounds, payment_method="nope",
+            )
+
     @pytest.mark.parametrize(
         "symbol",
         [

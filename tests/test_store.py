@@ -342,12 +342,17 @@ class TestCorruptStore:
 
         (spec,) = store.glob("scenarios/*.json")
         original = spec.read_bytes()
-        # A spec naming the retired thread executor no longer validates.
-        retired = json.loads(original)
-        retired["scenario"]["execution"]["executor"] = "thread"
+        # A spec naming a retired executor (the in-process thread pool, or
+        # the store queue the service executor absorbed) no longer
+        # validates.
+        retired = []
+        for executor in ("thread", "distributed"):
+            data = json.loads(original)
+            data["scenario"]["execution"]["executor"] = executor
+            retired.append(json.dumps(data).encode())
         # Cut short, parsing but without its hash and spec, or whole but
         # no longer valid.
-        for damaged in (original[:100], self.NO_KEYS, json.dumps(retired).encode()):
+        for damaged in (original[:100], self.NO_KEYS, *retired):
             spec.write_bytes(damaged)
             assert main(["run", *TestCLI.ARGS, "--store", str(store), "--force"]) == 0
             assert spec.read_bytes() == original
