@@ -15,7 +15,8 @@ informational):
   *asserted*, not just reported.
 * **bid batch** — ``EquilibriumSolver.bid_batch`` pricing a whole
   population's capacity-capped bids in one call, versus the per-agent
-  ``bid_with_capacity`` loop, at the paper's population (N=100, K=20).
+  ``bid_with_capacity`` loop (each call a one-row ``bid_batch``), at the
+  paper's population (N=100, K=20).
 * **round** — one full auction round (bid ask, batched bid collection,
   winner determination, payments) through ``FMoreMechanism.run_round``
   with solver-backed agents.  Pure NumPy — the steadiest end-to-end
@@ -143,8 +144,10 @@ def _population(n_agents: int):
 def time_bid_batch(repeats: int = 5, n_agents: int = 100) -> dict:
     """Vectorised population pricing vs the per-agent loop (best of N).
 
-    ``batch_seconds`` is the gated trajectory number; the loop timing is
-    recorded so the artifact also tracks the speedup.
+    The loop prices each agent with ``bid_with_capacity``, a one-row
+    ``bid_batch`` call, so the speedup is the cost of pricing rows one
+    call at a time.  ``batch_seconds`` is the gated trajectory number; the
+    loop timing is recorded so the artifact also tracks the speedup.
     """
     solver, thetas, capacities = _population(n_agents)
     solver.bid_batch(thetas, capacities, with_costs=True)  # warm the tables

@@ -31,7 +31,8 @@ This module adds the event-driven tier on top of the *same* queue:
 * :class:`ServiceExecutor` — the registry-registered ``"service"``
   executor, the one that submits store-coordinated sweeps.  Without a
   ``coordinator_url`` it enqueues the cells straight into the store and
-  sleeps ``poll_interval`` between looks; with
+  looks for their manifests with the workers' idle backoff, capped at
+  ``poll_interval``; with
   ``execution={"executor": "service", "coordinator_url":
   "http://host:port"}`` it submits the sweep to that running coordinator
   through ``/sweep`` and paces on the ``/status`` long-poll.  The
@@ -60,6 +61,7 @@ import asyncio
 import http.client
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -74,6 +76,7 @@ from .distributed import (
     DEFAULT_POLL_INTERVAL,
     Job,
     JobQueue,
+    idle_backoff,
 )
 from .executor import Executor
 
@@ -849,8 +852,10 @@ class ServiceExecutor(Executor):
     a SLURM array, a coordinator's fleet) do the running.
 
     * Without ``coordinator_url`` the cells are enqueued straight into the
-      store, the wait sleeps ``poll_interval`` between looks, and the
-      local workers run ``python -m repro worker --store DIR
+      store, the wait between looks backs off like an idle worker's
+      (``idle_backoff``: from ``poll_interval / 128`` up to
+      ``poll_interval``, from the start again whenever a cell lands), and
+      the local workers run ``python -m repro worker --store DIR
       --exit-when-idle``, so each one leaves once the queue is empty.
     * With ``coordinator_url`` the plan is submitted to that running
       coordinator (``/sweep``), the wait long-polls its ``/status``, and
@@ -966,6 +971,8 @@ class ServiceExecutor(Executor):
         landed = len(cells) - len(store.missing_cells(h, cells))
         started = time.monotonic()
         hinted = False
+        idle_looks = 0
+        backoff_rng = random.Random(f"submit:{h}")
         while True:
             done = len(cells) - len(store.missing_cells(h, cells))
             if done == len(cells):
@@ -974,8 +981,9 @@ class ServiceExecutor(Executor):
                 # Cells are still landing: worker deaths so far were
                 # absorbed by the lease/re-queue machinery.  Reset the
                 # failure budget so a long sweep on flaky nodes is not
-                # aborted by a lifetime body count while progressing.
-                landed, failures = done, 0
+                # aborted by a lifetime body count while progressing, and
+                # look again soon.
+                landed, failures, idle_looks = done, 0, 0
             queue.reclaim_stale()
             if n_local:
                 alive = []
@@ -1008,7 +1016,8 @@ class ServiceExecutor(Executor):
             if long_poll:
                 long_poll = self._await_status(h)
             else:
-                time.sleep(self.poll_interval)
+                idle_looks += 1
+                time.sleep(idle_backoff(idle_looks, self.poll_interval, backoff_rng))
         return [store.load_history(h, s, d) for s, d in cells]
 
     # -- the coordinator's side of a plan --------------------------------

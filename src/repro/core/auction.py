@@ -222,7 +222,9 @@ class MultiDimensionalProcurementAuction:
                 raise ValueError(f"duplicate bid from node {b.node_id}")
             seen.add(b.node_id)
 
-        scores = np.asarray([self.score_bid(b) for b in bids])
+        scores = self.scoring.score_batch(
+            np.stack([b.quality for b in bids]), [b.payment for b in bids]
+        )
         tiebreak = rng.random(len(bids))
         policy = selection if selection is not None else self.selection
         order = descending_order(scores, tiebreak)

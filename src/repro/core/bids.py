@@ -8,6 +8,7 @@ it expects in return.  Bids are sealed — only the aggregator sees them
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,9 +28,9 @@ class Bid:
         q = np.asarray(self.quality, dtype=float)
         if q.ndim != 1 or q.size == 0:
             raise ValueError("quality must be a non-empty 1-D vector")
-        if np.any(~np.isfinite(q)):
+        if not np.isfinite(q).all():
             raise ValueError("quality must be finite")
-        if not np.isfinite(self.payment):
+        if not math.isfinite(self.payment):
             raise ValueError("payment must be finite")
         object.__setattr__(self, "quality", q)
 

@@ -18,9 +18,13 @@ Three families are implemented:
 * :class:`PowerCost`      ``c = theta * sum_i beta_i * q_i**gamma_i``
   with ``gamma_i >= 1`` generalising both.
 
-All expose the partial derivatives the equilibrium machinery needs:
-``gradient_q`` for the quality optimisation and ``d_theta`` (that is,
-``c_theta``) for Che's closed-form payment integrand.
+Each family writes ``c`` once, as :meth:`CostModel.cost_rows` over paired
+rows of qualities and types, summing its quality columns one at a time
+(:func:`~repro.core.scoring.fold_columns`) so a row's bits depend neither
+on the batch size nor on a BLAS.  The scalar :meth:`~CostModel.cost` and
+:meth:`~CostModel.d_theta` (that is, ``c_theta``, for Che's closed-form
+payment integrand) are one-row views of that formula; ``gradient_q``, the
+derivative the quality optimisation needs, is written per family.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .registry import COST_MODELS
+from .scoring import fold_columns
 
 __all__ = [
     "CostModel",
@@ -44,7 +49,12 @@ __all__ = [
 
 
 class CostModel(ABC):
-    """Abstract cost ``c(q, theta)`` with the derivatives used by solvers."""
+    """Abstract cost ``c(q, theta)`` with the derivatives used by solvers.
+
+    A family implements :meth:`cost_rows`, its one formula, and
+    :meth:`gradient_q`; :meth:`cost` and :meth:`d_theta` price one row
+    through :meth:`cost_rows`.
+    """
 
     def __init__(self, betas: Sequence[float]):
         self.betas = np.asarray(betas, dtype=float)
@@ -66,36 +76,36 @@ class CostModel(ABC):
             )
         return q
 
+    def _rows(
+        self, qualities: np.ndarray, thetas: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        q = self._check(qualities)
+        t = np.asarray(thetas, dtype=float)
+        if q.ndim != 2 or t.shape != (q.shape[0],):
+            raise ValueError("cost_rows takes an (n, m) quality array and n thetas")
+        return q, t
+
     @abstractmethod
-    def cost(self, quality: np.ndarray, theta: float) -> float:
-        """Return ``c(q, theta)``."""
+    def cost_rows(self, qualities: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        """``c(q_i, theta_i)`` for the paired rows of an ``(n, m)`` quality
+        array and an ``(n,)`` type vector, the way
+        ``EquilibriumSolver.bid_batch`` prices a whole population."""
 
     @abstractmethod
     def gradient_q(self, quality: np.ndarray, theta: float) -> np.ndarray:
         """Return ``dc/dq`` at ``(q, theta)``."""
 
-    @abstractmethod
+    def cost(self, quality: np.ndarray, theta: float) -> float:
+        """Return ``c(q, theta)`` for one quality vector: one row of :meth:`cost_rows`."""
+        return float(self.cost_rows(np.reshape(quality, (1, -1)), [theta])[0])
+
     def d_theta(self, quality: np.ndarray, theta: float) -> float:
-        """Return ``c_theta(q, theta)`` — the payment-integrand derivative."""
+        """Return ``c_theta(q, theta)`` — the payment-integrand derivative.
 
-    def cost_batch(self, qualities: np.ndarray, theta: float) -> np.ndarray:
-        q = self._check(qualities)
-        if q.ndim == 1:
-            return np.asarray([self.cost(q, theta)])
-        return np.asarray([self.cost(row, theta) for row in q])
-
-    def cost_rows(self, qualities: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        """``c(q_i, theta_i)`` for paired rows — the batch-bidding hot path.
-
-        Generic fallback loops over rows; the concrete families override
-        with fully vectorised NumPy expressions so a whole population's
-        bids price in one call (see ``EquilibriumSolver.bid_batch``).
+        Every family here is linear in its type, ``c = theta * g(q)``, so
+        ``c_theta = g(q) = c(q, 1)``.  A family that is not overrides this.
         """
-        q = np.atleast_2d(self._check(qualities))
-        t = np.asarray(thetas, dtype=float)
-        if t.shape != (q.shape[0],):
-            raise ValueError("thetas must have one entry per quality row")
-        return np.asarray([self.cost(row, float(th)) for row, th in zip(q, t)])
+        return self.cost(quality, 1.0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(betas={self.betas.tolist()})"
@@ -109,26 +119,13 @@ class LinearCost(CostModel):
     (``c_qq = 0``), which the paper's weak inequalities allow.
     """
 
-    def cost(self, quality: np.ndarray, theta: float) -> float:
-        q = self._check(quality)
-        return float(theta * np.dot(self.betas, q))
+    def cost_rows(self, qualities: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        q, t = self._rows(qualities, thetas)
+        return t * fold_columns(np.add, q * self.betas)
 
     def gradient_q(self, quality: np.ndarray, theta: float) -> np.ndarray:
         self._check(quality)
         return theta * self.betas
-
-    def d_theta(self, quality: np.ndarray, theta: float) -> float:
-        q = self._check(quality)
-        return float(np.dot(self.betas, q))
-
-    def cost_batch(self, qualities: np.ndarray, theta: float) -> np.ndarray:
-        q = self._check(qualities)
-        return theta * (q @ self.betas)
-
-    def cost_rows(self, qualities: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        q = np.atleast_2d(self._check(qualities))
-        t = np.asarray(thetas, dtype=float)
-        return t * (q @ self.betas)
 
 
 @COST_MODELS.register("quadratic")
@@ -140,26 +137,13 @@ class QuadraticCost(CostModel):
     closed form: ``q_j* = alpha_j / (2 theta beta_j)``.
     """
 
-    def cost(self, quality: np.ndarray, theta: float) -> float:
-        q = self._check(quality)
-        return float(theta * np.dot(self.betas, q * q))
+    def cost_rows(self, qualities: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        q, t = self._rows(qualities, thetas)
+        return t * fold_columns(np.add, q * q * self.betas)
 
     def gradient_q(self, quality: np.ndarray, theta: float) -> np.ndarray:
         q = self._check(quality)
         return 2.0 * theta * self.betas * q
-
-    def d_theta(self, quality: np.ndarray, theta: float) -> float:
-        q = self._check(quality)
-        return float(np.dot(self.betas, q * q))
-
-    def cost_batch(self, qualities: np.ndarray, theta: float) -> np.ndarray:
-        q = self._check(qualities)
-        return theta * ((q * q) @ self.betas)
-
-    def cost_rows(self, qualities: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        q = np.atleast_2d(self._check(qualities))
-        t = np.asarray(thetas, dtype=float)
-        return t * ((q * q) @ self.betas)
 
 
 @COST_MODELS.register("power")
@@ -181,11 +165,11 @@ class PowerCost(CostModel):
             raise ValueError("gammas must be >= 1 for convexity (c_qq >= 0)")
         self.gammas = gam
 
-    def cost(self, quality: np.ndarray, theta: float) -> float:
-        q = self._check(quality)
+    def cost_rows(self, qualities: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        q, t = self._rows(qualities, thetas)
         if np.any(q < 0):
             raise ValueError("power cost requires non-negative quality")
-        return float(theta * np.dot(self.betas, np.power(q, self.gammas)))
+        return t * fold_columns(np.add, np.power(q, self.gammas) * self.betas)
 
     def gradient_q(self, quality: np.ndarray, theta: float) -> np.ndarray:
         q = self._check(quality)
@@ -193,19 +177,6 @@ class PowerCost(CostModel):
         with np.errstate(divide="ignore", invalid="ignore"):
             grad = theta * self.betas * self.gammas * np.power(safe, self.gammas - 1.0)
         return np.where(np.isfinite(grad), grad, 0.0)
-
-    def d_theta(self, quality: np.ndarray, theta: float) -> float:
-        q = self._check(quality)
-        return float(np.dot(self.betas, np.power(np.maximum(q, 0.0), self.gammas)))
-
-    def cost_batch(self, qualities: np.ndarray, theta: float) -> np.ndarray:
-        q = self._check(qualities)
-        return theta * (np.power(np.maximum(q, 0.0), self.gammas) @ self.betas)
-
-    def cost_rows(self, qualities: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        q = np.atleast_2d(self._check(qualities))
-        t = np.asarray(thetas, dtype=float)
-        return t * (np.power(np.maximum(q, 0.0), self.gammas) @ self.betas)
 
 
 @dataclass(frozen=True)

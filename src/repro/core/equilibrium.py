@@ -186,10 +186,9 @@ def optimize_quality_batch(
     thetas[i], bounds)``.  The closed-form families (additive scoring with
     quadratic/linear/power costs) evaluate the same elementwise expressions
     over the full ``(n, m)`` grid at once.  Multiplicative scoring with
-    linear cost is multilinear, so its optimum is a box corner: the ``2**m``
-    corners are scored once and every row takes the first best corner,
-    exactly as :func:`_best_corner` does per point.  Every other combination
-    falls back to the per-point numerical optimiser.
+    linear cost is multilinear, so its optimum is a box corner: every row
+    takes the first best of the ``2**m`` corners (:func:`_best_corners`).
+    Every other combination falls back to the per-point numerical optimiser.
     """
     b = np.asarray(bounds, dtype=float)
     if b.shape != (rule.n_dimensions, 2):
@@ -229,13 +228,7 @@ def optimize_quality_batch(
             return np.clip(q, lo, hi)
 
     if _is_multilinear(rule, cost):
-        # _best_corner's scalar expressions, evaluated once per corner:
-        # s(c) - theta * (betas . c) per (theta, corner) pair is then one
-        # float64 product and difference, and argmax keeps the first tie.
-        corners = _box_corners(b)
-        values = np.asarray([rule.value(c) for c in corners])
-        slopes = np.asarray([np.dot(cost.betas, c) for c in corners])
-        return corners[np.argmax(values - t[:, None] * slopes, axis=1)]
+        return _best_corners(rule, cost, t, b)
 
     return np.stack([_multi_start_quality(rule, cost, float(theta), b) for theta in t])
 
@@ -259,10 +252,25 @@ def _column_fills(table: np.ndarray) -> tuple[float | None, ...]:
     return tuple(fills)
 
 
-def _best_corner(rule: ScoringRule, cost: CostModel, theta: float, bounds: np.ndarray):
+def _best_corners(
+    rule: ScoringRule, cost: CostModel, thetas: np.ndarray, bounds: np.ndarray
+) -> np.ndarray:
+    """Per type, the first box corner maximising ``s(q) - c(q, theta)``.
+
+    Every ``(theta, corner)`` pair is priced by the rule's ``value_batch``
+    and the cost's ``cost_rows``, so a row does not depend on the other
+    types it is searched with.
+    """
     corners = _box_corners(bounds)
-    values = [rule.value(c) - cost.cost(c, theta) for c in corners]
-    return corners[int(np.argmax(values))]
+    n = corners.shape[0]
+    costs = cost.cost_rows(np.tile(corners, (thetas.size, 1)), np.repeat(thetas, n))
+    gains = rule.value_batch(corners) - costs.reshape(thetas.size, n)
+    return corners[np.argmax(gains, axis=1)]
+
+
+def _best_corner(rule: ScoringRule, cost: CostModel, theta: float, bounds: np.ndarray):
+    """:func:`_best_corners` for one type."""
+    return _best_corners(rule, cost, np.asarray([float(theta)]), bounds)[0]
 
 
 class EquilibriumSolver:
@@ -339,11 +347,9 @@ class EquilibriumSolver:
         )
         self.quality_grid = qualities
         self._quality_fills = _column_fills(qualities)
-        scores = self.quality_rule.value_batch(qualities)
-        costs = np.asarray(
-            [self.cost.cost(q, t) for q, t in zip(qualities, self.theta_grid)]
+        u0 = self.quality_rule.value_batch(qualities) - self.cost.cost_rows(
+            qualities, self.theta_grid
         )
-        u0 = scores - costs
         # The envelope theorem guarantees u0 is non-increasing in theta
         # (du0/dtheta = -c_theta < 0); numerical optimisation noise can
         # produce tiny violations that we iron out.
@@ -432,10 +438,10 @@ class EquilibriumSolver:
         return self.margin(theta) * self.win_probability(theta, model=model)
 
     def bid(self, theta: float) -> tuple[np.ndarray, float]:
-        """Return the full equilibrium bid ``(qs(theta), ps(theta))``."""
-        q = self.optimal_quality(theta)
-        p = float(self.cost.cost(q, theta) + self.margin(theta))
-        return q, p
+        """Return the full equilibrium bid ``(qs(theta), ps(theta))``: one
+        row of :meth:`bid_batch`."""
+        qualities, payments = self.bid_batch([theta])
+        return qualities[0], float(payments[0])
 
     def bid_with_capacity(
         self, theta: float, capacity: Sequence[float] | np.ndarray
@@ -447,17 +453,13 @@ class EquilibriumSolver:
         equilibrium quality clipped into ``[lo, capacity]`` and prices the
         resulting score with the unconstrained margin curve — a boundedly
         rational strategy that coincides with the exact equilibrium whenever
-        the cap does not bind.
+        the cap does not bind.  One row of :meth:`bid_batch`.
         """
         cap = np.asarray(capacity, dtype=float)
         if cap.shape != (self.quality_rule.n_dimensions,):
             raise ValueError("capacity must have one entry per dimension")
-        q = np.clip(
-            self.optimal_quality(theta), self.quality_bounds[:, 0], np.minimum(cap, self.quality_bounds[:, 1])
-        )
-        own_cost = self.cost.cost(q, theta)
-        u = self.quality_rule.value(q) - own_cost
-        return q, float(own_cost + self.margin_at_score(u))
+        qualities, payments = self.bid_batch([theta], cap[np.newaxis])
+        return qualities[0], float(payments[0])
 
     def bid_batch(
         self,
@@ -473,11 +475,14 @@ class EquilibriumSolver:
         ``(Q, P)`` where ``Q`` is ``(n, m)`` qualities and ``P`` the
         ``(n,)`` asked payments (``(Q, P, costs)`` with
         ``with_costs=True``, saving the caller a re-pricing pass for IR
-        checks).  Row ``i`` equals :meth:`bid` (no caps) or
-        :meth:`bid_with_capacity` (with caps) for ``(thetas[i],
-        capacities[i])`` — same table interpolations, vectorised — which is
-        what lets :class:`~repro.core.mechanism.FMoreMechanism` collect all
-        N bids of a round without N Python-level solver round-trips.
+        checks).  Every step is elementwise per row — the table
+        interpolations, the clip, and the rule's ``value_batch`` and the
+        cost's ``cost_rows`` — so row ``i`` does not depend on the other
+        rows, and :meth:`bid` (no caps) and :meth:`bid_with_capacity` (with
+        caps), which are one-row calls of this method, equal it by
+        construction.  That is what lets
+        :class:`~repro.core.mechanism.FMoreMechanism` collect all N bids of
+        a round in one call, bit for bit as each agent's ``make_bid``.
 
         ``ranges`` prices consecutive row ranges in other games of this
         solver's family: ``(stop, clone)`` pairs in row order, each

@@ -67,8 +67,9 @@ class BiddingAgent(Protocol):
     Agents that additionally expose ``bid_inputs(round_index, rng) ->
     (theta, capacity)`` together with a ``solver`` carrying ``bid_batch``
     (see :class:`repro.mec.node.EdgeNode`) are priced in one vectorised
-    solver call per round instead of one Python round-trip per agent;
-    ``make_bid`` remains the semantic reference for both paths.  The fast
+    solver call per round instead of one Python round-trip per agent.
+    Such an agent's ``make_bid`` prices its one row through the same
+    ``bid_batch``, so both paths give the same bid bit for bit.  The fast
     path engages only when the most-derived ``make_bid`` is defined by the
     same class as a ``bid_inputs`` (see ``_batch_safe``) — overriding
     ``make_bid`` alone opts a subclass back into the per-agent loop.
@@ -130,9 +131,8 @@ class FMoreMechanism:
     bid_policies:
         ``node_id -> BidPolicy`` for the *strategic* (non-truthful) slice
         of the population (see :mod:`repro.strategic.policies`).  Nodes
-        absent from the mapping bid truthfully through the historical
-        batched path; empty (the default) reproduces it exactly —
-        bitwise, with no extra bookkeeping and no ``bid_payoff`` actions.
+        absent from the mapping bid truthfully, unshaded; empty (the
+        default) records no ``bid_payoff`` actions.
     bidding_rng:
         The strategic policies' randomness stream (the engine derives it
         from the ``bidding-{scheme}`` named stream).  Separate from both
@@ -266,104 +266,72 @@ class FMoreMechanism:
 
         RNG draws happen in a single pass over the agents (identical
         stream to calling ``make_bid`` per agent); the solver maths — the
-        expensive part — is deferred and executed as one
-        ``EquilibriumSolver.bid_batch`` call per distinct solver.
-
-        With a strategic slice (``bid_policies``), agents are partitioned
-        per policy: truthful nodes keep the historical per-solver batch
-        exactly, while each policy group is equilibrium-priced the same
-        way and then handed to :meth:`~repro.strategic.policies.BidPolicy.shade`
-        — still one batch call per (policy, solver) pair.  The training
-        RNG stream is consumed in the identical order either way.
+        expensive part — is deferred and runs as one
+        ``EquilibriumSolver.bid_batch`` call per ``(policy, solver)``
+        group.  The truthful slice is the group with no policy: its bids
+        go in as priced, under each node's IR check.  A strategic group's
+        priced bids are handed to
+        :meth:`~repro.strategic.policies.BidPolicy.shade`, re-costed, and
+        IR-checked unless the policy opts out (``enforce_ir``).  The
+        batch prices each row exactly as the agent's ``make_bid`` would.
         """
         entries: list[tuple[BiddingAgent, float, np.ndarray] | tuple[BiddingAgent, Bid | None]] = []
-        groups: dict[int, tuple[object, list[int]]] = {}
-        policy_groups: dict[tuple[int, int], tuple[object, object, list[int]]] = {}
-        has_strategic = bool(self.bid_policies)
-        self._strategic_round = []
+        groups: dict[tuple[int, int], tuple["BidPolicy | None", object, list[int]]] = {}
         for i, agent in enumerate(agents):
             solver = getattr(agent, "solver", None)
             if _batch_safe(type(agent)) and hasattr(solver, "bid_batch"):
                 theta, capacity = agent.bid_inputs(round_index, rng)
                 entries.append((agent, float(theta), np.asarray(capacity, dtype=float)))
-                policy = (
-                    self.bid_policies.get(agent.node_id) if has_strategic else None
-                )
-                if policy is None:
-                    groups.setdefault(id(solver), (solver, []))[1].append(i)
-                else:
-                    policy_groups.setdefault(
-                        (id(policy), id(solver)), (policy, solver, [])
-                    )[2].append(i)
+                policy = self.bid_policies.get(agent.node_id)
+                key = (id(policy), id(solver))
+                groups.setdefault(key, (policy, solver, []))[2].append(i)
             else:
                 entries.append((agent, agent.make_bid(round_index, rng)))
 
         resolved: dict[int, Bid | None] = {}
         truthful_info: list[tuple[int, float, bool]] = []
-        for solver, idxs in groups.values():
+        self._strategic_round = []
+        # Strategic groups first, in first-node order: they draw from the
+        # bidding stream, and the round's feedback lists the truthful slice
+        # after them.
+        ordered = sorted(groups.values(), key=lambda group: group[0] is None)
+        for policy, solver, idxs in ordered:
             thetas = np.asarray([entries[i][1] for i in idxs], dtype=float)
             caps = np.vstack([entries[i][2] for i in idxs])
             qualities, payments, costs = solver.bid_batch(thetas, caps, with_costs=True)
+            enforce_ir = True
+            info = truthful_info
+            if policy is not None:
+                from ..strategic.policies import BidBatch
+
+                batch = BidBatch(
+                    round_index=round_index,
+                    node_ids=[entries[i][0].node_id for i in idxs],
+                    thetas=thetas,
+                    capacities=caps,
+                    qualities=qualities,
+                    payments=payments,
+                    costs=costs,
+                    bounds=np.asarray(solver.quality_bounds, dtype=float),
+                )
+                shaded_q, shaded_p = policy.shade(batch, self.bidding_rng)
+                payments = np.asarray(shaded_p, dtype=float)
+                if shaded_q is not qualities:
+                    qualities = np.asarray(shaded_q, dtype=float)
+                    costs = solver.cost.cost_rows(qualities, thetas)
+                enforce_ir = bool(getattr(policy, "enforce_ir", True))
+                info = []
+                self._strategic_round.append((policy, info))
             margins = payments - costs
             for j, i in enumerate(idxs):
                 agent = entries[i][0]
                 min_margin = float(getattr(agent, "min_margin", 0.0))
-                if margins[j] < min_margin - 1e-12:
+                if enforce_ir and margins[j] < min_margin - 1e-12:
                     resolved[i] = None
                 else:
                     resolved[i] = Bid(agent.node_id, qualities[j].copy(), float(payments[j]))
-                if has_strategic:
-                    truthful_info.append(
-                        (agent.node_id, float(costs[j]), resolved[i] is not None)
-                    )
-
-        for policy, solver, idxs in policy_groups.values():
-            from ..strategic.policies import BidBatch
-
-            thetas = np.asarray([entries[i][1] for i in idxs], dtype=float)
-            caps = np.vstack([entries[i][2] for i in idxs])
-            qualities, payments, costs = solver.bid_batch(thetas, caps, with_costs=True)
-            batch = BidBatch(
-                round_index=round_index,
-                node_ids=[entries[i][0].node_id for i in idxs],
-                thetas=thetas,
-                capacities=caps,
-                qualities=qualities,
-                payments=payments,
-                costs=costs,
-                bounds=np.asarray(solver.quality_bounds, dtype=float),
-            )
-            shaded_q, shaded_p = policy.shade(batch, self.bidding_rng)
-            if shaded_q is qualities:
-                shaded_costs = costs
-            else:
-                shaded_costs = np.asarray(
-                    [
-                        solver.cost.cost(shaded_q[j], thetas[j])
-                        for j in range(len(idxs))
-                    ],
-                    dtype=float,
-                )
-            enforce_ir = bool(getattr(policy, "enforce_ir", True))
-            group_info: list[tuple[int, float, bool]] = []
-            for j, i in enumerate(idxs):
-                agent = entries[i][0]
-                min_margin = float(getattr(agent, "min_margin", 0.0))
-                margin = float(shaded_p[j]) - float(shaded_costs[j])
-                if enforce_ir and margin < min_margin - 1e-12:
-                    resolved[i] = None
-                else:
-                    resolved[i] = Bid(
-                        agent.node_id,
-                        np.asarray(shaded_q[j], dtype=float).copy(),
-                        float(shaded_p[j]),
-                    )
-                group_info.append(
-                    (agent.node_id, float(shaded_costs[j]), resolved[i] is not None)
-                )
-            self._strategic_round.append((policy, group_info))
-
-        if has_strategic:
+                info.append((agent.node_id, float(costs[j]), resolved[i] is not None))
+        if self.bid_policies:
             self._strategic_round.append((None, truthful_info))
 
         out: list[tuple[Bid | None, int]] = []

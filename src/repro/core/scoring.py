@@ -17,6 +17,14 @@ and the simulations additionally use the multiplicative rule
 ``s(q1, q2) = alpha * q1 * q2`` (Section V-A).  All of these are provided
 here behind a single :class:`ScoringRule` interface.
 
+Each family writes ``s`` once, as :meth:`ScoringRule.value_batch` over the
+rows of an ``(n, m)`` array.  It folds the quality columns one at a time
+(:func:`fold_columns`), so a row's bits depend neither on how many rows
+come with it nor on a BLAS.  The scalar :meth:`~ScoringRule.value` and
+:meth:`~ScoringRule.score` are one-row views of that formula, which is
+what makes a bid scored alone and the same bid scored in a batch equal
+bit for bit.
+
 Gradients are exposed because the Nash-equilibrium quality choice
 (Che's Theorem 1) maximises ``s(q) - c(q, theta)``; solvers want first-order
 information whenever the rule is differentiable.
@@ -42,6 +50,21 @@ __all__ = [
 ]
 
 
+def fold_columns(ufunc: np.ufunc, columns: np.ndarray) -> np.ndarray:
+    """``ufunc`` folded over the last axis, one column at a time.
+
+    ``acc = columns[..., 0]``, then ``acc = ufunc(acc, columns[..., j])``
+    for each later ``j``.  Every row takes the same operations in the same
+    order however many rows come with it, so its bits depend neither on
+    the batch size nor on a BLAS: a matrix product ``q @ w`` may fuse or
+    reorder its products and sums by shape and thread count.
+    """
+    acc = columns[..., 0]
+    for j in range(1, columns.shape[-1]):
+        acc = ufunc(acc, columns[..., j])
+    return acc
+
+
 def normalize_weights(weights: Sequence[float]) -> np.ndarray:
     """Return ``weights`` rescaled to sum to one.
 
@@ -58,7 +81,12 @@ def normalize_weights(weights: Sequence[float]) -> np.ndarray:
 
 
 class ScoringRule(ABC):
-    """Valuation ``s(q)`` of a quality vector ``q`` of ``m`` resources."""
+    """Valuation ``s(q)`` of a quality vector ``q`` of ``m`` resources.
+
+    A family implements :meth:`value_batch`, its one formula, and
+    :meth:`gradient`; :meth:`value` and :meth:`score` price one row
+    through :meth:`value_batch`.
+    """
 
     def __init__(self, weights: Sequence[float]):
         self.weights = np.asarray(weights, dtype=float)
@@ -82,19 +110,16 @@ class ScoringRule(ABC):
         return q
 
     @abstractmethod
-    def value(self, quality: np.ndarray) -> float:
-        """Return ``s(q)`` for a single quality vector."""
+    def value_batch(self, qualities: np.ndarray) -> np.ndarray:
+        """Return ``s(q)`` for each row of an ``(n, m)`` array."""
 
     @abstractmethod
     def gradient(self, quality: np.ndarray) -> np.ndarray:
         """Return ``ds/dq`` at ``q`` (sub-gradient where non-smooth)."""
 
-    def value_batch(self, qualities: np.ndarray) -> np.ndarray:
-        """Return ``s(q)`` for each row of an ``(n, m)`` array."""
-        q = self._check(qualities)
-        if q.ndim == 1:
-            return np.asarray([self.value(q)])
-        return np.asarray([self.value(row) for row in q])
+    def value(self, quality: np.ndarray) -> float:
+        """Return ``s(q)`` for one quality vector: a one-row :meth:`value_batch`."""
+        return float(self.value_batch(np.reshape(quality, (1, -1)))[0])
 
     def score(self, quality: np.ndarray, payment: float) -> float:
         """Quasi-linear score ``S(q, p) = s(q) - p`` (paper Eq. 4)."""
@@ -113,17 +138,12 @@ class AdditiveScore(ScoringRule):
     (``S = 0.4 q1 + 0.3 q2 + 0.3 q3 - p``, Section V-A).
     """
 
-    def value(self, quality: np.ndarray) -> float:
-        q = self._check(quality)
-        return float(np.dot(self.weights, q))
+    def value_batch(self, qualities: np.ndarray) -> np.ndarray:
+        return fold_columns(np.add, self._check(qualities) * self.weights)
 
     def gradient(self, quality: np.ndarray) -> np.ndarray:
         self._check(quality)
         return self.weights.copy()
-
-    def value_batch(self, qualities: np.ndarray) -> np.ndarray:
-        q = self._check(qualities)
-        return q @ self.weights
 
 
 @SCORING_RULES.register("perfect_complementary")
@@ -135,9 +155,8 @@ class PerfectComplementaryScore(ScoringRule):
     (paper Section III-A and the walk-through example of Section III-B).
     """
 
-    def value(self, quality: np.ndarray) -> float:
-        q = self._check(quality)
-        return float(np.min(self.weights * q))
+    def value_batch(self, qualities: np.ndarray) -> np.ndarray:
+        return fold_columns(np.minimum, self._check(qualities) * self.weights)
 
     def gradient(self, quality: np.ndarray) -> np.ndarray:
         q = self._check(quality)
@@ -146,10 +165,6 @@ class PerfectComplementaryScore(ScoringRule):
         idx = int(np.argmin(scaled))
         grad[idx] = self.weights[idx]
         return grad
-
-    def value_batch(self, qualities: np.ndarray) -> np.ndarray:
-        q = self._check(qualities)
-        return np.min(q * self.weights, axis=-1)
 
 
 @SCORING_RULES.register("cobb_douglas")
@@ -167,16 +182,13 @@ class CobbDouglasScore(ScoringRule):
             raise ValueError("scale must be positive")
         self.scale = float(scale)
 
-    def value(self, quality: np.ndarray) -> float:
-        q = self._check(quality)
+    def value_batch(self, qualities: np.ndarray) -> np.ndarray:
+        q = self._check(qualities)
         if np.any(q < 0):
             raise ValueError("Cobb-Douglas requires non-negative quality")
         # 0**0 is defined as 1 here so zero-weight dimensions are neutral.
-        with np.errstate(divide="ignore"):
-            terms = np.where(
-                self.weights == 0.0, 1.0, np.power(np.maximum(q, 0.0), self.weights)
-            )
-        return float(self.scale * np.prod(terms))
+        terms = np.where(self.weights == 0.0, 1.0, np.power(q, self.weights))
+        return self.scale * fold_columns(np.multiply, terms)
 
     def gradient(self, quality: np.ndarray) -> np.ndarray:
         q = self._check(quality)
@@ -192,14 +204,6 @@ class CobbDouglasScore(ScoringRule):
                 # large finite slope so optimisers move off the boundary.
                 grad[j] = np.inf
         return grad
-
-    def value_batch(self, qualities: np.ndarray) -> np.ndarray:
-        q = self._check(qualities)
-        with np.errstate(divide="ignore"):
-            terms = np.where(
-                self.weights == 0.0, 1.0, np.power(np.maximum(q, 0.0), self.weights)
-            )
-        return self.scale * np.prod(terms, axis=-1)
 
 
 @SCORING_RULES.register("multiplicative")
@@ -218,9 +222,8 @@ class MultiplicativeScore(ScoringRule):
             raise ValueError("scale must be positive")
         self.scale = float(scale)
 
-    def value(self, quality: np.ndarray) -> float:
-        q = self._check(quality)
-        return float(self.scale * np.prod(q))
+    def value_batch(self, qualities: np.ndarray) -> np.ndarray:
+        return self.scale * fold_columns(np.multiply, self._check(qualities))
 
     def gradient(self, quality: np.ndarray) -> np.ndarray:
         q = self._check(quality)
@@ -229,10 +232,6 @@ class MultiplicativeScore(ScoringRule):
             rest = np.prod(np.delete(q, j))
             grad[j] = self.scale * rest
         return grad
-
-    def value_batch(self, qualities: np.ndarray) -> np.ndarray:
-        q = self._check(qualities)
-        return self.scale * np.prod(q, axis=-1)
 
 
 class QuasiLinearScoringRule:
@@ -273,11 +272,11 @@ class QuasiLinearScoringRule:
         return (q - self.lower) / (self.upper - self.lower)
 
     def score(self, quality: np.ndarray, payment: float) -> float:
-        """Return ``S(q, p) = s(normalise(q)) - p``."""
-        return self.quality_rule.value(self.normalize(quality)) - float(payment)
+        """Return ``S(q, p) = s(normalise(q)) - p``: a one-row :meth:`score_batch`."""
+        return float(self.score_batch(np.reshape(quality, (1, -1)), [payment])[0])
 
     def score_batch(self, qualities: np.ndarray, payments: np.ndarray) -> np.ndarray:
-        q = np.asarray(qualities, dtype=float)
-        if self.normalizes:
-            q = (q - self.lower) / (self.upper - self.lower)
-        return self.quality_rule.value_batch(q) - np.asarray(payments, dtype=float)
+        """``S(q_i, p_i)`` for the paired rows of ``qualities`` and ``payments``."""
+        return self.quality_rule.value_batch(self.normalize(qualities)) - np.asarray(
+            payments, dtype=float
+        )

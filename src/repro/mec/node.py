@@ -115,7 +115,7 @@ class EdgeNode:
         the same order :meth:`make_bid` always has, then stops *before*
         the solver maths.  :class:`~repro.core.mechanism.FMoreMechanism`
         calls this for every agent and prices all collected inputs in one
-        vectorised ``EquilibriumSolver.bid_batch`` call per solver.
+        vectorised ``EquilibriumSolver.bid_batch`` call per group.
         """
         available = self.available_profile(round_index, rng)
         capacity = np.asarray(self.quality_extractor(available), dtype=float)
@@ -125,15 +125,17 @@ class EdgeNode:
     def make_bid(self, round_index: int, rng: np.random.Generator) -> Bid | None:
         """Answer a bid ask with the capacity-capped equilibrium bid.
 
-        Returns ``None`` (abstains) when the expected profit margin of the
-        achievable bid is below ``min_margin`` — individual rationality.
+        The bid is one row of ``bid_batch``, the call the mechanism prices
+        a whole round with.  Returns ``None`` (abstains) when its margin
+        over its own cost is below ``min_margin`` — individual rationality.
         """
         theta, capacity = self.bid_inputs(round_index, rng)
-        quality, payment = self.solver.bid_with_capacity(theta, capacity)
-        margin = payment - self.solver.cost.cost(quality, theta)
-        if margin < self.min_margin - 1e-12:
+        qualities, payments, costs = self.solver.bid_batch(
+            [theta], np.asarray(capacity, dtype=float)[np.newaxis], with_costs=True
+        )
+        if payments[0] - costs[0] < self.min_margin - 1e-12:
             return None
-        return Bid(node_id=self.node_id, quality=quality, payment=payment)
+        return Bid(self.node_id, qualities[0], float(payments[0]))
 
     def profit_if_paid(self, quality: np.ndarray, payment: float) -> float:
         """Realised profit ``p - c(q, theta)`` for an awarded contract."""

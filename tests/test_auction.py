@@ -149,3 +149,26 @@ class TestOutcome:
         out = auction.run(bids, rng)
         assert len(out.winners) == 2
         assert len(set(out.winner_ids)) == 2
+
+
+class TestBidValidation:
+    @pytest.mark.parametrize(
+        "quality", [[np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.5]], ids=["nan", "inf", "-inf"]
+    )
+    def test_rejects_non_finite_quality(self, quality):
+        with pytest.raises(ValueError, match="quality must be finite"):
+            Bid(0, np.asarray(quality), 1.0)
+
+    @pytest.mark.parametrize(
+        "payment",
+        [float("nan"), float("inf"), np.float64("nan"), np.float64("-inf")],
+        ids=["nan", "inf", "np-nan", "np-inf"],
+    )
+    def test_rejects_non_finite_payment(self, payment):
+        with pytest.raises(ValueError, match="payment must be finite"):
+            Bid(0, np.array([1.0, 1.0]), payment)
+
+    @pytest.mark.parametrize("quality", [np.empty(0), np.ones((2, 2))], ids=["empty", "2-D"])
+    def test_rejects_empty_or_2d_quality(self, quality):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            Bid(0, quality, 1.0)

@@ -9,6 +9,31 @@ from repro.core.costs import (
     QuadraticCost,
     check_single_crossing,
 )
+from repro.core.equilibrium import EquilibriumSolver
+from repro.core.scoring import AdditiveScore
+from repro.core.valuation import PrivateValueModel, UniformTheta
+
+
+def _game(weights, cost, bounds, n_nodes, k_winners, grid_size):
+    return EquilibriumSolver(
+        AdditiveScore(weights),
+        cost,
+        PrivateValueModel(UniformTheta(0.1, 1.0), n_nodes, k_winners),
+        bounds,
+        grid_size=grid_size,
+    )
+
+
+#: Games whose scoring or cost coefficients are not exact binary fractions:
+#: the Section V-C cluster testbed and an additive-quadratic game.
+_GAMES = {
+    "cluster": _game(
+        [0.4, 0.3, 0.3], LinearCost([0.25, 0.25, 0.5]), [[0.0, 1.0]] * 3, 31, 8, 129
+    ),
+    "additive-quadratic": _game(
+        [0.6, 0.4], QuadraticCost([0.3, 0.7]), [[0.01, 5.0], [0.05, 1.0]], 20, 4, 65
+    ),
+}
 
 
 class TestLinearCost:
@@ -27,12 +52,25 @@ class TestLinearCost:
         q = np.array([2.0, 1.0])
         assert cost.d_theta(q, 0.7) == pytest.approx(cost.cost(q, 0.7) / 0.7)
 
-    def test_batch_matches_scalar(self):
-        cost = LinearCost([1.0, 3.0])
-        q = np.array([[1.0, 2.0], [0.5, 0.5]])
-        np.testing.assert_allclose(
-            cost.cost_batch(q, 0.4), [cost.cost(q[0], 0.4), cost.cost(q[1], 0.4)]
-        )
+    @pytest.mark.parametrize("n", [1, 2, 31, 64, 1000])
+    @pytest.mark.parametrize("game", sorted(_GAMES))
+    def test_batch_rows_equal_rows_priced_alone(self, game, n):
+        """Bitwise, whatever the batch size: row ``i`` of ``cost_rows`` and
+        of a capped ``bid_batch`` is the row priced on its own."""
+        solver = _GAMES[game]
+        rng = np.random.default_rng(n)
+        thetas = rng.uniform(0.1, 1.0, n)
+        caps = rng.uniform(0.0, 1.2, (n, solver.cost.n_dimensions))
+        costs = solver.cost.cost_rows(caps, thetas)
+        alone = [solver.cost.cost_rows(caps[i : i + 1], thetas[i : i + 1]) for i in range(n)]
+        assert np.concatenate(alone).tobytes() == costs.tobytes()
+        scalar = [solver.cost.cost(caps[i], thetas[i]) for i in range(n)]
+        assert np.asarray(scalar).tobytes() == costs.tobytes()
+        qualities, payments = solver.bid_batch(thetas, caps)
+        for i in range(n):
+            q, p = solver.bid_with_capacity(thetas[i], caps[i])
+            assert q.tobytes() == qualities[i].tobytes()
+            assert p == payments[i]
 
     def test_increasing_in_theta(self):
         cost = LinearCost([1.0, 1.0])

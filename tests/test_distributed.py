@@ -684,6 +684,33 @@ class TestDistributedEngine:
             )
         _assert_manifests_bitwise(ref_root, tmp_path)
 
+    def test_store_queued_wait_backs_off_like_the_workers(self, tmp_path, monkeypatch):
+        """The submitter's first look at the store comes after a fraction of
+        ``poll_interval``, and no wait exceeds it."""
+        import repro.api.coordinator as coordinator
+
+        class RecordingTime:
+            def __init__(self):
+                self.sleeps: list[float] = []
+
+            def sleep(self, seconds):
+                self.sleeps.append(seconds)
+                time.sleep(seconds)
+
+            def __getattr__(self, name):
+                return getattr(time, name)
+
+        clock = RecordingTime()
+        monkeypatch.setattr(coordinator, "time", clock)
+        scenario = _paper_scenario(n_rounds=1, policies={})
+        thread = _drain_in_thread(tmp_path, n_cells=2, worker_id="drainer")
+        FMoreEngine().run(_store_queued(scenario, poll_interval=1.0), store=tmp_path)
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert clock.sleeps
+        assert clock.sleeps[0] < 1.0 / 100
+        assert max(clock.sleeps) <= 1.0
+
     def test_spawned_local_workers_bitwise(self, tmp_path, paper_reference):
         """The full subprocess path: the executor spawns 2 real workers."""
         scenario, reference, ref_root = paper_reference

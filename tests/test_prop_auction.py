@@ -3,9 +3,11 @@
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from repro.api import Scenario
+from repro.api.engine import build_agents, build_federation, build_solver
 from repro.core.auction import MultiDimensionalProcurementAuction
 from repro.core.bids import Bid
-from repro.core.costs import LinearCost
+from repro.core.costs import LinearCost, PowerCost, QuadraticCost
 from repro.core.equilibrium import EquilibriumSolver
 from repro.core.mechanism import FMoreMechanism
 from repro.core.psi import PsiSelection
@@ -110,15 +112,27 @@ def _paper_game(n_nodes, k_winners, **options):
     )
 
 
-#: Game families the agents bid in, each built once.  All score and cost
-#: as the paper does: under additive scoring or a linear cost with
-#: coefficients that are not exact binary fractions, the batch's matrix
-#: product and the per-agent dot product can round a row's score or cost
-#: differently in its last bit, depending on the batch's size.
+def _additive_game(cost):
+    """``0.6 q1 + 0.4 q2`` against ``cost``, N=20 and K=4: coefficients
+    that are not exact binary fractions, so a row's score and cost round
+    in their last bit by the order of their products and sums."""
+    return EquilibriumSolver(
+        AdditiveScore([0.6, 0.4]),
+        cost,
+        PrivateValueModel(UniformTheta(0.1, 1.0), 20, 4),
+        [[0.01, 5.0], [0.05, 1.0]],
+        grid_size=65,
+    )
+
+
+#: Game families the agents bid in, each built once.
 _GAMES = {
     "paper": _paper_game(30, 6, grid_size=65),
     "paper-exact-kernel": _paper_game(12, 3, win_model="exact", grid_size=33),
     "paper-one-winner-rk4": _paper_game(8, 1, payment_method="rk4", grid_size=33),
+    "additive-linear": _additive_game(LinearCost([0.3, 0.7])),
+    "additive-quadratic": _additive_game(QuadraticCost([0.3, 0.7])),
+    "additive-power": _additive_game(PowerCost([0.3, 0.7], [1.5, 2.5])),
 }
 
 #: One agent: its type, data size (samples) and category proportion.
@@ -181,3 +195,35 @@ def test_mechanism_batch_path_matches_sequential_make_bid(
     for node_id, (quality, payment) in expected.items():
         assert got[node_id][0].tobytes() == quality.tobytes()
         assert got[node_id][1] == payment
+
+
+def test_cluster_mechanism_matches_sequential_make_bid():
+    """The Section V-C testbed (``0.4 q1 + 0.3 q2 + 0.3 q3``): five rounds
+    of run_round's batched collection == per-agent make_bid, exactly."""
+    scenario = Scenario.from_preset("cluster_cifar10")
+    federation = build_federation(scenario, 0)
+    solver = build_solver(scenario)
+    auction = MultiDimensionalProcurementAuction(solver.quality_rule, scenario.k_winners)
+    mismatched, compared = [], 0
+    for round_index in range(5):
+        record = FMoreMechanism(auction).run_round(
+            build_agents(scenario, federation, solver),
+            round_index,
+            np.random.default_rng([0, round_index]),
+        )
+        got = {sb.node_id: sb.bid for sb in record.outcome.scored_bids}
+        rng = np.random.default_rng([0, round_index])
+        for agent in build_agents(scenario, federation, solver):
+            bid = agent.make_bid(round_index, rng)
+            assert (bid is None) == (agent.node_id not in got)
+            if bid is None:
+                continue
+            compared += 1
+            other = got[agent.node_id]
+            if (
+                other.quality.tobytes() != bid.quality.tobytes()
+                or other.payment != bid.payment
+            ):
+                mismatched.append((round_index, agent.node_id))
+    assert compared > 0
+    assert mismatched == []

@@ -37,12 +37,19 @@ class TestAdditiveScore:
         rule = AdditiveScore([0.4, 0.6])
         np.testing.assert_allclose(rule.gradient(np.array([5.0, 2.0])), [0.4, 0.6])
 
-    def test_batch_matches_scalar(self):
-        rule = AdditiveScore([0.5, 0.5])
-        q = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(
-            rule.value_batch(q), [rule.value(q[0]), rule.value(q[1])]
-        )
+    @pytest.mark.parametrize("n", [1, 2, 31, 64, 1000])
+    @pytest.mark.parametrize(
+        "weights", [[0.4, 0.3, 0.3], [0.6, 0.4]], ids=["cluster", "additive-quadratic"]
+    )
+    def test_batch_rows_equal_rows_scored_alone(self, weights, n):
+        """Bitwise, whatever the batch size: weights that are not exact
+        binary fractions round a row's sum by the order of its terms."""
+        rule = AdditiveScore(weights)
+        q = np.random.default_rng(n).uniform(0.0, 1.0, (n, rule.n_dimensions))
+        batch = rule.value_batch(q)
+        alone = np.concatenate([rule.value_batch(row[None]) for row in q])
+        assert alone.tobytes() == batch.tobytes()
+        assert np.asarray([rule.value(row) for row in q]).tobytes() == batch.tobytes()
 
     def test_rejects_wrong_dimensionality(self):
         rule = AdditiveScore([1.0, 1.0])
