@@ -17,7 +17,9 @@ each artifact:
 * ``hier_round.<n>.seconds`` — one full two-tier hierarchical round per
   population size (``bench_hierarchical.py``),
 * ``learn.<name>.seconds`` — a fixed-episode learned-bidder training run
-  per ``BID_LEARNERS`` entry (``bench_learner.py``).
+  per ``BID_LEARNERS`` entry (``bench_learner.py``),
+* ``cohort.seconds`` — one bench ``hpnews`` round's winners trained as one
+  cohort (``bench_cohort_training.py``).
 
 Artifacts with a ``coordinator`` section (``bench_coordinator.py``) get
 the ``coord:*`` gates: the warm service sweep must stay under 2x warm
@@ -66,9 +68,9 @@ def _gated_timings(data: dict) -> dict[str, float]:
     Labels are stable across commits so old and new artifacts align:
     ``grid:<family>`` per grid-build family, plus ``bid_batch`` and
     ``round``, plus ``hier:<n>`` per population size of the hierarchical
-    bench and ``learn:<name>`` per trained ``BID_LEARNERS`` entry
-    (absent in pre-extension artifacts — tolerated, each gate starts its
-    own trajectory).
+    bench, ``learn:<name>`` per trained ``BID_LEARNERS`` entry and
+    ``cohort`` for the cohort-training round (absent in older artifacts —
+    tolerated, each gate starts its own trajectory).
     """
     out: dict[str, float] = {}
     for family, row in sorted(data.get("grid_build", {}).items()):
@@ -83,6 +85,8 @@ def _gated_timings(data: dict) -> dict[str, float]:
         out[f"hier:{n}"] = float(row["seconds"])
     for name, row in sorted(data.get("learn", {}).items()):
         out[f"learn:{name}"] = float(row["seconds"])
+    if "cohort" in data:
+        out["cohort"] = float(data["cohort"]["seconds"])
     return out
 
 

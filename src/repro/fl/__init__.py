@@ -7,7 +7,7 @@ into: a numpy NN library (:mod:`repro.fl.nn`), synthetic datasets
 selection strategies of Section V.
 """
 
-from .client import FLClient, LocalUpdate
+from .client import FLClient, LocalPlan, LocalUpdate, train_cohort
 from .datasets import (
     DATASET_NAMES,
     IMAGE_PRESETS,
@@ -63,7 +63,9 @@ __all__ = [
     "dirichlet_specs",
     "materialize_clients",
     "FLClient",
+    "LocalPlan",
     "LocalUpdate",
+    "train_cohort",
     "FedAvgServer",
     "federated_average",
     "SelectionStrategy",

@@ -17,7 +17,24 @@ import numpy as np
 from .nn import Sequential
 from .partition import ClientData
 
-__all__ = ["LocalUpdate", "FLClient"]
+__all__ = ["LocalPlan", "LocalUpdate", "FLClient", "train_cohort"]
+
+
+@dataclass
+class LocalPlan:
+    """One winner's local run, drawn before any of a round's training.
+
+    ``batches`` holds one ``(rows of x, generator)`` pair per SGD step:
+    the rows of the step's mini-batch and the generator its Dropout masks
+    come from, positioned where that epoch's masks start in the round
+    stream.
+    """
+
+    client_id: int
+    n_samples: int
+    x: np.ndarray
+    y: np.ndarray
+    batches: list[tuple[np.ndarray, np.random.Generator]]
 
 
 @dataclass
@@ -32,7 +49,13 @@ class LocalUpdate:
 
 class FLClient:
     """One edge participant's learning half (the bidding half lives in
-    :class:`repro.mec.node.EdgeNode`)."""
+    :class:`repro.mec.node.EdgeNode`).
+
+    :meth:`train` plans the client's local run on the round stream; the
+    round's plans then train together (:func:`train_cohort`), stacked
+    step by step with the members whose next batch has the same size, up
+    to a byte bound on a step's cached activations.
+    """
 
     def __init__(
         self,
@@ -70,20 +93,21 @@ class FLClient:
     def train(
         self,
         scratch_model: Sequential,
-        global_weights: list[np.ndarray],
         rng: np.random.Generator,
         declared_samples: int | None = None,
-    ) -> LocalUpdate:
-        """Run Eq. 2 locally and return the updated weights.
+    ) -> LocalPlan:
+        """Draw this winner's run of Eq. 2 from the round stream ``rng``.
 
-        ``scratch_model`` is a shared architecture replica owned by the
-        trainer; its parameters are overwritten with the global weights
-        before training, so no state leaks between clients.
+        The draws are those of training ``scratch_model`` (the trainer's
+        replica, whose Dropout layers draw from ``rng``) on the declared
+        data: the subset, the step-cap sample, then per epoch the shuffle
+        and the masks.  The masks are not drawn here.  Each epoch's plan
+        keeps a generator where its masks start and moves ``rng`` past
+        them, so the next winner draws from where it would after this one
+        trained.  An empty client plans no step and draws nothing.
         """
         if self.data.size == 0:
-            return LocalUpdate(self.client_id, [w.copy() for w in global_weights], 0, 0.0)
-        scratch_model.set_weights(global_weights)
-        scratch_model.optimizer.reset()
+            return LocalPlan(self.client_id, 0, self.data.x, self.data.y, [])
         if declared_samples is None or declared_samples >= self.data.size:
             x, y = self.data.x, self.data.y
         else:
@@ -94,13 +118,47 @@ class FLClient:
             if x.shape[0] > cap:
                 take = rng.choice(x.shape[0], size=cap, replace=False)
                 x, y = x[take], y[take]
-        loss = scratch_model.fit(
-            x,
-            y,
-            epochs=self.local_epochs,
-            batch_size=self.batch_size,
-            shuffle_rng=rng,
-        )
+        n, size = x.shape[0], self.batch_size
+        batches = []
+        for _ in range(self.local_epochs):
+            order = rng.permutation(n)
+            masks = _skip_masks(rng, n * scratch_model.mask_draws_per_sample)
+            batches += [(order[s : s + size], masks) for s in range(0, n, size)]
         # FedAvg weighting (Eq. 3) uses the *declared* data size D_i even
         # when step-capping subsampled the round's mini-batches.
-        return LocalUpdate(self.client_id, scratch_model.get_weights(), declared_count, loss)
+        return LocalPlan(self.client_id, declared_count, x, y, batches)
+
+
+def train_cohort(
+    model: Sequential, global_weights: list[np.ndarray], plans: list[LocalPlan]
+) -> list[LocalUpdate]:
+    """Train ``plans`` from ``global_weights`` as one cohort, in plan order.
+
+    One stacked computation
+    (:meth:`~repro.fl.nn.model.Sequential.fit_cohort`) trains one copy of
+    ``model``'s architecture per plan; each update holds the bytes that
+    copy would reach trained alone.
+    """
+    return [
+        LocalUpdate(plan.client_id, weights, plan.n_samples, loss)
+        for plan, (weights, loss) in zip(plans, model.fit_cohort(global_weights, plans))
+    ]
+
+
+def _skip_masks(rng: np.random.Generator, draws: int) -> np.random.Generator:
+    """A generator at ``rng``'s position; ``rng`` moves ``draws`` doubles on.
+
+    A uniform double takes one 64-bit output, which is what
+    ``bit_generator.advance`` counts.  ``advance`` also drops the 32-bit
+    half-output a bounded integer draw may have buffered; doubles never
+    read it, so it is put back.
+    """
+    masks = np.random.Generator(type(rng.bit_generator)())
+    masks.bit_generator.state = rng.bit_generator.state
+    if draws:
+        state = rng.bit_generator.state
+        rng.bit_generator.advance(draws)
+        moved = rng.bit_generator.state
+        moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
+        rng.bit_generator.state = moved
+    return masks

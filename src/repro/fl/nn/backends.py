@@ -81,21 +81,31 @@ class NumpyBackend:
     """The GEMM and the LSTM step, as methods of :data:`KERNELS`."""
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Dense GEMM ``a @ b`` (the Dense/Conv2D/LSTM contraction)."""
+        """Dense GEMM ``a @ b`` (the Dense/Conv2D/LSTM contraction).
+
+        A cohort's operands are stacks of matrices, one per member, and
+        numpy multiplies them slice by slice with the same BLAS call as
+        each 2-D product.
+        """
         return a @ b
 
     def lstm_step(self, x_t, h_prev, c_prev, wx, wh, b):
         """One LSTM recurrence step with the ``[i, f, g, o]`` gate layout.
 
         Returns ``(h_next, c_next, i, f, g, o, tanh_c)``: the new states
-        plus everything BPTT caches.
+        plus everything BPTT caches.  A cohort's stacked arrays carry a
+        leading member axis on every argument.  One sigmoid runs over all
+        four gates and the ``i``, ``f`` and ``o`` slices are cut from it:
+        the sigmoid is elementwise, so each slice holds the same bytes as
+        a sigmoid of that slice alone.
         """
-        h = h_prev.shape[1]
-        z = x_t @ wx + h_prev @ wh + b
-        i = _sigmoid(z[:, 0 * h : 1 * h])
-        f = _sigmoid(z[:, 1 * h : 2 * h])
-        g = np.tanh(z[:, 2 * h : 3 * h])
-        o = _sigmoid(z[:, 3 * h : 4 * h])
+        h = h_prev.shape[-1]
+        z = x_t @ wx + h_prev @ wh + b[..., None, :]
+        gates = _sigmoid(z)
+        i = gates[..., 0 * h : 1 * h]
+        f = gates[..., 1 * h : 2 * h]
+        g = np.tanh(z[..., 2 * h : 3 * h])
+        o = gates[..., 3 * h : 4 * h]
         c_next = f * c_prev + i * g
         tanh_c = np.tanh(c_next)
         h_next = o * tanh_c

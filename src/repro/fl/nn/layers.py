@@ -13,6 +13,14 @@ Every layer implements the same tiny contract:
 * ``params`` / ``grads`` are parallel lists of arrays (possibly empty), and
   FedAvg manipulates weights exclusively through them.
 
+Every layer also runs a *cohort*: several models of one architecture
+trained as one stacked computation
+(:meth:`~repro.fl.nn.model.Sequential.fit_cohort`).  A cohort's parameters
+and activations carry one more leading axis, the member, and each layer is
+written once over trailing axes (``x @ w + b[..., None, :]``,
+``g.sum(axis=-2)``), so a model without that axis runs the same code.
+Every stacked operation gives each member the bytes it would get alone.
+
 Convolutions use im2col/col2im so the heavy lifting is one GEMM per layer —
 the standard trick for acceptable pure-numpy speed.  All layers are
 gradient-checked against central finite differences in the test suite.
@@ -55,7 +63,12 @@ class Layer(ABC):
     def build(self, input_shape: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
         """Allocate parameters for ``input_shape`` (sans batch); return output shape."""
         self.built = True
+        self.input_shape = tuple(input_shape)
         return self.output_shape(input_shape)
+
+    def cached_floats(self, input_shape: tuple[int, ...]) -> int:
+        """Floats one sample's training forward keeps for backward (its output here)."""
+        return int(np.prod(self.output_shape(input_shape)))
 
     @abstractmethod
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -114,15 +127,15 @@ class Dense(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._x = x
         w, b = self.params
-        return KERNELS.matmul(x, w) + b
+        return KERNELS.matmul(x, w) + b[..., None, :]
 
     def param_backward(self, grad: np.ndarray) -> None:
-        self.grads[0][...] = KERNELS.matmul(self._x.T, grad)
-        self.grads[1][...] = grad.sum(axis=0)
+        self.grads[0][...] = KERNELS.matmul(np.swapaxes(self._x, -1, -2), grad)
+        self.grads[1][...] = grad.sum(axis=-2)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         self.param_backward(grad)
-        return KERNELS.matmul(grad, self.params[0].T)
+        return KERNELS.matmul(grad, np.swapaxes(self.params[0], -1, -2))
 
 
 class ReLU(Layer):
@@ -168,14 +181,14 @@ class Sigmoid(Layer):
 
 
 class Flatten(Layer):
-    """Collapse all non-batch dimensions."""
+    """Collapse all per-sample dimensions."""
 
     def output_shape(self, input_shape):
         return (int(np.prod(input_shape)),)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[: x.ndim - len(self.input_shape)] + (-1,))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         return grad.reshape(self._shape)
@@ -186,7 +199,9 @@ class Dropout(Layer):
 
     Both paper CNNs interleave Dropout layers (footnotes 1-2); the layer
     draws its mask from a generator handed over at build time so runs are
-    reproducible.
+    reproducible.  A cohort binds one generator per member instead, and
+    each member's mask is drawn from its own generator, as it would be
+    alone.
     """
 
     def __init__(self, rate: float):
@@ -210,7 +225,11 @@ class Dropout(Layer):
         if self._rng is None:
             raise RuntimeError("Dropout used before build()")
         keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
+        if x.ndim > len(self.input_shape) + 1:
+            draws = np.stack([rng.random(x.shape[1:]) for rng in self._rng])
+        else:
+            draws = self._rng.random(x.shape)
+        self._mask = (draws < keep) / keep
         return x * self._mask
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -220,7 +239,12 @@ class Dropout(Layer):
 
 
 class Conv2D(Layer):
-    """2-D convolution over NHWC inputs via im2col + GEMM."""
+    """2-D convolution over NHWC inputs via im2col + GEMM.
+
+    A cohort's images are lowered as one merged batch of ``members * n``
+    images; each member's patch rows then meet its own kernel in one
+    stacked GEMM, and col2im scatters the merged batch back.
+    """
 
     def __init__(self, filters: int, kernel_size: int = 3, stride: int = 1, padding: str = "valid"):
         super().__init__()
@@ -264,27 +288,39 @@ class Conv2D(Layer):
         self._in_channels = c
         return super().build(input_shape, rng)
 
+    def cached_floats(self, input_shape) -> int:
+        oh, ow, f = self.output_shape(input_shape)
+        return oh * ow * (self.kernel_size * self.kernel_size * input_shape[-1] + f)
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         k, s, p = self.kernel_size, self.stride, self._pad()
-        cols, (oh, ow) = backends.numpy_im2col(x, k, k, s, p)
-        self._cols = cols
-        self._x_shape = x.shape
-        self._out_hw = (oh, ow)
+        merged = x.reshape((-1,) + x.shape[-3:])
+        cols, (oh, ow) = backends.numpy_im2col(merged, k, k, s, p)
         kernel, bias = self.params
-        out = KERNELS.matmul(cols, kernel) + bias
-        return out.reshape(x.shape[0], oh, ow, self.filters)
+        # One row block per member: (members, n * oh * ow, k * k * c).
+        self._cols = cols.reshape(kernel.shape[:-2] + (-1, cols.shape[-1]))
+        self._x_shape = merged.shape
+        self._out_hw = (oh, ow)
+        out = KERNELS.matmul(self._cols, kernel) + bias[..., None, :]
+        return out.reshape(x.shape[:-3] + (oh, ow, self.filters))
+
+    def _grad_rows(self, grad: np.ndarray) -> np.ndarray:
+        return grad.reshape(self._cols.shape[:-1] + (self.filters,))
 
     def param_backward(self, grad: np.ndarray) -> None:
-        g = grad.reshape(-1, self.filters)
-        self.grads[0][...] = KERNELS.matmul(self._cols.T, g)
-        self.grads[1][...] = g.sum(axis=0)
+        g = self._grad_rows(grad)
+        self.grads[0][...] = KERNELS.matmul(np.swapaxes(self._cols, -1, -2), g)
+        self.grads[1][...] = g.sum(axis=-2)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         self.param_backward(grad)
         k, s, p = self.kernel_size, self.stride, self._pad()
         oh, ow = self._out_hw
-        dcols = KERNELS.matmul(grad.reshape(-1, self.filters), self.params[0].T)
-        return backends.numpy_col2im(dcols, self._x_shape, k, k, s, p, oh, ow)
+        dcols = KERNELS.matmul(self._grad_rows(grad), np.swapaxes(self.params[0], -1, -2))
+        dx = backends.numpy_col2im(
+            dcols.reshape(-1, dcols.shape[-1]), self._x_shape, k, k, s, p, oh, ow
+        )
+        return dx.reshape(grad.shape[:-3] + dx.shape[1:])
 
 
 class MaxPool2D(Layer):
@@ -316,11 +352,11 @@ class MaxPool2D(Layer):
         """Element (i, j) of every window of ``a``: one view per (i, j), row-major."""
         k, s = self.pool_size, self.stride
         return [
-            a[:, i : i + s * oh : s, j : j + s * ow : s, :] for i in range(k) for j in range(k)
+            a[..., i : i + s * oh : s, j : j + s * ow : s, :] for i in range(k) for j in range(k)
         ]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        oh, ow, _ = self.output_shape(x.shape[1:])
+        oh, ow, _ = self.output_shape(x.shape[-3:])
         first, *rest = self._views(x, oh, ow)
         out = first.copy()
         for view in rest:
@@ -330,7 +366,7 @@ class MaxPool2D(Layer):
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         x, y = self._x, self._y
-        _, oh, ow, _ = y.shape
+        oh, ow = y.shape[-3:-1]
         # Mark each window's first element equal to its max; ``pending``
         # holds the windows still unmarked.  Only a window whose max is NaN
         # finds none: argmax sent its gradient to the first NaN, and so does

@@ -27,33 +27,44 @@ class SoftmaxCrossEntropy(Loss):
     Fusing keeps the backward pass the numerically-stable
     ``softmax(logits) - one_hot(targets)`` and matches the paper's
     ``...Fully connected -> Softmax`` model heads.
+
+    A cohort's logits ``(members, n, classes)`` and targets
+    ``(members, n)`` give one loss per member, each over its own batch.
     """
 
     @staticmethod
     def probabilities(logits: np.ndarray) -> np.ndarray:
-        shifted = logits - logits.max(axis=1, keepdims=True)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)
-        return exp / exp.sum(axis=1, keepdims=True)
+        return exp / exp.sum(axis=-1, keepdims=True)
 
-    def value(self, predictions: np.ndarray, targets: np.ndarray) -> float:
+    def value(self, predictions: np.ndarray, targets: np.ndarray):
+        """The mean loss of a batch: a float, or an array of one per cohort member."""
         probs = self.probabilities(predictions)
-        n = predictions.shape[0]
-        picked = probs[np.arange(n), targets.astype(int)]
-        return float(-np.mean(np.log(np.maximum(picked, 1e-12))))
+        picked = np.take_along_axis(probs, targets.astype(int)[..., None], axis=-1)[..., 0]
+        losses = -np.mean(np.log(np.maximum(picked, 1e-12)), axis=-1)
+        return losses if losses.ndim else float(losses)
 
     def gradient(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
         probs = self.probabilities(predictions)
-        n = predictions.shape[0]
-        probs[np.arange(n), targets.astype(int)] -= 1.0
-        return probs / n
+        rows = targets.astype(int)[..., None]
+        np.put_along_axis(probs, rows, np.take_along_axis(probs, rows, axis=-1) - 1.0, axis=-1)
+        return probs / predictions.shape[-2]
 
 
 class MeanSquaredError(Loss):
-    """Plain MSE for regression-style diagnostics."""
+    """Plain MSE for regression-style diagnostics.
 
-    def value(self, predictions: np.ndarray, targets: np.ndarray) -> float:
+    Like :class:`SoftmaxCrossEntropy`, a cohort's ``(members, n, outputs)``
+    predictions give one loss per member, each over its own batch.
+    """
+
+    def value(self, predictions: np.ndarray, targets: np.ndarray):
+        """The mean loss of a batch: a float, or an array of one per cohort member."""
         diff = predictions - targets
-        return float(np.mean(diff * diff))
+        losses = np.mean(diff * diff, axis=(-2, -1))
+        return losses if losses.ndim else float(losses)
 
     def gradient(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        return 2.0 * (predictions - targets) / predictions.size
+        n, outputs = predictions.shape[-2:]
+        return 2.0 * (predictions - targets) / (n * outputs)

@@ -4,7 +4,9 @@
 ``get_weights`` / ``set_weights`` as flat lists of arrays — exactly the
 granularity at which the FedAvg server averages client updates (paper
 Eq. 3).  ``clone_architecture`` stamps out per-client replicas that share
-the architecture but never the parameter storage.
+the architecture but never the parameter storage, and ``fit_cohort``
+trains several copies of one model at once, stacked along a leading
+member axis.
 """
 
 from __future__ import annotations
@@ -13,11 +15,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .layers import Layer
+from .layers import Dropout, Layer
 from .losses import Loss, SoftmaxCrossEntropy
 from .optimizers import SGD, Optimizer
 
 __all__ = ["Sequential"]
+
+#: Activation bytes one stacked training step may cache across its
+#: members: each member adds its batch size times ``sample_cache_bytes``.
+#: With one BLAS thread on a 2-vCPU host, stacked CNN steps ran 1.1-1.3x
+#: faster than one member at a time up to ~3 MB a step, at par up to
+#: ~5 MB and 0.8-0.95x beyond.  So the bench ``hpnews`` LSTM (~0.23 MB per
+#: member for a batch of 32) stacks all six winners of a round, and the
+#: bench ``mnist_o`` CNN (~3.1 MB per member, its second im2col alone
+#: 1.38 MB) steps one member at a time.
+_COHORT_STEP_BYTES = 2 << 20
 
 
 class Sequential:
@@ -54,9 +66,13 @@ class Sequential:
         self.rng = rng if rng is not None else np.random.default_rng()
         self.layers: list[Layer] = layer_factory()
         shape = self.input_shape
+        cached = 0
         for layer in self.layers:
+            cached += layer.cached_floats(shape)
             shape = layer.build(shape, self.rng)
         self.output_shape = shape
+        #: Bytes one sample's training forward caches for backward (float64).
+        self.sample_cache_bytes = 8 * cached
 
     # ------------------------------------------------------------------
     # Inference
@@ -88,12 +104,16 @@ class Sequential:
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
-    def train_batch(self, x: np.ndarray, y: np.ndarray) -> float:
-        """One SGD step on a mini-batch; returns the batch loss."""
+    def train_batch(self, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+        """One SGD step on a mini-batch; returns the batch loss.
+
+        On a cohort's stacked batch (see :meth:`fit_cohort`) every member
+        takes its own step and the loss is an array, one per member.
+        """
         logits = self.forward(x, training=True)
         loss_value = self.loss.value(logits, y)
         self.apply_gradient(self.loss.gradient(logits, y))
-        return float(loss_value)
+        return loss_value
 
     def apply_gradient(self, grad: np.ndarray) -> None:
         """Backpropagate ``dL/dlogits`` of the last forward and take one optimiser step.
@@ -118,7 +138,14 @@ class Sequential:
         batch_size: int = 32,
         shuffle_rng: np.random.Generator | None = None,
     ) -> float:
-        """Local training loop (paper Eq. 2); returns the mean epoch loss."""
+        """Train this model alone; returns the mean batch loss.
+
+        Each epoch draws a shuffle from ``shuffle_rng`` and steps through
+        it in mini-batches, with Dropout masks from the model's own
+        generator.  Local training in a federated round runs the same
+        steps through :meth:`fit_cohort`, which tests check against this
+        loop.
+        """
         rng = shuffle_rng if shuffle_rng is not None else self.rng
         n = x.shape[0]
         losses: list[float] = []
@@ -128,6 +155,76 @@ class Sequential:
                 idx = order[start : start + batch_size]
                 losses.append(self.train_batch(x[idx], y[idx]))
         return float(np.mean(losses)) if losses else 0.0
+
+    def fit_cohort(
+        self, weights: Sequence[np.ndarray], plans: Sequence
+    ) -> list[tuple[list[np.ndarray], float]]:
+        """Train one copy of this model per plan, as one stacked computation.
+
+        Every copy starts from ``weights``.  A plan
+        (:class:`~repro.fl.client.LocalPlan`) holds its data
+        ``x``/``y`` and ``batches``: one ``(rows of x, generator)`` pair per
+        SGD step, the generator giving that step's Dropout masks.  Each
+        step stacks the members whose next batch has the same size, as many
+        at a time as keep the step's cached activations under
+        ``_COHORT_STEP_BYTES``; members drop out as their batches run out.
+        Weights, optimizer state and masks stay per member, so every member
+        ends with the bytes it would reach trained alone.
+
+        Returns each member's final weights and mean batch loss, in plan
+        order.  The model's own parameters are left as they were and its
+        optimizer is reset.
+        """
+        counts = [len(plan.batches) for plan in plans]
+        params = [np.repeat(w[None], len(plans), axis=0) for w in weights]
+        slots = [np.zeros_like(p) for _ in range(self.optimizer.n_slots) for p in params]
+        losses: list[list[float]] = [[] for _ in plans]
+        saved = [(layer, layer.params, layer.grads) for layer in self.layers]
+        dropouts = [(layer, layer._rng) for layer in self.layers if isinstance(layer, Dropout)]
+        try:
+            for step in range(max(counts, default=0)):
+                groups: dict[int, list[int]] = {}
+                for m, plan in enumerate(plans):
+                    if step < counts[m]:
+                        groups.setdefault(len(plan.batches[step][0]), []).append(m)
+                for size, members in groups.items():
+                    width = max(1, _COHORT_STEP_BYTES // (size * self.sample_cache_bytes))
+                    for start in range(0, len(members), width):
+                        self._cohort_step(plans, members[start : start + width], step,
+                                          params + slots, losses)
+        finally:
+            for layer, layer_params, layer_grads in saved:
+                layer.params, layer.grads = layer_params, layer_grads
+            for layer, rng in dropouts:
+                layer._rng = rng
+            self.optimizer.reset()
+        return [
+            ([p[m] for p in params], float(np.mean(losses[m])) if losses[m] else 0.0)
+            for m in range(len(plans))
+        ]
+
+    def _cohort_step(self, plans, members, step, state, losses) -> None:
+        """One stacked SGD step of ``members``.
+
+        ``state`` is the cohort's stacked parameters followed by the
+        optimizer's slots; the members' rows are gathered, stepped and
+        written back.
+        """
+        bound = [array[members] for array in state]
+        arrays = iter(bound)
+        batches = [plans[m].batches[step] for m in members]
+        for layer in self.layers:
+            layer.params = [next(arrays) for _ in layer.params]
+            layer.grads = [np.zeros_like(p) for p in layer.params]
+            if isinstance(layer, Dropout):
+                layer._rng = [masks for _, masks in batches]
+        self.optimizer.load(list(arrays), step)
+        x = np.stack([plans[m].x[idx] for m, (idx, _) in zip(members, batches)])
+        y = np.stack([plans[m].y[idx] for m, (idx, _) in zip(members, batches)])
+        for m, loss in zip(members, self.train_batch(x, y)):
+            losses[m].append(float(loss))
+        for array, rows in zip(state, bound):
+            array[members] = rows
 
     # ------------------------------------------------------------------
     # FedAvg weight interface
@@ -156,6 +253,15 @@ class Sequential:
             loss=type(self.loss)(),
             optimizer=optimizer if optimizer is not None else _clone_optimizer(self.optimizer),
             rng=rng,
+        )
+
+    @property
+    def mask_draws_per_sample(self) -> int:
+        """Uniform doubles one training sample's Dropout masks draw."""
+        return sum(
+            int(np.prod(layer.input_shape))
+            for layer in self.layers
+            if isinstance(layer, Dropout) and layer.rate > 0.0
         )
 
     @property

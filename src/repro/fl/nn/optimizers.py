@@ -15,7 +15,15 @@ __all__ = ["Optimizer", "SGD", "Adam"]
 
 
 class Optimizer(ABC):
-    """Updates a flat list of parameter arrays from a parallel grad list."""
+    """Updates a flat list of parameter arrays from a parallel grad list.
+
+    Per-parameter state (momentum, Adam's moments) is ``n_slots`` arrays
+    shaped like each parameter.  A cohort keeps every member's slots and
+    hands the optimizer the rows of the members it steps (:meth:`load`).
+    """
+
+    #: Per-parameter state arrays ``step`` keeps.
+    n_slots = 0
 
     @abstractmethod
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
@@ -23,6 +31,10 @@ class Optimizer(ABC):
 
     def reset(self) -> None:
         """Drop any accumulated state (fresh client, new round)."""
+
+    def load(self, slots: list[np.ndarray], steps: int) -> None:
+        """Continue from ``slots`` (``n_slots`` lists of one array per
+        parameter, concatenated), the state after ``steps`` steps."""
 
 
 class SGD(Optimizer):
@@ -35,6 +47,7 @@ class SGD(Optimizer):
             raise ValueError("momentum must lie in [0, 1)")
         self.lr = float(lr)
         self.momentum = float(momentum)
+        self.n_slots = 1 if self.momentum else 0
         self._velocity: list[np.ndarray] | None = None
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
@@ -52,9 +65,14 @@ class SGD(Optimizer):
     def reset(self) -> None:
         self._velocity = None
 
+    def load(self, slots: list[np.ndarray], steps: int) -> None:
+        self._velocity = slots or None
+
 
 class Adam(Optimizer):
     """Adam with bias correction."""
+
+    n_slots = 2
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if lr <= 0:
@@ -86,3 +104,7 @@ class Adam(Optimizer):
         self._m = None
         self._v = None
         self._t = 0
+
+    def load(self, slots: list[np.ndarray], steps: int) -> None:
+        half = len(slots) // 2
+        self._m, self._v, self._t = slots[:half], slots[half:], steps

@@ -7,6 +7,9 @@ Our substrate mirrors the usual Keras composition
 The LSTM implements full backpropagation through time with the standard
 gate layout ``[i, f, g, o]`` and a unit forget-gate bias initialisation —
 the numerically-checked canonical formulation.
+
+Both layers take a cohort's leading member axis (:mod:`~repro.fl.nn.layers`);
+the embedding reaches each member's table through a per-member row offset.
 """
 
 from __future__ import annotations
@@ -47,12 +50,18 @@ class Embedding(Layer):
             raise TypeError("Embedding expects integer token ids")
         if ids.min() < 0 or ids.max() >= self.vocab_size:
             raise ValueError("token id outside the vocabulary")
+        table = self.params[0]
+        # Member m's rows start at row m * vocab_size of the stacked tables.
+        members = np.arange(table.size // (self.vocab_size * self.dim))
         self._ids = ids
-        return self.params[0][ids]
+        self._rows = ids + (members * self.vocab_size).reshape(table.shape[:-2] + (1, 1))
+        return table.reshape(-1, self.dim)[self._rows]
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         self.grads[0][...] = 0.0
-        np.add.at(self.grads[0], self._ids.reshape(-1), grad.reshape(-1, self.dim))
+        np.add.at(
+            self.grads[0].reshape(-1, self.dim), self._rows.reshape(-1), grad.reshape(-1, self.dim)
+        )
         # Token ids are not differentiable; return a zero placeholder of the
         # input's shape so Sequential's chaining stays uniform.
         return np.zeros(self._ids.shape, dtype=np.float64)
@@ -71,6 +80,11 @@ class LSTM(Layer):
         t, d = input_shape
         return (self.units,)
 
+    def cached_floats(self, input_shape) -> int:
+        # The hidden and cell states of every step, the four gates and tanh(c).
+        t, _ = input_shape
+        return (2 * (t + 1) + 6 * t) * self.units
+
     def build(self, input_shape, rng):
         _, d = input_shape
         h = self.units
@@ -83,15 +97,15 @@ class LSTM(Layer):
         return super().build(input_shape, rng)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        n, t, d = x.shape
+        *lead, t, d = x.shape
         h = self.units
         wx, wh, b = self.params
-        hs = np.zeros((t + 1, n, h))
-        cs = np.zeros((t + 1, n, h))
+        hs = np.zeros((t + 1, *lead, h))
+        cs = np.zeros((t + 1, *lead, h))
         cache = []
         for step in range(t):
             h_next, c_next, i, f, g, o, tanh_c = KERNELS.lstm_step(
-                x[:, step, :], hs[step], cs[step], wx, wh, b
+                x[..., step, :], hs[step], cs[step], wx, wh, b
             )
             cs[step + 1] = c_next
             hs[step + 1] = h_next
@@ -104,15 +118,14 @@ class LSTM(Layer):
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         x, hs, cs, cache = self._x, self._hs, self._cs, self._cache
-        n, t, d = x.shape
-        h = self.units
+        t = x.shape[-2]
         wx, wh, _ = self.params
         for g_arr in self.grads:
             g_arr[...] = 0.0
         dwx, dwh, db = self.grads
         dx = np.zeros_like(x)
         dh_next = grad.copy()
-        dc_next = np.zeros((n, h))
+        dc_next = np.zeros_like(grad)
         for step in range(t - 1, -1, -1):
             i, f, g, o, tanh_c = cache[step]
             dc = dc_next + dh_next * o * (1.0 - tanh_c * tanh_c)
@@ -127,12 +140,12 @@ class LSTM(Layer):
                     dg * (1.0 - g * g),
                     do * o * (1.0 - o),
                 ],
-                axis=1,
+                axis=-1,
             )
-            dwx += KERNELS.matmul(x[:, step, :].T, dz)
-            dwh += KERNELS.matmul(hs[step].T, dz)
-            db += dz.sum(axis=0)
-            dx[:, step, :] = KERNELS.matmul(dz, wx.T)
-            dh_next = KERNELS.matmul(dz, wh.T)
+            dwx += KERNELS.matmul(np.swapaxes(x[..., step, :], -1, -2), dz)
+            dwh += KERNELS.matmul(np.swapaxes(hs[step], -1, -2), dz)
+            db += dz.sum(axis=-2)
+            dx[..., step, :] = KERNELS.matmul(dz, np.swapaxes(wx, -1, -2))
+            dh_next = KERNELS.matmul(dz, np.swapaxes(wh, -1, -2))
             dc_next = dc * f
         return dx

@@ -7,10 +7,10 @@ accounting supplied by a :class:`RoundTimer` (the MEC cluster's timing
 model, for the "real-world" Figs 12-13).
 
 The paper's Algorithm 1 trains the K winners *in parallel* on their edge
-nodes.  The simulator models that in time, not in compute: the winners
-train one after another on the round stream, and a :class:`RoundTimer`
-such as :class:`~repro.mec.cluster.SimulatedCluster` charges the round
-its slowest winner.
+nodes.  The simulator trains them as one stacked cohort (see
+:class:`FederatedTrainer`) and models the parallelism in time: a
+:class:`RoundTimer` such as :class:`~repro.mec.cluster.SimulatedCluster`
+charges the round its slowest winner.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .client import FLClient, LocalUpdate
+from .client import FLClient, LocalPlan, train_cohort
 from .metrics import rounds_to_accuracy
 from .selection import SelectionResult, SelectionStrategy
 from .server import FedAvgServer
@@ -166,7 +166,18 @@ class TrainingHistory:
 
 
 class FederatedTrainer:
-    """Run ``n_rounds`` of federated learning under one selection scheme."""
+    """Run ``n_rounds`` of federated learning under one selection scheme.
+
+    A round's winners train as one cohort.  Each winner's
+    :meth:`FLClient.train` first draws its plan from the round stream, in
+    winner order; :func:`~repro.fl.client.train_cohort` then trains every
+    plan on the scratch replica in one stacked computation.  Each step
+    stacks the members whose next batch has the same size, as many as fit
+    the byte bound on a step's cached activations
+    (``repro.fl.nn.model._COHORT_STEP_BYTES``), and members drop out as
+    their batches run out.  Each member ends with the bytes it would
+    reach trained alone.
+    """
 
     def __init__(
         self,
@@ -193,8 +204,9 @@ class FederatedTrainer:
         self.test_y = test_y
         self.rng = rng
         self.timer = timer
-        # One scratch replica shared across clients: weights are overwritten
-        # before every local run, so no state can leak between clients.
+        # The replica every round's cohort trains on.  Built on the round
+        # stream, so its Dropout layers draw from it: each winner's plan
+        # accounts for that stretch of the stream.
         self._scratch = server.model.clone_architecture(rng)
 
     def _client_for(self, wid: int) -> FLClient:
@@ -210,16 +222,15 @@ class FederatedTrainer:
     def run_round(self, round_index: int) -> RoundRecord:
         sel: SelectionResult = self.selection.select(round_index, self.rng)
         global_weights = self.server.broadcast()
-        updates: list[LocalUpdate] = []
+        plans: list[LocalPlan] = []
         local_epochs = 1
-        # Every local run draws from the shared round stream, in winner order.
+        # Every winner draws its plan from the shared round stream, in winner order.
         for wid in sel.winner_ids:
             client = self._client_for(wid)
             local_epochs = client.local_epochs
             declared = sel.declared_samples.get(wid)
-            updates.append(
-                client.train(self._scratch, global_weights, self.rng, declared)
-            )
+            plans.append(client.train(self._scratch, self.rng, declared))
+        updates = train_cohort(self._scratch, global_weights, plans)
         if updates:
             self.server.aggregate(updates)
         loss, accuracy = self.server.evaluate(self.test_x, self.test_y)

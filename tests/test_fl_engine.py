@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.fl.client import FLClient, LocalUpdate
+from repro.fl.client import FLClient, LocalUpdate, train_cohort
 from repro.fl.datasets import make_generator
 from repro.fl.metrics import (
     accuracy_improvement,
@@ -75,7 +75,7 @@ class TestFLClient:
         data = self.make_client_data(rng, {0: 20, 1: 20})
         client = FLClient(data, local_epochs=1, batch_size=8)
         model = tiny_model(rng)
-        update = client.train(model, model.get_weights(), rng)
+        (update,) = train_cohort(model, model.get_weights(), [client.train(model, rng)])
         assert update.n_samples == 40
         assert len(update.weights) == 4
 
@@ -83,7 +83,8 @@ class TestFLClient:
         data = self.make_client_data(rng, {0: 30, 1: 30})
         client = FLClient(data)
         model = tiny_model(rng)
-        update = client.train(model, model.get_weights(), rng, declared_samples=20)
+        plan = client.train(model, rng, declared_samples=20)
+        (update,) = train_cohort(model, model.get_weights(), [plan])
         assert update.n_samples == 20
 
     def test_training_changes_weights(self, rng):
@@ -91,7 +92,7 @@ class TestFLClient:
         client = FLClient(data)
         model = tiny_model(rng)
         before = model.get_weights()
-        update = client.train(model, before, rng)
+        (update,) = train_cohort(model, before, [client.train(model, rng)])
         assert any(
             not np.allclose(a, b) for a, b in zip(update.weights, before)
         )
@@ -101,7 +102,7 @@ class TestFLClient:
         client = FLClient(data)
         model = tiny_model(rng)
         g = model.get_weights()
-        update = client.train(model, g, rng)
+        (update,) = train_cohort(model, g, [client.train(model, rng)])
         assert update.n_samples == 0
         for a, b in zip(update.weights, g):
             np.testing.assert_array_equal(a, b)

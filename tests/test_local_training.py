@@ -96,9 +96,9 @@ class TestRngDiscipline:
         seen = []
 
         class RecordingClient(FLClient):
-            def train(self, scratch_model, global_weights, rng, declared_samples=None):
+            def train(self, scratch_model, rng, declared_samples=None):
                 seen.append(rng)
-                return super().train(scratch_model, global_weights, rng, declared_samples)
+                return super().train(scratch_model, rng, declared_samples)
 
         rng = np.random.default_rng(7)
         clients = [

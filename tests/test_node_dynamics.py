@@ -7,7 +7,7 @@ from repro.core.costs import LinearCost
 from repro.core.equilibrium import EquilibriumSolver
 from repro.core.scoring import MultiplicativeScore
 from repro.core.valuation import PrivateValueModel, UniformTheta
-from repro.fl.client import FLClient
+from repro.fl.client import FLClient, train_cohort
 from repro.fl.datasets import make_generator
 from repro.fl.nn import Dense, ReLU, SGD, Sequential
 from repro.fl.partition import ClientData
@@ -86,21 +86,21 @@ class TestClientStepCap:
     def test_cap_limits_steps_but_reports_declared_size(self, rng):
         client = self.make_client(rng, 200, cap=3)
         model = self.model(rng)
-        update = client.train(model, model.get_weights(), rng)
+        (update,) = train_cohort(model, model.get_weights(), [client.train(model, rng)])
         # FedAvg weight (Eq. 3 D_i) still reflects the full declared data.
         assert update.n_samples == 200
 
     def test_no_cap_trains_everything(self, rng):
         client = self.make_client(rng, 100, cap=None)
         model = self.model(rng)
-        update = client.train(model, model.get_weights(), rng)
+        (update,) = train_cohort(model, model.get_weights(), [client.train(model, rng)])
         assert update.n_samples == 100
 
     def test_cap_below_data_size_changes_weights(self, rng):
         client = self.make_client(rng, 160, cap=2)
         model = self.model(rng)
         before = model.get_weights()
-        update = client.train(model, before, rng)
+        (update,) = train_cohort(model, before, [client.train(model, rng)])
         assert any(not np.allclose(a, b) for a, b in zip(update.weights, before))
 
     def test_invalid_cap(self, rng):
