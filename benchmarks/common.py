@@ -41,13 +41,5 @@ def run_once(benchmark, fn):
     return benchmark.pedantic(fn, rounds=1, iterations=1)
 
 
-def mean_series(histories, attr: str):
-    """Seed-averaged per-round series from a list of TrainingHistory."""
-    import numpy as np
-
-    data = np.stack([np.asarray(getattr(h, attr), dtype=float) for h in histories])
-    return data.mean(axis=0)
-
-
 def fmt_curve(values, digits: int = 3):
     return [round(float(v), digits) for v in values]

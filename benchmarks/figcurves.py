@@ -2,19 +2,20 @@
 
 Each of the four dataset figures plots accuracy and loss versus training
 round for FMore, RandFL and FixFL.  This driver runs the three schemes on
-the shared federation for each bench seed, averages the curves, prints the
-two series tables and the paper-vs-measured block, and returns the
-histories for additional assertions.
+the shared federation for each bench seed, reads the seed-averaged curves
+off the run's metrics frame, prints the two series tables and the
+paper-vs-measured block, and returns the per-scheme summaries for
+additional assertions.
 """
 
 from __future__ import annotations
 
-from repro.analysis import headline_metrics
+from repro.analysis import summarize_schemes
 from repro.api import FMoreEngine, Scenario
 from repro.fl.metrics import round_reduction
 from repro.sim.reporting import paper_vs_measured, series_table
 
-from .common import BENCH_SEEDS, emit, fmt_curve, mean_series
+from .common import BENCH_SEEDS, emit, fmt_curve
 
 SCHEMES = ("FMore", "RandFL", "FixFL")
 
@@ -30,21 +31,16 @@ def run_accuracy_loss_figure(
     scenario = Scenario.from_preset(
         "bench", dataset, schemes=SCHEMES, seeds=tuple(BENCH_SEEDS)
     )
-    per_scheme = FMoreEngine().run(scenario).histories
+    frame = FMoreEngine().run(scenario).metrics()
+    # Rounds-to-target on the seed-averaged curves (the paper's speed metric).
+    summary = {s.scheme: s for s in summarize_schemes(frame, target_accuracy)}
 
     rounds = list(range(1, scenario.n_rounds + 1))
-    acc = {s: fmt_curve(mean_series(h, "accuracies")) for s, h in per_scheme.items()}
-    loss = {s: fmt_curve(mean_series(h, "losses")) for s, h in per_scheme.items()}
+    acc = {s: fmt_curve(frame.filter(scheme=s).column("accuracy_mean")) for s in SCHEMES}
+    loss = {s: fmt_curve(frame.filter(scheme=s).column("loss_mean")) for s in SCHEMES}
 
-    # Rounds-to-target on the seed-averaged curves (the paper's speed metric).
-    def rounds_to(series):
-        for i, a in enumerate(series):
-            if a >= target_accuracy:
-                return i + 1
-        return None
-
-    r_fmore = rounds_to(acc["FMore"])
-    r_rand = rounds_to(acc["RandFL"])
+    r_fmore = summary["FMore"].rounds_to_target
+    r_rand = summary["RandFL"].rounds_to_target
     measured_speedup = round_reduction(r_rand, r_fmore)
 
     last = {s: acc[s][-1] for s in SCHEMES}
@@ -86,4 +82,4 @@ def run_accuracy_loss_figure(
         ]
     )
     emit(fig_name, text)
-    return per_scheme
+    return summary

@@ -3,15 +3,16 @@
 Recreates Section V-C: one aggregator and 31 heterogeneous edge nodes
 (1-8 CPU cores, 50-1000 Mbps links) training CIFAR-10, with the additive
 scoring rule S = 0.4*compute + 0.3*bandwidth + 0.3*data - p.  Prints the
-accuracy and wall-clock trajectories of FMore vs RandFL and the time-to-
-accuracy comparison of Fig. 13.
+accuracy trajectories of FMore vs RandFL and their simulated seconds to
+an accuracy target and in total, Fig. 13's comparison (``python -m repro
+cluster`` runs the same cut).
 
 Run:  python examples/cluster_deployment.py      (~60 s)
 """
 
+from repro.analysis import result_tables, summarize_schemes
 from repro.api import FMoreEngine, Scenario
-from repro.fl.metrics import speedup_percent, time_to_accuracy
-from repro.sim.reporting import ascii_table, series_table
+from repro.fl.metrics import speedup_percent
 
 scenario = Scenario.from_preset(
     "cluster_cifar10",
@@ -25,49 +26,14 @@ print(
     f"simulated cluster: {scenario.n_clients} nodes, K={scenario.k_winners}, "
     f"dataset={scenario.dataset}, scoring weights={scenario.scoring['weights']}"
 )
-results = FMoreEngine().run(scenario).comparison()
-
-rounds = list(range(1, scenario.n_rounds + 1))
-print()
-print(
-    series_table(
-        "accuracy per round",
-        "round",
-        rounds,
-        {s: [round(a, 3) for a in h.accuracies] for s, h in results.items()},
-    )
-)
-print()
-print(
-    series_table(
-        "cumulative simulated seconds",
-        "round",
-        rounds,
-        {s: [round(t, 1) for t in h.cumulative_seconds] for s, h in results.items()},
-    )
-)
+result = FMoreEngine().run(scenario)
 
 target = 0.2
-rows = []
-for scheme, h in results.items():
-    rows.append(
-        (
-            scheme,
-            round(h.final_accuracy, 3),
-            time_to_accuracy(h.accuracies, h.cumulative_seconds, target),
-            round(h.cumulative_seconds[-1], 1),
-        )
-    )
 print()
-print(
-    ascii_table(
-        ["scheme", "final accuracy", f"seconds to {target:.0%}", "total seconds"],
-        rows,
-        title="cluster summary",
-    )
-)
+print(result_tables(result, target_accuracy=target))
+summary = {s.scheme: s for s in summarize_schemes(result.metrics(), target)}
 reduction = speedup_percent(
-    results["RandFL"].cumulative_seconds[-1], results["FMore"].cumulative_seconds[-1]
+    summary["RandFL"].total_seconds, summary["FMore"].total_seconds
 )
 print(f"\ntotal-time reduction FMore vs RandFL: {reduction:.1f}% "
       f"(paper, real hardware: 38.4%)")

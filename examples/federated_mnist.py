@@ -8,9 +8,8 @@ side.
 Run:  python examples/federated_mnist.py        (~30 s)
 """
 
-from repro.analysis import headline_metrics, summarize_schemes
+from repro.analysis import headline_metrics, result_tables
 from repro.api import FMoreEngine, Scenario
-from repro.sim.reporting import ascii_table, series_table
 
 scenario = Scenario.from_preset(
     "bench",
@@ -27,32 +26,12 @@ print(f"dataset={scenario.dataset}  N={scenario.n_clients}  "
       f"K={scenario.k_winners}  rounds={scenario.n_rounds}")
 print("running FMore / RandFL / FixFL on a shared federation...\n")
 
-results = FMoreEngine().run(scenario).comparison()
-
-print(
-    series_table(
-        "accuracy per round",
-        "round",
-        list(range(1, scenario.n_rounds + 1)),
-        {name: [round(a, 3) for a in h.accuracies] for name, h in results.items()},
-    )
-)
+result = FMoreEngine().run(scenario)
 
 target = 0.7
-rows = [
-    (s.scheme, s.final_accuracy, s.rounds_to_target, s.total_payment)
-    for s in summarize_schemes(results, target_accuracy=target)
-]
-print()
-print(
-    ascii_table(
-        ["scheme", "final accuracy", f"rounds to {target:.0%}", "total payment"],
-        rows,
-        title="summary",
-    )
-)
+print(result_tables(result, target_accuracy=target))
 
-metrics = headline_metrics(results, target_accuracy=target)
+metrics = headline_metrics(result.comparison(), target_accuracy=target)
 print(
     f"\nFMore vs RandFL: "
     f"round reduction = {metrics.round_reduction_pct and round(metrics.round_reduction_pct, 1)}%, "

@@ -13,6 +13,7 @@ Run:  python examples/resume_cluster_run.py      (~60 s)
 import tempfile
 from pathlib import Path
 
+from repro.analysis import result_tables
 from repro.api import (
     ExperimentStore,
     FMoreEngine,
@@ -20,7 +21,6 @@ from repro.api import (
     Scenario,
     scenario_hash,
 )
-from repro.sim.reporting import ascii_table
 
 scenario = Scenario.from_preset(
     "cluster_cifar10",
@@ -71,17 +71,8 @@ uninterrupted = FMoreEngine().run(scenario)
 assert resumed.histories == uninterrupted.histories
 print("resumed histories are bitwise-identical to the uninterrupted run\n")
 
+print(result_tables(resumed, target_accuracy=0.2))
 frame = resumed.metrics()
-rows = [
-    (
-        scheme,
-        round(resumed.history(scheme).final_accuracy, 3),
-        round(resumed.history(scheme).cumulative_seconds[-1], 1),
-        round(resumed.history(scheme).total_payment, 2),
-    )
-    for scheme in scenario.schemes
-]
-print(ascii_table(["scheme", "final acc", "sim seconds", "payment"], rows))
 print(
     f"\nmetrics frame: {len(frame)} rows x {len(frame.columns)} columns "
     "(frame.to_csv('cluster.csv') exports it)"

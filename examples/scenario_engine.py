@@ -15,9 +15,9 @@ builders:
 Run:  python examples/scenario_engine.py        (~20 s)
 """
 
+from repro.analysis import result_tables
 from repro.api import FMoreEngine, Scenario
 from repro.core.registry import COST_MODELS, SCORING_RULES, THETA_DISTRIBUTIONS
-from repro.sim.reporting import series_table
 
 # --- 1. A declarative scenario, JSON round-trippable ----------------------
 scenario = Scenario.from_preset(
@@ -41,15 +41,9 @@ result = engine.run(scenario)
 print(f"solver cache after the run: {engine.cache_misses} build(s), "
       f"{engine.cache_hits} reuse(s)\n")
 
-stats = result.averaged()
-print(
-    series_table(
-        "mean accuracy per round (3 seeds)",
-        "round",
-        list(range(1, scenario.n_rounds + 1)),
-        {s: [round(float(a), 3) for a in st["accuracy"].mean] for s, st in stats.items()},
-    )
-)
+# The seed-averaged curves and per-scheme summary (`python -m repro run`
+# prints the same tables).
+print(result_tables(result, target_accuracy=0.2))
 
 # --- 3. Swap a component by name: a cost-skewed market ---------------------
 # Most nodes cheap (Beta(2, 5) types), same game otherwise: one field edit.

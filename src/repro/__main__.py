@@ -6,6 +6,7 @@ Usage::
     python -m repro theory               # verify all theorems (Section IV)
     python -m repro compare mnist_o      # Fig 4-7 style comparison
     python -m repro compare mnist_o --schemes FMore,PsiFMore,RandFL
+    python -m repro compare mnist_o --seed 3 --target 0.6 --store runs/
     python -m repro cluster              # Fig 12-13 style cluster run
     python -m repro sweep-n              # Fig 9b payment/score vs N
     python -m repro sweep-k              # Fig 10b payment/score vs K
@@ -69,7 +70,12 @@ Usage::
 
 The ``run`` command consumes :class:`repro.api.Scenario` JSON files (see
 ``scenario`` to generate one) and drives the :class:`repro.api.FMoreEngine`
-façade; ``--set key=value`` overrides any scenario field.  Multi-seed
+façade; ``--set key=value`` overrides any scenario field.  ``compare``
+(the bench preset at ``--seed``) and ``cluster`` (a quick
+``cluster_cifar10`` cut at ``--seed``) only build their scenario and then
+take ``run``'s path, so ``run``'s flags apply to them; all three and
+``report`` print the same accuracy series and per-scheme summary
+(:func:`repro.analysis.result_tables`, rounds to ``--target``).  Multi-seed
 sweeps fan their ``(scheme, seed)`` cells out through the scenario's
 ``execution`` spec: ``--parallel N`` runs them on an N-worker process pool
 and ``--executor serial|process|service`` picks the executor
@@ -84,8 +90,6 @@ import argparse
 import signal
 import sys
 from pathlib import Path
-
-import numpy as np
 
 COMMANDS = (
     "list",
@@ -108,14 +112,10 @@ COMMANDS = (
 # --resume"; distinct from argparse's 2 and error's 1).
 EXIT_INCOMPLETE = 3
 
-DEFAULT_SCHEMES = ("FMore", "RandFL", "FixFL")
 
-
-def _parse_schemes(raw: str | None, default: tuple[str, ...] = DEFAULT_SCHEMES):
+def _parse_schemes(raw: str):
     from .api import SCHEME_NAMES
 
-    if raw is None:
-        return default
     schemes = tuple(s.strip() for s in raw.split(",") if s.strip())
     for s in schemes:
         if s not in SCHEME_NAMES:
@@ -160,52 +160,27 @@ def _policy_overrides(policy_args: list[str]) -> list[str]:
     return overrides
 
 
-def _cmd_compare(
-    dataset: str,
-    seed: int,
-    rounds: int | None,
-    schemes_raw: str | None,
-    policy_args: list[str] | None = None,
-) -> int:
-    from .analysis import summarize_schemes
-    from .api import FMoreEngine, Scenario
-    from .sim.reporting import ascii_table, series_table
-
-    scenario = Scenario.from_preset(
-        "bench", dataset, schemes=_parse_schemes(schemes_raw), seeds=(seed,)
-    )
-    if rounds is not None:
-        scenario = scenario.with_(n_rounds=rounds)
-    if policy_args:
-        try:
-            scenario = scenario.with_overrides(_policy_overrides(policy_args))
-        except (ValueError, TypeError) as exc:
-            raise SystemExit(f"error: {exc}")
-    results = FMoreEngine().run(scenario).comparison()
-    print(
-        series_table(
-            f"accuracy per round ({dataset})",
-            "round",
-            list(range(1, scenario.n_rounds + 1)),
-            {s: [round(a, 3) for a in h.accuracies] for s, h in results.items()},
-        )
-    )
-    rows = [
-        (s.scheme, round(s.final_accuracy, 3), s.rounds_to_target, round(s.total_payment, 3))
-        for s in summarize_schemes(results, target_accuracy=0.5)
-    ]
-    print()
-    print(ascii_table(["scheme", "final acc", "rounds to 50%", "payment"], rows))
-    return 0
-
-
 def _load_scenario(args) -> "object":
     import json
 
     from .api import Scenario
 
     try:
-        if args.scenario is not None:
+        if args.command == "compare":
+            # The Fig 4-7 comparison: the bench preset at --seed.
+            scenario = Scenario.from_preset("bench", args.dataset, seeds=(args.seed,))
+        elif args.command == "cluster":
+            # The Fig 12-13 testbed, cut to a quick run.
+            scenario = Scenario.from_preset(
+                "cluster_cifar10",
+                args.dataset,
+                seeds=(args.seed,),
+                n_rounds=10,
+                size_range=(150, 900),
+                test_per_class=25,
+                model_width=0.18,
+            )
+        elif args.scenario is not None:
             scenario = Scenario.from_json(Path(args.scenario).read_text())
         else:
             scenario = Scenario.from_preset(args.preset, args.dataset)
@@ -354,8 +329,9 @@ def _exit_on_sigterm(signum, frame) -> None:
 
 
 def _cmd_run(args) -> int:
+    """Run a scenario's plan and print its tables (`run`, `compare`, `cluster`)."""
+    from .analysis import result_tables
     from .api import EXECUTORS, FMoreEngine, IncompleteRunError, StoreMismatchError
-    from .sim.reporting import ascii_table, series_table
 
     scenario = _load_scenario(args)
     engine = FMoreEngine()
@@ -387,28 +363,7 @@ def _cmd_run(args) -> int:
     finally:
         if previous is not None:
             signal.signal(signal.SIGTERM, previous)
-    multi_seed = len(scenario.seeds) > 1
-    rounds = list(range(1, scenario.n_rounds + 1))
-    if multi_seed:
-        stats = result.averaged()
-        series = {s: [round(float(a), 3) for a in st["accuracy"].mean] for s, st in stats.items()}
-        title = f"mean accuracy per round ({scenario.name}, {len(scenario.seeds)} seeds)"
-    else:
-        series = {
-            s: [round(a, 3) for a in result.history(s).accuracies]
-            for s in scenario.schemes
-        }
-        title = f"accuracy per round ({scenario.name})"
-    print(series_table(title, "round", rounds, series))
-    rows = []
-    for scheme in scenario.schemes:
-        finals = [h.final_accuracy for h in result.histories[scheme]]
-        payments = [h.total_payment for h in result.histories[scheme]]
-        rows.append(
-            (scheme, round(float(np.mean(finals)), 4), round(float(np.mean(payments)), 3))
-        )
-    print()
-    print(ascii_table(["scheme", "final acc", "payment"], rows))
+    print(result_tables(result, target_accuracy=args.target))
     executor = scenario.execution["executor"]
     workers = scenario.execution["max_workers"]
     if executor in ("process", "service"):
@@ -590,9 +545,9 @@ def _cmd_report(args) -> int:
 
 
 def _report_store(args) -> int:
+    from .analysis import result_tables
     from .api import RunResult, Scenario, scenario_hash
     from .api.store import ExperimentStore
-    from .sim.reporting import ascii_table
 
     store = ExperimentStore(args.store)
     stored = store.scenarios()
@@ -621,113 +576,45 @@ def _report_store(args) -> int:
     print(f"experiment store: {args.store}")
     for h in stored:
         scenario = store.load_scenario(h)
-        cells = [(s, d) for (_, s, d) in store.cells(h)]
-        found_schemes = sorted(
-            {s for s, _ in cells},
-            key=lambda s: (
-                scenario.schemes.index(s) if s in scenario.schemes else 99
-            ),
-        )
-        seeds_of = {
-            s: sorted(d for sc, d in cells if sc == s) for s in found_schemes
+        cells = store.cells(h)
+        order = {s: i for i, s in enumerate(scenario.schemes)}
+        seeds_of: dict[str, list[int]] = {}
+        for _, scheme, seed in sorted(
+            cells, key=lambda c: (order.get(c[1], len(order)), c[1], c[2])
+        ):
+            seeds_of.setdefault(scheme, []).append(seed)
+        loaded = {
+            scheme: [store.load_history(h, scheme, seed) for seed in seeds]
+            for scheme, seeds in seeds_of.items()
         }
         print(
             f"\nscenario {scenario.name!r} ({h[:12]}…): "
             f"{len(cells)} stored cell(s), {scenario.n_rounds} rounds"
         )
-        rows = []
-        loaded = {}
-        for scheme in found_schemes:
-            seeds = seeds_of[scheme]
-            histories = [store.load_history(h, scheme, d) for d in seeds]
-            loaded[scheme] = dict(zip(seeds, histories))
-            finals = [hist.final_accuracy for hist in histories]
-            payments = [hist.total_payment for hist in histories]
-            mean_curve = np.mean([hist.accuracies for hist in histories], axis=0)
-            reached = [
-                i + 1 for i, a in enumerate(mean_curve) if a >= args.target
-            ]
-            bans = [
-                sum(
-                    1
-                    for r in hist.records
-                    for a in r.policy_actions
-                    if a.kind == "ban"
-                )
-                for hist in histories
-            ]
-            rows.append(
-                (
-                    scheme,
-                    len(seeds),
-                    round(float(np.mean(finals)), 4),
-                    reached[0] if reached else None,
-                    round(float(np.mean(payments)), 3),
-                    round(float(np.mean(bans)), 2),
-                )
+        # One result per scheme: stored schemes may cover different seeds.
+        # A sweep's queue registers its scenario before any cell lands.
+        results = [
+            RunResult(
+                scenario.with_(schemes=(scheme,), seeds=tuple(seeds)),
+                {scheme: loaded[scheme]},
             )
-        print(
-            ascii_table(
-                [
-                    "scheme",
-                    "seeds",
-                    "final acc",
-                    f"rounds to {args.target:.0%}",
-                    "payment",
-                    "bans",
-                ],
-                rows,
-            )
-        )
+            for scheme, seeds in seeds_of.items()
+        ]
+        if results:
+            print(result_tables(*results, target_accuracy=args.target))
         if args.csv is not None:
             # The metrics frame needs a rectangular plan: every scheme must
             # cover the same seed set.
-            seed_sets = {frozenset(v) for v in seeds_of.values()}
+            seed_sets = {tuple(seeds) for seeds in seeds_of.values()}
             if len(seed_sets) != 1:
                 raise SystemExit(
                     "error: --csv needs a complete (scheme x seed) grid; "
-                    f"stored seeds differ per scheme: {dict(seeds_of)}"
+                    f"stored seeds differ per scheme: {seeds_of}"
                 )
-            plan = scenario.with_(
-                schemes=tuple(found_schemes),
-                seeds=tuple(sorted(seed_sets.pop())),
-            )
-            frame = RunResult(
-                plan,
-                {
-                    scheme: [loaded[scheme][seed] for seed in plan.seeds]
-                    for scheme in plan.schemes
-                },
-            ).metrics()
+            plan = scenario.with_(schemes=tuple(seeds_of), seeds=seed_sets.pop())
+            frame = RunResult(plan, loaded).metrics()
             frame.to_csv(args.csv)
             print(f"\nwrote {len(frame)} metric rows to {args.csv}")
-    return 0
-
-
-def _cmd_cluster(seed: int) -> int:
-    from .api import FMoreEngine, Scenario
-    from .sim.reporting import series_table
-
-    scenario = Scenario.from_preset(
-        "cluster_cifar10",
-        seeds=(seed,),
-        n_rounds=10, size_range=(150, 900), test_per_class=25, model_width=0.18,
-    )
-    results = FMoreEngine().run(scenario).comparison()
-    rounds = list(range(1, scenario.n_rounds + 1))
-    print(
-        series_table(
-            "cluster accuracy per round", "round", rounds,
-            {s: [round(a, 3) for a in h.accuracies] for s, h in results.items()},
-        )
-    )
-    print()
-    print(
-        series_table(
-            "cumulative simulated seconds", "round", rounds,
-            {s: [round(t, 1) for t in h.cumulative_seconds] for s, h in results.items()},
-        )
-    )
     return 0
 
 
@@ -767,7 +654,14 @@ def main(argv: list[str] | None = None) -> int:
     # None = "not given": presets that imply a dataset (cluster_cifar10)
     # reject an explicit conflicting one instead of silently ignoring it.
     parser.add_argument("dataset", nargs="?", default=None)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="seed of `compare`, `cluster`, `sweep-n`/`sweep-k` and "
+        "`train-bidder` (default 1); `run` and `scenario` take "
+        "--set seeds=N instead",
+    )
     parser.add_argument("--rounds", type=int, default=None)
     parser.add_argument(
         "--schemes",
@@ -886,8 +780,8 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=0.5,
         metavar="ACC",
-        help="accuracy threshold for `report`'s rounds-to-target column "
-        "(default 0.5)",
+        help="accuracy threshold of the rounds- and time-to-target columns "
+        "that `run`, `compare`, `cluster` and `report` print (default 0.5)",
     )
     parser.add_argument(
         "--csv",
@@ -1053,27 +947,24 @@ def main(argv: list[str] | None = None) -> int:
         "(the committed docs/scenario_reference.md)",
     )
     args = parser.parse_args(argv)
+    if args.seed is None:
+        args.seed = 1
+    elif args.command in ("run", "scenario"):
+        raise SystemExit(
+            f"error: `{args.command}` takes its seeds from the scenario, not "
+            "--seed; use --set seeds=N (or a list, --set seeds=0,1,2)"
+        )
 
     if args.command == "list":
         return _cmd_list()
     if args.command == "theory":
         return _cmd_theory()
-    if args.command == "compare":
-        return _cmd_compare(
-            args.dataset or "mnist_o",
-            args.seed,
-            args.rounds,
-            args.schemes,
-            policy_args=args.policies,
-        )
-    if args.command == "cluster":
-        return _cmd_cluster(args.seed)
+    if args.command in ("run", "compare", "cluster"):
+        return _cmd_run(args)
     if args.command == "sweep-n":
         return _cmd_sweep("n", args.seed)
     if args.command == "sweep-k":
         return _cmd_sweep("k", args.seed)
-    if args.command == "run":
-        return _cmd_run(args)
     if args.command == "scenario":
         return _cmd_scenario(args)
     if args.command == "report":

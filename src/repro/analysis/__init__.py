@@ -5,6 +5,7 @@ from .convergence import (
     HeadlineMetrics,
     SchemeSummary,
     headline_metrics,
+    result_tables,
     summarize_schemes,
 )
 from .equilibrium_analysis import (
@@ -38,6 +39,7 @@ __all__ = [
     "selection_rank_proportions",
     "SchemeSummary",
     "summarize_schemes",
+    "result_tables",
     "HeadlineMetrics",
     "headline_metrics",
     "TheoremCheck",

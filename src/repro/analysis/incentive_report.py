@@ -244,26 +244,10 @@ def run_incentive_sweep(
         )
         if log is not None:
             log(f"running deviation {label!r} over schemes {schemes}")
-        result = engine.run(variant, store=store)
-        frame = result.metrics()
+        frame = engine.run(variant, store=store).metrics()
         for scheme in schemes:
-            sub = frame.filter(scheme=scheme)
-            deviant = [v for v in sub.column("payoff_deviant_mean") if v is not None]
-            mins = [v for v in sub.column("payoff_deviant_min") if v is not None]
-            if not deviant:
-                raise ValueError(
-                    f"deviation {label!r} produced no payoff columns for "
-                    f"scheme {scheme!r} — the strategic slice never bid"
-                )
             report.rows.append(
-                IncentiveRow(
-                    scheme=scheme,
-                    policy=label,
-                    fraction=float(fraction),
-                    deviant_payoff=sum(deviant) / len(deviant),
-                    truthful_payoff=baseline[scheme],
-                    min_deviant_payoff=min(mins) if mins else 0.0,
-                )
+                _deviation_row(frame, scheme, label, float(fraction), baseline)
             )
 
     if learned_episodes:
@@ -281,6 +265,28 @@ def run_incentive_sweep(
             log=log,
         )
     return report
+
+
+def _deviation_row(
+    frame, scheme: str, policy: str, fraction: float, baseline: dict[str, float]
+) -> IncentiveRow:
+    """One deviation's row, read off its run's ``payoff_deviant_*`` columns."""
+    sub = frame.filter(scheme=scheme)
+    deviant = [v for v in sub.column("payoff_deviant_mean") if v is not None]
+    mins = [v for v in sub.column("payoff_deviant_min") if v is not None]
+    if not deviant:
+        raise ValueError(
+            f"deviation {policy!r} produced no payoff columns for "
+            f"scheme {scheme!r} — the strategic slice never bid"
+        )
+    return IncentiveRow(
+        scheme=scheme,
+        policy=policy,
+        fraction=fraction,
+        deviant_payoff=sum(deviant) / len(deviant),
+        truthful_payoff=baseline[scheme],
+        min_deviant_payoff=min(mins) if mins else 0.0,
+    )
 
 
 def _append_learned_rows(
@@ -353,26 +359,9 @@ def _append_learned_rows(
             if log is not None:
                 log(f"running deviation 'learned_deviation' over scheme {scheme!r}")
             frame = engine.run(variant, store=store).metrics()
-            sub = frame.filter(scheme=scheme)
-            deviant = [
-                v for v in sub.column("payoff_deviant_mean") if v is not None
-            ]
-            mins = [
-                v for v in sub.column("payoff_deviant_min") if v is not None
-            ]
-            if not deviant:
-                raise ValueError(
-                    f"learned deviation produced no payoff columns for "
-                    f"scheme {scheme!r} — the strategic slice never bid"
-                )
             report.rows.append(
-                IncentiveRow(
-                    scheme=scheme,
-                    policy="learned_deviation",
-                    fraction=fraction,
-                    deviant_payoff=sum(deviant) / len(deviant),
-                    truthful_payoff=baseline[scheme],
-                    min_deviant_payoff=min(mins) if mins else 0.0,
+                _deviation_row(
+                    frame, scheme, "learned_deviation", fraction, baseline
                 )
             )
     finally:

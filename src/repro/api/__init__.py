@@ -6,8 +6,8 @@ The stable, registry-driven surface for running FMore experiments::
 
     scenario = Scenario.from_preset("smoke", "mnist_o", seeds=(0, 1, 2))
     result = FMoreEngine().run(scenario)
-    for scheme, stats in result.averaged().items():
-        print(scheme, stats["accuracy"].mean[-1])
+    frame = result.metrics()          # seed-averaged, one row per (scheme, round)
+    print(frame.filter(scheme="FMore").column("accuracy_mean")[-1])
 
 A :class:`Scenario` is a frozen, JSON-round-trippable description of an
 entire experiment — including its per-round policy pipeline
@@ -28,7 +28,9 @@ checkpoint (``session.snapshot()``) and resume
 (``engine.resume(checkpoint)``) bitwise-identically; and
 ``result.metrics()`` returns a :class:`MetricsFrame` of seed-averaged
 training and policy trajectories (see :mod:`repro.api.store` and
-:mod:`repro.api.metrics`).
+:mod:`repro.api.metrics`), the one place seeds are averaged:
+:func:`repro.analysis.summarize_schemes` reads per-scheme numbers off
+it.
 
 Sweeps also scale past one machine: the ``"service"`` executor turns the
 store into a shared job bus (:mod:`repro.api.distributed`) — it enqueues

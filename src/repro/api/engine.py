@@ -36,6 +36,7 @@ from ..core.hierarchy import (
 )
 from ..core.mechanism import FMoreMechanism
 from ..core.policies import PolicyAction, build_policy_pipeline
+from ..core.psi import WinnerSelection
 from ..core.registry import (
     COST_MODELS,
     EXECUTORS,
@@ -79,8 +80,6 @@ from .store import (
 __all__ = [
     "Federation",
     "RunResult",
-    "SeriesStats",
-    "average_histories",
     "RoundEvent",
     "Session",
     "FMoreEngine",
@@ -347,6 +346,15 @@ class _ClusterQualityToSamples:
         return int(round(quality[2] * self.max_data_size))
 
 
+def _winner_rule(scenario: Scenario, scheme: str) -> WinnerSelection:
+    """The auction scheme's winner rule: psi admission for PsiFMore
+    (at ``scenario.psi``, default 0.8), plain top-K for FMore."""
+    if scheme == "PsiFMore":
+        psi = scenario.psi if scenario.psi is not None else 0.8
+        return WINNER_SELECTIONS.create({"name": "psi", "psi": psi})
+    return WINNER_SELECTIONS.create("top_k")
+
+
 def build_selection(
     scenario: Scenario,
     scheme: str,
@@ -369,16 +377,11 @@ def build_selection(
         if scenario.variant == "hierarchical":
             return _hierarchical_selection(scenario, scheme, federation, solver)
         agents = build_agents(scenario, federation, solver)
-        if scheme == "PsiFMore":
-            psi = scenario.psi if scenario.psi is not None else 0.8
-            policy = WINNER_SELECTIONS.create({"name": "psi", "psi": psi})
-        else:
-            policy = WINNER_SELECTIONS.create("top_k")
         auction = MultiDimensionalProcurementAuction(
             solver.quality_rule,
             scenario.k_winners,
             payment_rule=scenario.payment_rule,
-            selection=policy,
+            selection=_winner_rule(scenario, scheme),
         )
         # The scheme's round-policy pipeline, built fresh per cell (the
         # policies are stateful: strike counters, active sets, alpha
@@ -443,16 +446,11 @@ def _hierarchical_selection(
             "federation with build_federation(scenario, seed)"
         )
     clusters = scenario.clusters
-    if scheme == "PsiFMore":
-        psi = scenario.psi if scenario.psi is not None else 0.8
-        policy = WINNER_SELECTIONS.create({"name": "psi", "psi": psi})
-    else:
-        policy = WINNER_SELECTIONS.create("top_k")
     auction = MultiDimensionalProcurementAuction(
         solver.quality_rule,
         clusters["k_clusters"],
         payment_rule=scenario.payment_rule,
-        selection=policy,
+        selection=_winner_rule(scenario, scheme),
     )
     mechanism = HierarchicalMechanism(
         auction, federation.population, solver, k_local=clusters["k_local"]
@@ -801,39 +799,6 @@ def run_scheme(
 # Results
 # ----------------------------------------------------------------------
 @dataclass
-class SeriesStats:
-    """Mean/std of a per-round metric across repeated runs."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.mean.size)
-
-
-def average_histories(histories: list[TrainingHistory]) -> dict[str, SeriesStats]:
-    """Per-round mean/std of accuracy, loss and cumulative time.
-
-    "All the results are the average of five experiments" (Section V-A):
-    the seed-averaged curves the paper plots.
-    """
-    if not histories:
-        raise ValueError("need at least one history")
-    out: dict[str, SeriesStats] = {}
-    for attr, key in (
-        ("accuracies", "accuracy"),
-        ("losses", "loss"),
-        ("cumulative_seconds", "cumulative_seconds"),
-    ):
-        series = [np.asarray(getattr(h, attr), dtype=float) for h in histories]
-        if len({s.size for s in series}) != 1:
-            raise ValueError("histories must have equal length to be averaged")
-        data = np.stack(series)
-        out[key] = SeriesStats(mean=data.mean(axis=0), std=data.std(axis=0))
-    return out
-
-
-@dataclass
 class RunResult:
     """Histories of every ``(scheme, seed)`` cell of a scenario's plan."""
 
@@ -857,16 +822,15 @@ class RunResult:
         """The legacy ``run_comparison`` shape: one history per scheme."""
         return {scheme: self.history(scheme, seed) for scheme in self.schemes}
 
-    def averaged(self) -> dict[str, dict[str, SeriesStats]]:
-        """Seed-averaged accuracy/loss/time series per scheme."""
-        return {s: average_histories(h) for s, h in self.histories.items()}
-
     def metrics(self) -> "Any":
         """The seed-averaged :class:`~repro.api.metrics.MetricsFrame`.
 
         One row per ``(scheme, round)``: accuracy/loss/time/payment means
         plus the policy trajectory (cumulative bans, violation and churn
         counts, guidance alpha paths) — with ``to_csv`` / ``to_json``.
+        This is the one place a scheme's seeds are averaged;
+        :func:`repro.analysis.summarize_schemes` reads per-scheme numbers
+        off it.
         """
         from .metrics import build_metrics_frame
 

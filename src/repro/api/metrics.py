@@ -195,6 +195,8 @@ def build_metrics_frame(result) -> MetricsFrame:
     rows: list[tuple] = []
     for scheme in result.schemes:
         histories = result.histories[scheme]
+        if not histories:
+            raise ValueError(f"scheme {scheme!r} has no histories to average")
         lengths = {len(h.records) for h in histories}
         if len(lengths) != 1:
             raise ValueError(

@@ -40,10 +40,8 @@ def time_to_accuracy(
     """Simulated seconds until the model first reaches ``target`` accuracy."""
     if len(accuracies) != len(cumulative_times):
         raise ValueError("accuracies and times must align")
-    for acc, t in zip(accuracies, cumulative_times):
-        if acc >= target:
-            return float(t)
-    return None
+    reached = rounds_to_accuracy(accuracies, target)
+    return None if reached is None else float(cumulative_times[reached - 1])
 
 
 def round_reduction(baseline_rounds: int | None, scheme_rounds: int | None) -> float | None:

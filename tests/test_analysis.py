@@ -14,6 +14,7 @@ from repro.analysis import (
     summarize_schemes,
     winner_stats,
 )
+from repro.api import RunResult, Scenario
 from repro.fl.trainer import RoundRecord, TrainingHistory
 
 
@@ -99,17 +100,50 @@ def _history(scheme, accs, seconds=1.0, payment=0.0):
     return h
 
 
+def _frame(histories: dict[str, list[TrainingHistory]]):
+    """The metrics frame of hand-built per-scheme, per-seed histories."""
+    (n_seeds,) = {len(hs) for hs in histories.values()}
+    scenario = Scenario.from_preset(
+        "smoke", schemes=tuple(histories), seeds=tuple(range(n_seeds))
+    )
+    return RunResult(scenario, histories).metrics()
+
+
 class TestSummaries:
     def test_summarize(self):
-        hs = {
-            "FMore": _history("FMore", [0.5, 0.9], payment=1.0),
-            "RandFL": _history("RandFL", [0.3, 0.6]),
-        }
-        rows = summarize_schemes(hs, target_accuracy=0.6)
+        frame = _frame(
+            {
+                "FMore": [_history("FMore", [0.5, 0.9], payment=1.0)],
+                "RandFL": [_history("RandFL", [0.3, 0.6])],
+            }
+        )
+        rows = summarize_schemes(frame, target_accuracy=0.6)
+        assert [r.scheme for r in rows] == ["FMore", "RandFL"]
         by_scheme = {r.scheme: r for r in rows}
         assert by_scheme["FMore"].rounds_to_target == 2
+        assert by_scheme["FMore"].seconds_to_target == 2.0
         assert by_scheme["FMore"].total_payment == 2.0
+        assert by_scheme["FMore"].total_seconds == 2.0
         assert by_scheme["RandFL"].final_accuracy == 0.6
+        assert by_scheme["RandFL"].final_loss == pytest.approx(0.4)
+        assert by_scheme["RandFL"].bans == 0.0
+
+    def test_summarize_reads_the_seed_averaged_curve(self):
+        """Rounds to target is where the *mean* curve first reaches it:
+        seed curves reaching 0.6 in rounds 3 and 1 average to round 2."""
+        frame = _frame(
+            {
+                "FMore": [
+                    _history("FMore", [0.4, 0.5, 0.6], seconds=1.0),
+                    _history("FMore", [0.6, 0.7, 0.8], seconds=3.0),
+                ]
+            }
+        )
+        (row,) = summarize_schemes(frame, target_accuracy=0.6)
+        assert row.rounds_to_target == 2
+        assert row.seconds_to_target == pytest.approx(4.0)
+        assert row.final_accuracy == pytest.approx(0.7)
+        assert summarize_schemes(frame, target_accuracy=0.95)[0].rounds_to_target is None
 
     def test_headline(self):
         hs = {

@@ -432,6 +432,40 @@ class TestCLI:
         assert "RandFL" in out and "FixFL" in out
         assert "FMore" not in out
 
+    def test_compare_takes_runs_flags_and_honours_target(self, tmp_path, capsys):
+        """`compare` builds the bench preset at --seed, then runs `run`'s
+        path: --store lands its manifests, --target names the column."""
+        from repro.__main__ import main
+
+        argv = ["compare", "mnist_o", "--rounds", "1", "--schemes", "RandFL"]
+        store = tmp_path / "store"
+        assert main([*argv, "--seed", "3", "--target", "0.9", "--store", str(store)]) == 0
+        out = capsys.readouterr().out
+        assert "rounds to 90%" in out and "rounds to 50%" not in out
+        assert [p.name for p in store.glob("runs/*/*.json")] == ["RandFL-seed3.json"]
+
+    @pytest.mark.parametrize("command", ["run", "scenario"])
+    def test_seed_flag_fails_where_the_scenario_holds_seeds(self, command):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--preset", "smoke", "--seed", "5"])
+        message = excinfo.value.code
+        assert isinstance(message, str) and message.startswith("error: ")
+        assert "--set seeds=" in message and "\n" not in message
+
+    def test_cluster_builds_its_cut_then_takes_runs_flags(self, capsys):
+        """`cluster` prints run's tables, with the simulated-seconds columns."""
+        from repro.__main__ import main
+
+        toy = ["n_clients=12", "k_winners=4", "test_per_class=10", "model_width=0.12"]
+        overrides = [arg for item in toy for arg in ("--set", item)]
+        argv = ["cluster", "--rounds", "1", "--schemes", "RandFL", *overrides]
+        assert main([*argv, "--target", "0.05"]) == 0
+        out = capsys.readouterr().out
+        assert "accuracy per round (cluster)" in out
+        assert "seconds to 5%" in out and "FMore" not in out
+
     def test_compare_rejects_unknown_scheme(self):
         from repro.__main__ import main
 

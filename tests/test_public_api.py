@@ -195,11 +195,21 @@ class TestPackageSurface:
         ):
             assert not hasattr(sim, legacy)
 
+    def test_seed_averaging_lives_in_the_metrics_frame(self):
+        """``RunResult.metrics()`` is the one seed reducer."""
+        from repro.api import RunResult
+
+        engine = importlib.import_module("repro.api.engine")
+        assert not hasattr(RunResult, "averaged")
+        for legacy in ("SeriesStats", "average_histories"):
+            assert not hasattr(engine, legacy)
+
     @pytest.mark.parametrize(
         "symbol",
         [
             "headline_metrics",
             "summarize_schemes",
+            "result_tables",
             "verify_all",
             "payment_score_sweep_n",
             "selection_rank_proportions",

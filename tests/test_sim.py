@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import Scenario
-from repro.api.engine import SeriesStats, average_histories
+from repro.api import RunResult, Scenario
 from repro.fl.models import build_model
 from repro.sim.reporting import ascii_table, fmt, paper_vs_measured, series_table
 from repro.sim.rng import rng_from, spawn_rngs
@@ -194,27 +193,33 @@ class TestReporting:
 
 
 class TestRunner:
-    """Seed-averaged series (``RunResult.averaged``)."""
+    """Seed-averaged series: ``RunResult.metrics()`` averages a scheme's seeds."""
 
     def make_history(self, accs):
-        h = TrainingHistory("X")
+        h = TrainingHistory("FMore")
         for i, a in enumerate(accs, start=1):
             h.records.append(RoundRecord(i, a, 1 - a, [0], 0.0, round_seconds=1.0))
         return h
 
+    def frame(self, *histories):
+        scenario = Scenario.from_preset(
+            "smoke", schemes=("FMore",), seeds=tuple(range(len(histories))) or (0,)
+        )
+        return RunResult(scenario, {"FMore": list(histories)}).metrics()
+
     def test_average(self):
         h1 = self.make_history([0.2, 0.4])
         h2 = self.make_history([0.4, 0.6])
-        stats = average_histories([h1, h2])
-        assert isinstance(stats["accuracy"], SeriesStats)
-        np.testing.assert_allclose(stats["accuracy"].mean, [0.3, 0.5])
-        np.testing.assert_allclose(stats["accuracy"].std, [0.1, 0.1])
-        np.testing.assert_allclose(stats["cumulative_seconds"].mean, [1.0, 2.0])
+        frame = self.frame(h1, h2)
+        np.testing.assert_allclose(frame.column("accuracy_mean"), [0.3, 0.5])
+        np.testing.assert_allclose(frame.column("accuracy_std"), [0.1, 0.1])
+        np.testing.assert_allclose(frame.column("loss_mean"), [0.7, 0.5])
+        np.testing.assert_allclose(frame.column("cumulative_seconds_mean"), [1.0, 2.0])
 
     def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            average_histories([self.make_history([0.1]), self.make_history([0.1, 0.2])])
+        with pytest.raises(ValueError, match="unequal length"):
+            self.frame(self.make_history([0.1]), self.make_history([0.1, 0.2]))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            average_histories([])
+        with pytest.raises(ValueError, match="no histories"):
+            self.frame()

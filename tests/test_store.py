@@ -7,7 +7,7 @@ Pins the tentpole contracts of :mod:`repro.api.store` and
   nothing it doesn't (the run plan and executor are excluded, so growing
   a sweep keeps hitting stored cells);
 * ``RunResult.save(store)`` / ``RunResult.load(store, scenario)``
-  round-trip exactly (``averaged()`` and ``metrics()`` agree);
+  round-trip exactly (their ``metrics()`` frames agree);
 * re-running against a store computes only the missing ``(scheme, seed)``
   cells unless ``force=True``;
 * ``--resume`` against a store written by a *different* scenario fails
@@ -18,6 +18,7 @@ Pins the tentpole contracts of :mod:`repro.api.store` and
 
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.api import (
     scenario_hash,
 )
 from repro.api import engine as engine_module
+from repro.sim.reporting import fmt
 
 POLICIES = {
     "audit_blacklist": {
@@ -111,10 +113,6 @@ class TestManifests:
         store = result.save(ExperimentStore(tmp_path))
         loaded = RunResult.load(store, scenario)
         assert loaded.histories == result.histories
-        for scheme, stats in loaded.averaged().items():
-            np.testing.assert_array_equal(
-                stats["accuracy"].mean, result.averaged()[scheme]["accuracy"].mean
-            )
         assert loaded.metrics() == result.metrics()
 
     def test_load_lists_missing_cells(self, tmp_path, scenario, result):
@@ -212,7 +210,7 @@ class TestMetricsFrame:
         frame = result.metrics()
         acc = frame.filter(scheme="FMore").column("accuracy_mean")
         np.testing.assert_allclose(
-            acc, result.averaged()["FMore"]["accuracy"].mean
+            acc, np.mean([h.accuracies for h in result.histories["FMore"]], axis=0)
         )
 
     def test_csv_and_json_round_trip(self, result, tmp_path):
@@ -288,6 +286,77 @@ class TestCLI:
     def test_report_without_runs_errors(self, tmp_path):
         with pytest.raises(SystemExit, match="no runs stored"):
             main(["report", "--store", str(tmp_path / "empty")])
+
+    def test_report_on_a_scenario_with_no_cells_yet(self, tmp_path, capsys):
+        """A queued sweep registers its scenario before any cell lands."""
+        store = ExperimentStore(tmp_path / "store")
+        store.register_scenario(_scenario())
+        assert main(["report", "--store", str(store.root)]) == 0
+        assert "0 stored cell(s)" in capsys.readouterr().out
+
+    def test_run_and_report_print_one_summary(self, tmp_path, capsys):
+        """`run` and `report` over one store print the same summary table."""
+        store = str(tmp_path / "store")
+        blacklist = json.dumps(POLICIES["audit_blacklist"])
+        argv = [
+            *self.ARGS,
+            "--set",
+            "seeds=0,1",
+            "--policy",
+            f"audit_blacklist={blacklist}",
+            "--target",
+            "0.2",
+        ]
+        assert main(["run", *argv, "--store", store]) == 0
+        ran = _summary_table(capsys.readouterr().out)
+        assert main(["report", "--store", store, "--target", "0.2"]) == 0
+        assert _summary_table(capsys.readouterr().out) == ran
+        assert ran[0].split() == [
+            "scheme", "seeds", "final", "acc", "rounds", "to", "20%", "payment", "bans"
+        ]
+        rows = {line.split()[0]: line.split() for line in ran[2:]}
+        assert list(rows) == ["FMore", "RandFL"]
+        assert rows["FMore"][1] == rows["RandFL"][1] == "2"
+        assert float(rows["FMore"][-1]) > 0  # the seed-mean of cumulative bans
+
+    def test_report_schemes_stored_over_different_seeds(self, tmp_path, capsys):
+        """One scenario hash, FMore at seeds 0,1 and RandFL at seed 0: each
+        row averages its own scheme's seeds, and --csv, which needs one
+        (scheme x seed) grid, refuses the store."""
+        store = str(tmp_path / "store")
+        fmore = ["--set", "schemes=FMore", "--set", "seeds=0,1"]
+        assert main(["run", *self.ARGS, *fmore, "--store", store]) == 0
+        assert main(["run", *self.ARGS, "--set", "schemes=RandFL", "--store", store]) == 0
+        capsys.readouterr()
+        assert main(["report", "--store", store]) == 0
+        out = capsys.readouterr().out
+        assert "3 stored cell(s)" in out
+        assert "mean accuracy per round (smoke-mnist_o, 1-2 seeds)" in out
+        rows = {line.split()[0]: line.split() for line in _summary_table(out)[2:]}
+        assert list(rows) == ["FMore", "RandFL"]
+        assert (rows["FMore"][1], rows["RandFL"][1]) == ("2", "1")
+        (h,) = ExperimentStore(store).scenarios()
+        stored = ExperimentStore(store).load_scenario(h)
+        for scheme, seeds in (("FMore", (0, 1)), ("RandFL", (0,))):
+            alone = RunResult.load(store, stored.with_(schemes=(scheme,), seeds=seeds))
+            finals = [hist.final_accuracy for hist in alone.histories[scheme]]
+            assert rows[scheme][2] == fmt(float(np.mean(finals)))
+        csv_path = tmp_path / "metrics.csv"
+        with pytest.raises(SystemExit, match=r"complete \(scheme x seed\) grid"):
+            main(["report", "--store", store, "--csv", str(csv_path)])
+        assert not csv_path.exists()
+
+
+def _summary_table(out: str) -> list[str]:
+    """The per-scheme summary table of a command's output, header first."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("scheme "))
+    table = []
+    for line in lines[start:]:
+        if not line.strip():
+            break
+        table.append(line)
+    return table
 
 
 class TestCorruptStore:
